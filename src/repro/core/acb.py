@@ -21,8 +21,6 @@ __all__ = ["AcbPlanGenerator"]
 class AcbPlanGenerator(PlanGeneratorBase):
     """TDPG_ACB: top-down enumeration with accumulated-cost bounding."""
 
-    pruning_name = "acb"
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._bounds = BoundsTable()

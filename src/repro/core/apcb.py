@@ -24,8 +24,6 @@ __all__ = ["ApcbPlanGenerator"]
 class ApcbPlanGenerator(PlanGeneratorBase):
     """TDPG_APCB: accumulated + predicted cost bounding."""
 
-    pruning_name = "apcb"
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._bounds = BoundsTable()

@@ -69,8 +69,6 @@ class ApcbiPlanGenerator(PlanGeneratorBase):
         how the plan was found.
     """
 
-    pruning_name = "apcbi"
-
     def __init__(
         self,
         *args,

@@ -12,18 +12,27 @@ query (:func:`repro.context.fingerprint`) and serves structurally
 identical repeats from the cache — replaying the stored canonical tree
 through the requesting query's context — instead of enumerating again.
 
-Timing semantics follow §V-C: the measured interval covers everything the
-optimizer does at query time — including the GOO heuristic and the graph
-renumbering of APCBI — but *excludes* the DPccp pre-pass that supplies
-APCBI_Opt's oracle upper bounds ("we do not include the pre-computation
-time", §V-C).
+Every algorithm runs through one path.  :meth:`Optimizer._select` decides
+which algorithm serves a request, and the module-level :func:`_execute`
+runs it: it alone owns the timer, the ``enumerate`` span, the
+``BudgetExceeded`` salvage and the result envelope.  :func:`run_dpccp`
+and :func:`run_dpconv` are thin calls into the same :func:`_execute`.
+
+Timing rule (§V-C), applied by :func:`_execute` alone: the measured
+interval covers everything the algorithm does at query time — including
+the GOO heuristic and the graph renumbering of APCBI — but *excludes* the
+DPccp pre-pass that supplies APCBI_Opt's oracle upper bounds ("we do not
+include the pre-computation time", §V-C), which runs before the clock
+starts.  Building the per-query context is never timed.  A plan-cache hit
+is timed from before the fingerprint to the replayed plan.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Type
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.baselines.dpccp import DPccp
 from repro.baselines.dpconv import DPconv, eligible as dpconv_eligible
@@ -34,7 +43,6 @@ from repro.core.acb import AcbPlanGenerator
 from repro.core.advancements import ADVANCEMENT_NAMES, AdvancementConfig
 from repro.core.apcb import ApcbPlanGenerator
 from repro.core.apcbi import ApcbiPlanGenerator
-from repro.core.goo import run_goo
 from repro.core.pcb import PcbPlanGenerator
 from repro.core.plangen import PlanGeneratorBase, TopDownPlanGenerator
 from repro.cost.cout import CoutCostModel
@@ -52,6 +60,7 @@ from repro.plans.validation import (
 )
 from repro.query import Query
 from repro.stats.counters import OptimizationStats
+from repro.telemetry.spans import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from repro.resilience.budget import Budget
@@ -94,6 +103,12 @@ PRUNING_SUFFIXES: Dict[str, str] = {
     "apcbi_opt": "_APCBI_Opt",
 }
 
+#: What a ``prepare`` callable hands :func:`_execute`: the algorithm
+#: (anything with ``run()`` and ``memo``), the renumbering its run uses
+#: (``None`` for the caller's numbering) and a complete heuristic tree in
+#: the caller's numbering, the last-resort salvage (or ``None``).
+_Prepared = Tuple[Any, Optional[List[int]], Optional[JoinTree]]
+
 
 def algorithm_label(enumerator: str, pruning: str) -> str:
     """Paper-style display name, e.g. ``TDMcC_APCBI`` (Table I)."""
@@ -106,7 +121,7 @@ def algorithm_label(enumerator: str, pruning: str) -> str:
     except KeyError:
         raise UnknownAlgorithmError(
             f"unknown pruning strategy {pruning!r}; "
-            f"available: {sorted(PRUNING_SUFFIXES)}"
+            f"available: {sorted([*PRUNING_SUFFIXES, 'dpconv'])}"
         ) from None
     return partitioning.label + suffix
 
@@ -137,13 +152,108 @@ class OptimizationResult:
         """Paper-style algorithm name (Table I)."""
         if self.pruning == "dpccp":
             return "DPccp"
-        if self.pruning == "dpconv":
-            return "DPconv"
         return algorithm_label(self.enumerator, self.pruning)
 
     def explain(self) -> str:
         """EXPLAIN-style rendering of the chosen plan."""
         return self.plan.explain()
+
+
+def _execute(
+    context: OptimizationContext,
+    budget: Optional["Budget"],
+    enumerator: str,
+    pruning: str,
+    prepare: Callable[..., _Prepared],
+) -> OptimizationResult:
+    """Run one algorithm on ``context``: the single execution path.
+
+    ``prepare(context=, budget=)`` builds the algorithm inside the measured
+    interval (GOO and renumbering are timed, §V-C).  A
+    :class:`~repro.errors.BudgetExceeded` leaves enriched with the best
+    complete plans registered so far (``partial_plan`` /
+    ``partial_ranked``, in the caller's numbering; the heuristic tree when
+    enumeration registered no root plan) and the memo size, so callers
+    such as :class:`repro.resilience.ResilientOptimizer` can degrade
+    gracefully instead of losing all work.
+    """
+    query = context.query
+    root = query.graph.all_vertices
+    telemetry = context.telemetry
+    started = time.perf_counter()
+    span = NULL_SPAN
+    if telemetry is not None:
+        span = telemetry.span(
+            "enumerate",
+            enumerator=enumerator,
+            pruning=pruning,
+            relations=query.n_relations,
+        )
+    with span:
+        algorithm, mapping, heuristic_tree = prepare(context=context, budget=budget)
+        inverse = invert_mapping(mapping) if mapping is not None else None
+        memo = algorithm.memo
+        try:
+            plan = algorithm.run()
+        except BudgetExceeded as error:
+            salvage = [
+                tree if inverse is None else tree.relabel(inverse)
+                for tree in memo.best_k(root)
+            ]
+            if not salvage and heuristic_tree is not None:
+                salvage = [heuristic_tree]
+            error.partial_plan = salvage[0] if salvage else None
+            error.partial_ranked = tuple(salvage)
+            error.memo_entries = len(memo)
+            raise
+        span.set(
+            ccps_enumerated=context.stats.ccps_enumerated,
+            plan_classes_built=memo.n_plan_classes(),
+        )
+    ranked = tuple(memo.best_k(root)) if context.topk > 1 else ()
+    if inverse is not None:
+        plan = plan.relabel(inverse)
+        ranked = tuple(tree.relabel(inverse) for tree in ranked)
+    elapsed = time.perf_counter() - started
+    return OptimizationResult(
+        plan=plan,
+        cost=plan.cost,
+        stats=context.stats,
+        elapsed=elapsed,
+        enumerator=enumerator,
+        pruning=pruning,
+        memo_entries=len(memo),
+        query=query,
+        ranked_plans=ranked,
+    )
+
+
+def _plain(factory: Callable[..., Any]) -> Callable[..., _Prepared]:
+    """``prepare`` for an algorithm run in the caller's numbering."""
+
+    def prepare(context: OptimizationContext, budget: Optional["Budget"]):
+        return factory(context=context, budget=budget), None, None
+
+    return prepare
+
+
+def _prepare_dpconv_fallback(
+    context: OptimizationContext, budget: Optional["Budget"]
+) -> _Prepared:
+    """DPccp serving an ineligible ``pruning="dpconv"`` request.
+
+    DPccp covers the same plan space under any cost model and with ranked
+    retention; a ``dpconv_fallback`` event on the ``enumerate`` span
+    records why it ran.
+    """
+    if context.telemetry is not None:
+        context.telemetry.event(
+            "dpconv_fallback",
+            cost_model=context.cost_model.name,
+            topk=context.topk,
+            relations=context.query.n_relations,
+        )
+    return DPccp(context=context, budget=budget), None, None
 
 
 class Optimizer:
@@ -175,10 +285,9 @@ class Optimizer:
         algorithm configuration is part of the key).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle.  When set it
-        is threaded into every per-query context, so the plan generators
-        record ``enumerate`` spans and the cache path emits
-        ``plan_cache_hit`` events.  Telemetry never influences plan
-        choice.
+        is threaded into every per-query context, so every run records one
+        ``enumerate`` span and the cache path emits ``plan_cache_hit``
+        events.  Telemetry never influences plan choice.
     dpconv_auto:
         When True (the default), unbudgeted single-best runs on
         :data:`DPCONV_AUTO_MIN_RELATIONS`-or-larger queries whose bound
@@ -217,16 +326,12 @@ class Optimizer:
         # Fail fast on typos.
         get_partitioning(enumerator)
         get_heuristic(heuristic)
-        if pruning not in PRUNING_SUFFIXES and pruning != "dpconv":
-            raise UnknownAlgorithmError(
-                f"unknown pruning strategy {pruning!r}; "
-                f"available: {sorted(PRUNING_SUFFIXES) + ['dpconv']}"
-            )
+        algorithm_label(enumerator, pruning)
 
     # ------------------------------------------------------------------
 
     def _context_for(
-        self, query: Query, budget: Optional["Budget"]
+        self, query: Query, budget: Optional["Budget"], topk: int
     ) -> OptimizationContext:
         """One fresh context per query: provider, bound model, builder."""
         return OptimizationContext.for_query(
@@ -234,7 +339,7 @@ class Optimizer:
             cost_model=self._cost_model_factory,
             budget=budget,
             telemetry=self.telemetry,
-            topk=self.topk,
+            topk=topk,
         )
 
     def _config_signature(self) -> str:
@@ -303,9 +408,11 @@ class Optimizer:
                 budget = context.budget
         if budget is not None:
             budget.start()
+        if context is None:
+            context = self._context_for(query, budget, self.topk)
         if self.plan_cache is not None:
-            return self._optimize_cached(query, budget, context)
-        return self._dispatch(query, budget, context)
+            return self._optimize_cached(context, budget)
+        return self._run(context, budget)
 
     def optimize_topk(
         self,
@@ -328,13 +435,7 @@ class Optimizer:
             k = self.topk
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        run_context = OptimizationContext.for_query(
-            query,
-            cost_model=self._cost_model_factory,
-            budget=budget,
-            telemetry=self.telemetry,
-            topk=k,
-        )
+        run_context = self._context_for(query, budget, k)
         result = self.optimize(query, budget=budget, context=run_context)
         previous = None
         for rank, plan in enumerate(result.ranked, start=1):
@@ -348,151 +449,57 @@ class Optimizer:
             previous = plan.cost
         return result
 
-    def _dispatch(
-        self,
-        query: Query,
-        budget: Optional["Budget"],
-        context: Optional[OptimizationContext],
-    ) -> OptimizationResult:
-        if self.pruning == "dpconv" or self._auto_fastpath_candidate(
-            query, budget, context
-        ):
-            # Deciding eligibility needs the *bound* cost model, so the
-            # per-query context is built here (outside the measured
-            # interval, like APCBI's pre-pass machinery).
-            if context is None:
-                context = self._context_for(query, budget)
+    def _select(
+        self, context: OptimizationContext, budget: Optional["Budget"]
+    ) -> Tuple[str, str]:
+        """The ``(enumerator, pruning)`` that serves ``context``.
+
+        ``pruning="dpconv"`` runs DPconv when :func:`dpconv_eligible`
+        allows it and falls back to DPccp otherwise, labelled ``dpccp``.
+        The automatic fast path hands unbudgeted runs on
+        :data:`DPCONV_AUTO_MIN_RELATIONS`-or-larger queries to DPconv
+        whenever it is eligible (a ``C_out``-shaped bound model and
+        ``topk == 1``): a budgeted run wants the top-down generators'
+        anytime best-so-far salvage.  Everything else runs the configured
+        algorithm.
+        """
+        if self.pruning == "dpconv":
             if dpconv_eligible(context):
-                return self._optimize_dpconv(query, budget, context)
-            if self.pruning == "dpconv":
-                return self._fallback_dpccp(query, budget, context)
-            # Auto candidate that turned out ineligible: run what was
-            # asked for, on the context already built.
-        if self.pruning in PRUNING_STRATEGIES:
-            return self._optimize_simple(query, budget, context)
-        return self._optimize_apcbi(query, budget, context)
+                return "dpconv", "dpconv"
+            return "dpccp", "dpccp"
+        if (
+            self.dpconv_auto
+            and budget is None
+            and context.query.n_relations >= DPCONV_AUTO_MIN_RELATIONS
+            and dpconv_eligible(context)
+        ):
+            return "dpconv", "dpconv"
+        return self.enumerator, self.pruning
 
-    def _auto_fastpath_candidate(
-        self,
-        query: Query,
-        budget: Optional["Budget"],
-        context: Optional[OptimizationContext],
-    ) -> bool:
-        """Cheap pre-context screen for the automatic DPconv fast path.
-
-        Auto-selection is reserved for unbudgeted single-best large-n
-        runs: a budgeted run wants the top-down generators' anytime
-        best-so-far salvage, and ranked retention needs per-class
-        candidate lists DPconv does not keep.  The C_out-shape half of the
-        test needs the bound model and happens in :func:`dpconv_eligible`.
-        """
-        if not self.dpconv_auto or budget is not None:
-            return False
-        if (context.topk if context is not None else self.topk) != 1:
-            return False
-        return query.n_relations >= DPCONV_AUTO_MIN_RELATIONS
-
-    def _optimize_dpconv(
-        self,
-        query: Query,
-        budget: Optional["Budget"],
-        context: OptimizationContext,
+    def _run(
+        self, context: OptimizationContext, budget: Optional["Budget"]
     ) -> OptimizationResult:
-        """The subset-convolution fast path (see repro/baselines/dpconv.py)."""
-        started = time.perf_counter()
-        algorithm = DPconv(context=context, budget=budget)
-        try:
-            if self.telemetry is not None:
-                with self.telemetry.span(
-                    "enumerate",
-                    enumerator="dpconv",
-                    pruning="dpconv",
-                    relations=query.n_relations,
-                ) as span:
-                    plan = algorithm.run()
-                    span.set(ccps_enumerated=context.stats.ccps_enumerated)
-            else:
-                plan = algorithm.run()
-        except BudgetExceeded as error:
-            error.partial_plan = algorithm.memo.best(query.graph.all_vertices)
-            error.partial_ranked = tuple(
-                algorithm.memo.best_k(query.graph.all_vertices)
+        """Enumerate with the selected algorithm (no cache involved)."""
+        enumerator, pruning = self._select(context, budget)
+        if pruning == "dpconv":
+            prepare = _plain(DPconv)
+        elif pruning == "dpccp":
+            prepare = _prepare_dpconv_fallback
+        elif pruning in PRUNING_STRATEGIES:
+            prepare = _plain(
+                partial(
+                    PRUNING_STRATEGIES[pruning],
+                    partitioning=get_partitioning(enumerator),
+                )
             )
-            error.memo_entries = len(algorithm.memo)
-            raise
-        elapsed = time.perf_counter() - started
-        return OptimizationResult(
-            plan=plan,
-            cost=plan.cost,
-            stats=context.stats,
-            elapsed=elapsed,
-            enumerator="dpconv",
-            pruning="dpconv",
-            memo_entries=len(algorithm.memo),
-            query=query,
-        )
-
-    def _fallback_dpccp(
-        self,
-        query: Query,
-        budget: Optional["Budget"],
-        context: OptimizationContext,
-    ) -> OptimizationResult:
-        """Honest fallback when ``pruning="dpconv"`` is not eligible.
-
-        Runs DPccp — same plan space, any cost model, ranked retention —
-        and labels the result ``dpccp`` so callers can see what actually
-        served them; a ``dpconv_fallback`` telemetry event records why.
-        """
-        started = time.perf_counter()
-        algorithm = DPccp(context=context, budget=budget)
-        try:
-            if self.telemetry is not None:
-                with self.telemetry.span(
-                    "enumerate",
-                    enumerator="dpccp",
-                    pruning="dpccp",
-                    relations=query.n_relations,
-                ) as span:
-                    span.event(
-                        "dpconv_fallback",
-                        cost_model=context.cost_model.name,
-                        topk=context.topk,
-                        relations=query.n_relations,
-                    )
-                    plan = algorithm.run()
-            else:
-                plan = algorithm.run()
-        except BudgetExceeded as error:
-            error.partial_plan = algorithm.memo.best(query.graph.all_vertices)
-            error.partial_ranked = tuple(
-                algorithm.memo.best_k(query.graph.all_vertices)
-            )
-            error.memo_entries = len(algorithm.memo)
-            raise
-        elapsed = time.perf_counter() - started
-        ranked: Tuple[JoinTree, ...] = ()
-        if context.topk > 1:
-            ranked = tuple(algorithm.ranked_plans())
-        return OptimizationResult(
-            plan=plan,
-            cost=plan.cost,
-            stats=context.stats,
-            elapsed=elapsed,
-            enumerator="dpccp",
-            pruning="dpccp",
-            memo_entries=len(algorithm.memo),
-            query=query,
-            ranked_plans=ranked,
-        )
+        else:
+            prepare = self._prepare_apcbi(context, budget)
+        return _execute(context, budget, enumerator, pruning, prepare)
 
     # -- plan cache --------------------------------------------------------
 
     def _optimize_cached(
-        self,
-        query: Query,
-        budget: Optional["Budget"],
-        context: Optional[OptimizationContext],
+        self, context: OptimizationContext, budget: Optional["Budget"]
     ) -> OptimizationResult:
         """Serve from / populate the cross-query plan cache.
 
@@ -501,20 +508,19 @@ class Optimizer:
         estimate quantization) served by equivalent configurations share
         one entry.  A hit replays the stored canonical tree through the
         requesting query's context — cardinalities and costs on the
-        returned plan are always native to the requesting query.
+        returned plan are always native to the requesting query — and is
+        labelled with the algorithm :meth:`_select` picks, the one a miss
+        would have run.
         """
         cache = self.plan_cache
-        fp = fingerprint(query)
-        topk = context.topk if context is not None else self.topk
-        key = self._cache_key(fp.key, topk)
+        started = time.perf_counter()
+        fp = fingerprint(context.query)
+        key = self._cache_key(fp.key, context.topk)
         entry = cache.get(key)
         if entry is not None:
-            started = time.perf_counter()
-            if context is None:
-                context = self._context_for(query, budget)
             plan = replay_plan(entry.canonical_plan, fp.mapping, context)
             ranked: Tuple[JoinTree, ...] = ()
-            if topk > 1 and entry.canonical_ranked:
+            if context.topk > 1 and entry.canonical_ranked:
                 ranked = tuple(
                     replay_plan(canonical, fp.mapping, context)
                     for canonical in entry.canonical_ranked
@@ -522,19 +528,20 @@ class Optimizer:
             context.stats.plan_cache_hits += 1
             if self.telemetry is not None:
                 self.telemetry.event("plan_cache_hit", key=key)
+            enumerator, pruning = self._select(context, budget)
             elapsed = time.perf_counter() - started
             return OptimizationResult(
                 plan=plan,
                 cost=plan.cost,
                 stats=context.stats,
                 elapsed=elapsed,
-                enumerator=self.enumerator,
-                pruning=self.pruning,
+                enumerator=enumerator,
+                pruning=pruning,
                 memo_entries=0,
-                query=query,
+                query=context.query,
                 ranked_plans=ranked,
             )
-        result = self._dispatch(query, budget, context)
+        result = self._run(context, budget)
         result.stats.plan_cache_misses += 1
         # Never cache a plan whose numbers are not finite: a faulting cost
         # model (e.g. under fault injection) could otherwise poison the
@@ -565,68 +572,24 @@ class Optimizer:
         )
         return result
 
-    # -- simple strategies (none / acb / pcb / apcb) -----------------------
-
-    def _optimize_simple(
-        self,
-        query: Query,
-        budget: Optional["Budget"] = None,
-        context: Optional[OptimizationContext] = None,
-    ) -> OptimizationResult:
-        partitioning = get_partitioning(self.enumerator)
-        generator_cls = PRUNING_STRATEGIES[self.pruning]
-        started = time.perf_counter()
-        if context is None:
-            context = self._context_for(query, budget)
-        generator = generator_cls(
-            partitioning=partitioning, context=context, budget=budget
-        )
-        try:
-            plan = generator.run()
-        except BudgetExceeded as error:
-            error.partial_plan = generator.memo.best(query.graph.all_vertices)
-            error.partial_ranked = tuple(
-                generator.memo.best_k(query.graph.all_vertices)
-            )
-            error.memo_entries = len(generator.memo)
-            raise
-        elapsed = time.perf_counter() - started
-        ranked: Tuple[JoinTree, ...] = ()
-        if context.topk > 1:
-            ranked = tuple(generator.memo.best_k(query.graph.all_vertices))
-        return OptimizationResult(
-            plan=plan,
-            cost=plan.cost,
-            stats=context.stats,
-            elapsed=elapsed,
-            enumerator=self.enumerator,
-            pruning=self.pruning,
-            memo_entries=len(generator.memo),
-            query=query,
-            ranked_plans=ranked,
-        )
-
     # -- APCBI / APCBI_Opt -------------------------------------------------
 
-    def _optimize_apcbi(
-        self,
-        query: Query,
-        budget: Optional["Budget"] = None,
-        context: Optional[OptimizationContext] = None,
-    ) -> OptimizationResult:
-        partitioning = get_partitioning(self.enumerator)
-        config = self.config
-        if context is None:
-            context = self._context_for(query, budget)
-        stats = context.stats
+    def _prepare_apcbi(
+        self, context: OptimizationContext, budget: Optional["Budget"]
+    ) -> Callable[..., _Prepared]:
+        """Run APCBI_Opt's oracle pre-pass; return the timed preparation.
 
-        # APCBI_Opt: oracle upper bounds from an *untimed* DPccp pre-pass.
-        # The pre-pass shares the run's budget: it is excluded from the
-        # *measured* time (§V-C) but not from the caller's wall-clock
-        # allowance — an anytime contract that ignored the most expensive
-        # phase would be useless.  It runs on a fork of the query's context
-        # — same provider (its memoized statistics carry over into
-        # enumeration), fresh counters (its work stays untimed/uncounted).
+        The pre-pass runs here, before :func:`_execute` starts its clock.
+        It shares the run's budget: it is excluded from the *measured*
+        time (§V-C) but not from the caller's wall-clock allowance — an
+        anytime contract that ignored the most expensive phase would be
+        useless.  It runs on a fork of the query's context — same provider
+        (its memoized statistics carry over into enumeration), fresh
+        counters (its work stays untimed/uncounted).
+        """
+        config = self.config
+        heuristic = get_heuristic(self.heuristic)
+        partitioning = get_partitioning(self.enumerator)
         oracle_plan: Optional[JoinTree] = None
         oracle_bounds: Optional[Dict[int, float]] = None
         if self.pruning == "apcbi_opt":
@@ -634,92 +597,42 @@ class Optimizer:
             oracle_plan = oracle.run()
             oracle_bounds = oracle.optimal_class_costs()
 
-        started = time.perf_counter()
-        run_context = context
-        mapping = None
-        upper_bounds = oracle_bounds
-        # A complete heuristic tree in the *original* numbering; doubles as
-        # the anytime fallback when the budget expires before enumeration
-        # registers a root plan.
-        heuristic_tree: Optional[JoinTree] = None
-        if config.renumber_graph and query.n_relations > 2:
-            # Advancement 6 needs a heuristic join tree before enumeration.
-            # For APCBI_Opt the oracle's optimal tree doubles as the
-            # heuristic; otherwise GOO runs here (its time is measured and
-            # its tree also seeds the uB table, advancement 2).
-            if oracle_plan is not None:
+        def prepare(context, budget):
+            query = context.query
+            upper_bounds = oracle_bounds
+            heuristic_tree = mapping = None
+            if config.renumber_graph and query.n_relations > 2:
+                # Advancement 6 needs a heuristic join tree before
+                # enumeration.  For APCBI_Opt the oracle's optimal tree
+                # doubles as the heuristic; otherwise the heuristic runs
+                # here (its tree also seeds the uB table, advancement 2).
                 heuristic_tree = oracle_plan
-            else:
-                heuristic_result = get_heuristic(self.heuristic).build(
-                    query, context.builder
-                )
-                heuristic_tree = heuristic_result.tree
-                if config.heuristic_upper_bounds:
-                    upper_bounds = dict(heuristic_result.subtree_costs)
-                else:
+                if heuristic_tree is None:
+                    built = heuristic.build(query, context.builder)
+                    heuristic_tree = built.tree
                     upper_bounds = {}
-            mapping = renumber_mapping(heuristic_tree, query.n_relations)
-            # The renumbered query runs on a relabeled context: own provider
-            # and bound model, shared counters and budget.
-            run_context = context.relabeled(mapping)
-            if upper_bounds:
-                upper_bounds = {
-                    remap_bitset(vertex_set, mapping): cost
-                    for vertex_set, cost in upper_bounds.items()
-                }
-        run_query = run_context.query
-
-        generator = ApcbiPlanGenerator(
-            partitioning=partitioning,
-            context=run_context,
-            config=config,
-            upper_bounds=upper_bounds,
-            heuristic=get_heuristic(self.heuristic),
-            budget=budget,
-        )
-        try:
-            plan = generator.run()
-        except BudgetExceeded as error:
-            partial = generator.memo.best(run_query.graph.all_vertices)
-            partial_ranked = tuple(
-                generator.memo.best_k(run_query.graph.all_vertices)
+                    if config.heuristic_upper_bounds:
+                        upper_bounds = dict(built.subtree_costs)
+                mapping = renumber_mapping(heuristic_tree, query.n_relations)
+                # The renumbered query runs on a relabeled context: own
+                # provider and bound model, shared counters and budget.
+                context = context.relabeled(mapping)
+                if upper_bounds:
+                    upper_bounds = {
+                        remap_bitset(vertex_set, mapping): cost
+                        for vertex_set, cost in upper_bounds.items()
+                    }
+            generator = ApcbiPlanGenerator(
+                partitioning=partitioning,
+                context=context,
+                config=config,
+                upper_bounds=upper_bounds,
+                heuristic=heuristic,
+                budget=budget,
             )
-            if mapping is not None:
-                inverse = invert_mapping(mapping)
-                if partial is not None:
-                    partial = partial.relabel(inverse)
-                partial_ranked = tuple(
-                    tree.relabel(inverse) for tree in partial_ranked
-                )
-            if partial is None:
-                # Advancement 2/6 built a complete heuristic tree before
-                # enumeration started — the legitimate best-so-far plan.
-                partial = heuristic_tree or generator.heuristic_tree
-                if partial is not None:
-                    partial_ranked = (partial,)
-            error.partial_plan = partial
-            error.partial_ranked = partial_ranked
-            error.memo_entries = len(generator.memo)
-            raise
-        ranked: Tuple[JoinTree, ...] = ()
-        if run_context.topk > 1:
-            ranked = tuple(generator.memo.best_k(run_query.graph.all_vertices))
-        if mapping is not None:
-            inverse = invert_mapping(mapping)
-            plan = plan.relabel(inverse)
-            ranked = tuple(tree.relabel(inverse) for tree in ranked)
-        elapsed = time.perf_counter() - started
-        return OptimizationResult(
-            plan=plan,
-            cost=plan.cost,
-            stats=stats,
-            elapsed=elapsed,
-            enumerator=self.enumerator,
-            pruning=self.pruning,
-            memo_entries=len(generator.memo),
-            query=query,
-            ranked_plans=ranked,
-        )
+            return generator, mapping, heuristic_tree or generator.heuristic_tree
+
+        return prepare
 
 
 def optimize(
@@ -775,6 +688,27 @@ def optimize_topk(
     ).optimize_topk(query, k=k, budget=budget)
 
 
+def _run_baseline(
+    algorithm_cls: Type[Any],
+    query: Query,
+    cost_model_factory: Callable[[], CostModel],
+    budget: Optional["Budget"],
+    telemetry: Optional["Telemetry"],
+    topk: int = 1,
+) -> OptimizationResult:
+    if budget is not None:
+        budget.start()
+    context = OptimizationContext.for_query(
+        query,
+        cost_model=cost_model_factory,
+        budget=budget,
+        telemetry=telemetry,
+        topk=topk,
+    )
+    name = algorithm_cls.name
+    return _execute(context, budget, name, name, _plain(algorithm_cls))
+
+
 def run_dpconv(
     query: Query,
     cost_model_factory: Callable[[], CostModel] = CoutCostModel,
@@ -790,38 +724,7 @@ def run_dpconv(
     therefore :class:`~repro.cost.cout.CoutCostModel`, the one shipped
     model inside DPconv's envelope.
     """
-    started = time.perf_counter()
-    if budget is not None:
-        budget.start()
-    context = OptimizationContext.for_query(
-        query,
-        cost_model=cost_model_factory,
-        budget=budget,
-        telemetry=telemetry,
-    )
-    algorithm = DPconv(context=context, budget=budget)
-    if telemetry is not None:
-        with telemetry.span(
-            "enumerate",
-            enumerator="dpconv",
-            pruning="dpconv",
-            relations=query.n_relations,
-        ) as span:
-            plan = algorithm.run()
-            span.set(ccps_enumerated=context.stats.ccps_enumerated)
-    else:
-        plan = algorithm.run()
-    elapsed = time.perf_counter() - started
-    return OptimizationResult(
-        plan=plan,
-        cost=plan.cost,
-        stats=context.stats,
-        elapsed=elapsed,
-        enumerator="dpconv",
-        pruning="dpconv",
-        memo_entries=len(algorithm.memo),
-        query=query,
-    )
+    return _run_baseline(DPconv, query, cost_model_factory, budget, telemetry)
 
 
 def run_dpccp(
@@ -832,40 +735,6 @@ def run_dpccp(
     topk: int = 1,
 ) -> OptimizationResult:
     """Run the bottom-up baseline with the same result envelope."""
-    started = time.perf_counter()
-    if budget is not None:
-        budget.start()
-    context = OptimizationContext.for_query(
-        query,
-        cost_model=cost_model_factory,
-        budget=budget,
-        telemetry=telemetry,
-        topk=topk,
-    )
-    algorithm = DPccp(context=context, budget=budget)
-    if telemetry is not None:
-        with telemetry.span(
-            "enumerate",
-            enumerator="dpccp",
-            pruning="dpccp",
-            relations=query.n_relations,
-        ) as span:
-            plan = algorithm.run()
-            span.set(ccps_enumerated=context.stats.ccps_enumerated)
-    else:
-        plan = algorithm.run()
-    elapsed = time.perf_counter() - started
-    ranked: Tuple[JoinTree, ...] = ()
-    if topk > 1:
-        ranked = tuple(algorithm.ranked_plans())
-    return OptimizationResult(
-        plan=plan,
-        cost=plan.cost,
-        stats=context.stats,
-        elapsed=elapsed,
-        enumerator="dpccp",
-        pruning="dpccp",
-        memo_entries=len(algorithm.memo),
-        query=query,
-        ranked_plans=ranked,
+    return _run_baseline(
+        DPccp, query, cost_model_factory, budget, telemetry, topk
     )

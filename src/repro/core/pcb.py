@@ -19,8 +19,6 @@ __all__ = ["PcbPlanGenerator"]
 class PcbPlanGenerator(PlanGeneratorBase):
     """TDPG_PCB: top-down enumeration with predicted-cost bounding."""
 
-    pruning_name = "pcb"
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._lbe = LowerBoundEstimator(self._provider, self._cost_model)

@@ -46,9 +46,6 @@ class PlanGeneratorBase:
     builds a private context.
     """
 
-    #: Registry name of the pruning strategy ("none", "acb", ...).
-    pruning_name = "abstract"
-
     def __init__(
         self,
         query: Optional[Query] = None,
@@ -135,7 +132,8 @@ class PlanGeneratorBase:
         When telemetry is armed with ``detailed_spans``, each pass gets a
         ``partitioner_pass`` span (high volume — one span per plan-class
         expansion — hence the explicit opt-in; default tracing records one
-        ``enumerate`` span per run instead, see :meth:`run`).
+        ``enumerate`` span per run instead, opened by the optimizer
+        facade).
         """
         telemetry = self._telemetry
         if telemetry is None or not telemetry.detailed_spans:
@@ -184,27 +182,12 @@ class PlanGeneratorBase:
     def run(self) -> JoinTree:
         """Produce an optimal join tree for the whole query.
 
-        When telemetry is armed the whole run is wrapped in one
-        ``enumerate`` span (enumerator, pruning, relation count; final ccp
-        and plan-class counters on exit) — a single span per run, so
-        production tracing costs one context-manager entry regardless of
-        query size.  Subclasses implement :meth:`_run`.
+        The one entry point callers use; subclasses implement :meth:`_run`.
+        The ``enumerate`` span around a run belongs to the optimizer
+        facade (:func:`repro.core.optimizer._execute`), which wraps every
+        algorithm the same way.
         """
-        telemetry = self._telemetry
-        if telemetry is None:
-            return self._run()
-        with telemetry.span(
-            "enumerate",
-            enumerator=self._partitioning.name,
-            pruning=self.pruning_name,
-            relations=self._query.n_relations,
-        ) as span:
-            plan = self._run()
-            span.set(
-                ccps_enumerated=self.stats.ccps_enumerated,
-                plan_classes_built=self._memo.n_plan_classes(),
-            )
-        return plan
+        return self._run()
 
     def _run(self) -> JoinTree:
         """Subclass hook: the actual enumeration, without instrumentation."""
@@ -213,8 +196,6 @@ class PlanGeneratorBase:
 
 class TopDownPlanGenerator(PlanGeneratorBase):
     """TDPLANGEN (Fig. 1): memoization without pruning."""
-
-    pruning_name = "none"
 
     def _run(self) -> JoinTree:
         self._tdpgsub(self._graph.all_vertices)

@@ -1,5 +1,7 @@
 """PlanCache mechanics and Optimizer integration."""
 
+import time
+
 import pytest
 
 from repro.context import (
@@ -9,7 +11,13 @@ from repro.context import (
     fingerprint,
     replay_plan,
 )
-from repro.core.optimizer import Optimizer, run_dpccp
+from repro.core import optimizer as optimizer_module
+from repro.core.optimizer import (
+    DPCONV_AUTO_MIN_RELATIONS,
+    Optimizer,
+    run_dpccp,
+)
+from repro.cost.cout import CoutCostModel
 from repro.plans.validation import validate_plan
 from repro.workload.generator import QueryGenerator
 
@@ -122,6 +130,44 @@ class TestOptimizerIntegration:
         bare = Optimizer().optimize(query)
         assert bare.stats.plan_cache_hits == 0
         assert bare.stats.plan_cache_misses == 0
+
+
+    def test_hit_is_labelled_with_the_fallback_that_ran(self, query):
+        # pruning="dpconv" under Haas is served by DPccp; a hit must say
+        # so too, not claim the configured algorithm.
+        optimizer = Optimizer(pruning="dpconv", plan_cache=PlanCache())
+        cold = optimizer.optimize(query)
+        warm = optimizer.optimize(query)
+        assert warm.memo_entries == 0
+        assert cold.pruning == warm.pruning == "dpccp"
+        assert cold.label == warm.label == "DPccp"
+
+    def test_hit_is_labelled_with_the_auto_fast_path(self):
+        query = QueryGenerator(seed=2).generate(
+            "chain", DPCONV_AUTO_MIN_RELATIONS
+        )
+        optimizer = Optimizer(
+            cost_model_factory=CoutCostModel, plan_cache=PlanCache()
+        )
+        cold = optimizer.optimize(query)
+        warm = optimizer.optimize(query)
+        assert warm.memo_entries == 0
+        assert cold.pruning == warm.pruning == "dpconv"
+        assert cold.enumerator == warm.enumerator == "dpconv"
+
+    def test_hit_elapsed_covers_fingerprint_and_probe(self, query, monkeypatch):
+        optimizer = Optimizer(plan_cache=PlanCache())
+        optimizer.optimize(query)
+        pause = 0.05
+
+        def slow_fingerprint(target):
+            time.sleep(pause)
+            return fingerprint(target)
+
+        monkeypatch.setattr(optimizer_module, "fingerprint", slow_fingerprint)
+        warm = optimizer.optimize(query)
+        assert warm.memo_entries == 0
+        assert warm.elapsed >= pause
 
 
 class TestRankedEntries:

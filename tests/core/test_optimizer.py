@@ -8,9 +8,13 @@ from repro.core.optimizer import (
     algorithm_label,
     optimize,
     run_dpccp,
+    run_dpconv,
 )
 from repro.cost.cout import CoutCostModel
-from repro.errors import UnknownAlgorithmError
+from repro.errors import BudgetExceeded, UnknownAlgorithmError
+from repro.resilience.budget import Budget
+from repro.telemetry import MetricRegistry, Telemetry, Tracer
+from repro.workload.generator import QueryGenerator
 
 
 class TestValidation:
@@ -111,3 +115,70 @@ class TestOptimizerReuse:
             query = generator.generate(family, 6)
             baseline = run_dpccp(query)
             assert optimizer.optimize(query).cost == pytest.approx(baseline.cost)
+
+
+class TestBaselineSalvage:
+    """The baseline entry points enrich BudgetExceeded like the facade."""
+
+    @pytest.mark.parametrize("run", [run_dpccp, run_dpconv])
+    def test_exhausted_budget_reports_the_memo(self, run):
+        query = QueryGenerator(seed=3).generate("clique", 10)
+        factory = CoutCostModel if run is run_dpconv else None
+        kwargs = {"cost_model_factory": factory} if factory else {}
+        with pytest.raises(BudgetExceeded) as caught:
+            run(query, budget=Budget(max_expansions=200), **kwargs)
+        # The leaves are registered before the first budget check.
+        assert caught.value.memo_entries == query.n_relations
+        assert caught.value.partial_plan is None
+        assert caught.value.partial_ranked == ()
+
+
+_SPAN_KEYS = {
+    "enumerator",
+    "pruning",
+    "relations",
+    "ccps_enumerated",
+    "plan_classes_built",
+}
+
+_ALGORITHMS = {
+    **{
+        pruning: lambda query, telemetry, pruning=pruning: Optimizer(
+            pruning=pruning, telemetry=telemetry
+        ).optimize(query)
+        for pruning in ("none", "acb", "pcb", "apcb", "apcbi", "apcbi_opt")
+    },
+    "dpconv": lambda query, telemetry: Optimizer(
+        pruning="dpconv", cost_model_factory=CoutCostModel, telemetry=telemetry
+    ).optimize(query),
+    "dpconv_fallback": lambda query, telemetry: Optimizer(
+        pruning="dpconv", telemetry=telemetry
+    ).optimize(query),
+    "run_dpccp": lambda query, telemetry: run_dpccp(query, telemetry=telemetry),
+    "run_dpconv": lambda query, telemetry: run_dpconv(
+        query, telemetry=telemetry
+    ),
+}
+
+
+class TestEnumerateSpan:
+    """Every algorithm records one ``enumerate`` span with the same keys."""
+
+    @pytest.mark.parametrize("name", sorted(_ALGORITHMS))
+    def test_one_span_with_the_shared_keys(self, name):
+        telemetry = Telemetry(registry=MetricRegistry(), tracer=Tracer())
+        query = QueryGenerator(seed=5).generate("cycle", 7)
+        result = _ALGORITHMS[name](query, telemetry)
+        spans = [
+            span
+            for span in telemetry.tracer.finished_spans()
+            if span.name == "enumerate"
+        ]
+        assert len(spans) == 1
+        attrs = spans[0].attrs
+        assert _SPAN_KEYS <= set(attrs)
+        assert attrs["enumerator"] == result.enumerator
+        assert attrs["pruning"] == result.pruning
+        assert attrs["relations"] == query.n_relations
+        assert attrs["ccps_enumerated"] == result.stats.ccps_enumerated
+        assert attrs["plan_classes_built"] > 0
