@@ -20,15 +20,14 @@ operational machinery a long-running deployment needs:
 * **observability** — :meth:`OptimizationService.healthz` returns a
   :class:`ServiceHealth` snapshot (breaker states, queue depth,
   degradation-rung histogram); shutdown drains gracefully;
-* **chaos soak** — ``python -m repro.service.soak`` runs the service
-  under seeded fault injection and asserts every accepted request
-  returned a validated plan bit-identical to a fault-free replay;
 * **sharding** — :class:`~repro.service.sharded.ShardedService` runs N
   supervised copies of this service as child processes behind a
   consistent-hash router (warm-cache affinity on the WL fingerprint),
-  with crash fail-over, seeded-backoff respawn, graceful drains, and a
-  ``--kill-shards`` chaos mode (``python -m repro.service.soak
-  --shards N --kill-shards``).
+  with crash fail-over, seeded-backoff respawn and graceful drains;
+* **chaos soak** — ``python -m repro.service.soak [--shards N
+  --kill-shards K]`` runs either under seeded fault injection and
+  asserts every accepted request returned a validated plan
+  bit-identical to a fault-free replay.
 
 See ``docs/service.md`` for the architecture and tuning guide.
 """

@@ -14,10 +14,10 @@ WL query fingerprint, and three parent-side threads:
   dead shards — process exit (crash, SIGKILL), broken pipe, stale
   heartbeat — fails their in-flight requests over to surviving shards,
   and respawns them under seeded exponential backoff;
-* the **fallback worker** serves requests through an in-process
-  :class:`~repro.resilience.ResilientOptimizer` degradation ladder when
-  *no* shard is alive — the cluster never answers "try later" while a
-  validated plan is constructible.
+* the **fallback lane** — an in-process
+  :class:`~repro.service.OptimizationService` with one worker — serves
+  requests when *no* shard is alive, so the cluster never answers "try
+  later" while a validated plan is constructible.
 
 Loss model: a request is handed back exactly once.  Every accepted
 request lives in one cluster-wide ticket table; a ticket leaves the
@@ -40,21 +40,21 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
-from typing import Callable, Deque, Dict, List, Optional, Set
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set
 
 from multiprocessing.connection import wait as _connection_wait
 
 from repro.errors import (
+    ReproError,
     ServiceError,
     ServiceOverloadError,
     ServiceShutdownError,
 )
 from repro.query import Query
-from repro.resilience.optimizer import ResilientOptimizer
 from repro.service.retry import RetryPolicy
-from repro.service.server import OptimizeResponse
+from repro.service.server import OptimizationService, OptimizeResponse
 from repro.service.sharded.health import ClusterHealth, ShardStatus
 from repro.service.sharded.router import (
     DEFAULT_VIRTUAL_NODES,
@@ -240,8 +240,16 @@ class ShardedService:
                 self._respawn_policy, seed=seed * 7_919 + shard_id + 1
             )
             self._handles[shard_id] = ShardHandle(config, self._ctx, backoff)
-        self._fallback_config = dict(
-            enumerator=enumerator, pruning=pruning, heuristic=heuristic
+        # The all-shards-down lane, without plan cache or telemetry.  Its
+        # queue fits every ticket the cluster admits: it never sheds one.
+        self._fallback = OptimizationService(
+            enumerator=enumerator,
+            pruning=pruning,
+            heuristic=heuristic,
+            workers=1,
+            queue_capacity=self._max_outstanding,
+            seed=seed,
+            clock=clock,
         )
 
         self._lock = threading.Lock()
@@ -260,13 +268,8 @@ class ShardedService:
         self.wire_errors = 0
         self.duplicate_responses = 0
 
-        self._fallback_lock = threading.Lock()
-        self._fallback_ready = threading.Condition(self._fallback_lock)
-        self._fallback_queue: Deque[_ClusterTicket] = deque()
-
         self._stop_event = threading.Event()
         self._receiver_thread: Optional[threading.Thread] = None
-        self._fallback_thread: Optional[threading.Thread] = None
         self._supervisor = ShardSupervisor(
             self._supervise_tick, interval=heartbeat_interval / 2.0
         )
@@ -280,6 +283,7 @@ class ShardedService:
                     f"cannot start a sharded service in state {self._state!r}"
                     + ("; services are one-shot" if self._receiver_thread else "")
                 )
+            self._fallback.start()
             self._state = "running"
             now = self._clock()
             for handle in self._handles.values():
@@ -288,10 +292,6 @@ class ShardedService:
             target=self._receiver_loop, name="repro-shard-receiver", daemon=True
         )
         self._receiver_thread.start()
-        self._fallback_thread = threading.Thread(
-            target=self._fallback_loop, name="repro-shard-fallback", daemon=True
-        )
-        self._fallback_thread.start()
         self._supervisor.start()
         return self
 
@@ -333,17 +333,13 @@ class ShardedService:
         deadline = None if timeout is None else time.monotonic() + timeout
         for handle in self._handles.values():
             handle.send(ShutdownCommand(drain=drain))
-        if drain:
-            while True:
-                with self._lock:
-                    empty = not self._tickets
-                with self._fallback_ready:
-                    empty = empty and not self._fallback_queue
-                if empty:
+        while drain:
+            with self._lock:
+                if not self._tickets:
                     break
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                time.sleep(0.005)
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            time.sleep(0.005)
         self._supervisor.stop(timeout=2.0)
         all_exited = True
         for handle in self._handles.values():
@@ -363,14 +359,9 @@ class ShardedService:
             with self._lock:
                 handle.state = "stopped"
         self._stop_event.set()
-        with self._fallback_ready:
-            self._fallback_ready.notify_all()
-        for thread in (self._receiver_thread, self._fallback_thread):
-            if thread is not None:
-                thread.join(timeout=5.0)
+        if self._receiver_thread is not None:
+            self._receiver_thread.join(timeout=5.0)
         # Whatever is left gets an honest typed failure, never silence.
-        with self._fallback_ready:
-            self._fallback_queue.clear()
         with self._lock:
             stranded = list(self._tickets.values())
             self._tickets.clear()
@@ -382,6 +373,8 @@ class ShardedService:
                     f"request#{ticket.request_id} stranded by cluster shutdown"
                 )
             )
+        # Stranded first: a lane answer arriving now finds no ticket.
+        self._fallback.shutdown(drain=False, timeout=5.0)
         return all_exited
 
     # -- admission & routing -------------------------------------------
@@ -498,7 +491,7 @@ class ShardedService:
                 self._finish(ticket, response)
                 return
             if handle is None:
-                self._enqueue_fallback(ticket)
+                self._dispatch_fallback(ticket)
                 return
             request = WireRequest(
                 request_id=ticket.request_id,
@@ -802,27 +795,26 @@ class ShardedService:
 
     # -- the all-shards-down fallback lane ------------------------------
 
-    def _enqueue_fallback(self, ticket: _ClusterTicket) -> None:
-        with self._fallback_ready:
-            self._fallback_queue.append(ticket)
-            self._fallback_ready.notify()
+    def _dispatch_fallback(self, ticket: _ClusterTicket) -> None:
+        """Hand the in-process lane a ticket no shard can take."""
+        submitted_at = self._clock()
+        try:
+            future = self._fallback.submit(
+                ticket.query,
+                priority=ticket.priority,
+                deadline_seconds=self._remaining_deadline(ticket),
+                seed=ticket.seed,
+                topk=ticket.topk,
+            )
+        except ReproError as error:  # refused: a typed failure, not a loss
+            future = Future()
+            future.set_exception(error)
+        future.add_done_callback(
+            partial(self._fallback_done, ticket, submitted_at)
+        )
 
-    def _fallback_loop(self) -> None:
-        optimizer = ResilientOptimizer(**self._fallback_config)
-        while True:
-            with self._fallback_ready:
-                while not self._fallback_queue and not self._stop_event.is_set():
-                    self._fallback_ready.wait(timeout=0.1)
-                if self._fallback_queue:
-                    ticket = self._fallback_queue.popleft()
-                elif self._stop_event.is_set():
-                    return
-                else:
-                    continue
-            self._serve_fallback(optimizer, ticket)
-
-    def _serve_fallback(
-        self, optimizer: ResilientOptimizer, ticket: _ClusterTicket
+    def _fallback_done(
+        self, ticket: _ClusterTicket, submitted_at: float, future: Future
     ) -> None:
         with self._lock:
             if self._tickets.pop(ticket.request_id, None) is None:
@@ -832,36 +824,18 @@ class ShardedService:
             "repro_shard_fallback_requests_total",
             "Requests served by the front-end ladder with no shard alive.",
         )
-        started = self._clock()
-        response = OptimizeResponse(
-            request_id=ticket.request_id,
-            status="failed",
-            queue_wait_seconds=started - ticket.created_at,
-        )
-        if ticket.topk > 1:
-            # The shared fallback optimizer is single-best; ranked tickets
-            # get a per-request one carrying their k (rare path — it only
-            # runs with every shard down).
-            optimizer = ResilientOptimizer(
-                topk=ticket.topk, **self._fallback_config
-            )
         try:
-            result = optimizer.optimize(ticket.query)
+            response = future.result()
         except Exception as error:  # typed failure, never a lost request
-            response.error = f"fallback {type(error).__name__}: {error}"
-        else:
-            response.status = "ok"
-            response.plan = result.plan
-            response.cost = result.cost
-            response.rung = result.rung
-            response.degraded = result.degraded
-            response.result = result
-            response.attempts = 1
-            if ticket.topk > 1:
-                response.ranked_costs = tuple(
-                    plan.cost for plan in result.ranked
-                )
-        response.service_seconds = self._clock() - started
+            response = OptimizeResponse(
+                request_id=ticket.request_id,
+                status="failed",
+                error=f"fallback {type(error).__name__}: {error}",
+            )
+        # The lane numbers and times its own requests; the caller sees
+        # the cluster's id and the wait since cluster admission.
+        response.request_id = ticket.request_id
+        response.queue_wait_seconds += submitted_at - ticket.created_at
         self._finish(ticket, response)
 
     # -- health ---------------------------------------------------------

@@ -27,6 +27,10 @@ generation) serves it.  Chaos, when armed (``chaos_rate > 0``), uses the
 same seeded :class:`~repro.service.soak.ChaosPlant` schedule keyed on
 the request seed, which is therefore also routing-independent.
 
+Every shard serves under one retry schedule and one breaker setting,
+:func:`shard_retry_policy` and :func:`shard_breakers`; the in-process
+chaos soak borrows both, so the two soak targets fault and recover alike.
+
 A parent death (pipe EOF) is treated as a shutdown order: the shard must
 never outlive its supervisor as an orphan serving nobody.
 """
@@ -57,7 +61,17 @@ from repro.service.sharded.wire import (
     strip_response,
 )
 
-__all__ = ["ShardConfig", "shard_main"]
+__all__ = ["ShardConfig", "shard_breakers", "shard_main", "shard_retry_policy"]
+
+
+def shard_retry_policy() -> RetryPolicy:
+    """The retry schedule every shard's service runs under."""
+    return RetryPolicy(max_attempts=8, base_delay=0.005, max_delay=0.1)
+
+
+def shard_breakers() -> BreakerBoard:
+    """A fresh breaker board with the settings every shard runs under."""
+    return BreakerBoard(failure_threshold=2, cooldown_seconds=0.1)
 
 
 @dataclass(frozen=True)
@@ -80,11 +94,6 @@ class ShardConfig:
     seed: int = 0
     chaos_rate: float = 0.0
     heartbeat_interval: float = 0.05
-    retry_max_attempts: int = 8
-    retry_base_delay: float = 0.005
-    retry_max_delay: float = 0.1
-    breaker_failure_threshold: int = 2
-    breaker_cooldown_seconds: float = 0.1
     #: Directory of the durable plan-store tier, or ``None`` for L1-only.
     #: Single-writer discipline: this shard appends exclusively to its own
     #: ``shard-<id>.rpl`` segment and warms from the shared read-only
@@ -181,15 +190,8 @@ def _make_service(config: ShardConfig) -> OptimizationService:
         heuristic=config.heuristic,
         workers=config.workers,
         queue_capacity=config.queue_capacity,
-        retry_policy=RetryPolicy(
-            max_attempts=config.retry_max_attempts,
-            base_delay=config.retry_base_delay,
-            max_delay=config.retry_max_delay,
-        ),
-        breakers=BreakerBoard(
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown_seconds=config.breaker_cooldown_seconds,
-        ),
+        retry_policy=shard_retry_policy(),
+        breakers=shard_breakers(),
         plan_cache=_make_plan_cache(config),
         chaos=chaos,
         seed=config.seed,

@@ -1,50 +1,26 @@
 """Chaos soak driver: ``python -m repro.service.soak``.
 
-Runs an :class:`~repro.service.OptimizationService` for N seconds under a
-mixed chain/star/clique workload with a seeded :class:`ChaosPlant`
-poisoning a fraction of optimization attempts (cost-model raise/NaN/Inf,
-catalog statistics loss, injected latency), then asserts the service's
-whole-run contract:
+One driver, :func:`run_soak`, pushes a mixed chain/star/clique workload
+through a :class:`Target` for N seconds: an in-process
+:class:`~repro.service.OptimizationService` (``--shards 0``) or a
+:class:`~repro.service.sharded.ShardedService` of N shard processes,
+where ``--kill-shards K`` SIGKILLs a seeded-random live shard K times.
+In both, a seeded :class:`ChaosPlant` poisons a fraction of attempts
+(cost-model raise/NaN/Inf, catalog loss, latency) as a pure function of
+``(seed, request seed, attempt)``, whatever the thread interleaving.
 
-* every accepted request returned a plan that passes
-  :func:`repro.plans.validation.validate_plan` (and finiteness checks) —
-  zero failed responses, zero invalid plans;
-* no worker thread died or leaked an unhandled exception;
-* **replay determinism** — each returned exact plan is bit-identical
-  (same s-expression, same cost ``repr``) to the plan a single-threaded,
-  chaos-disarmed run produces for the same query: concurrency, retries
-  and fault handling changed latency and degradation metadata only,
-  never plan choice.
+The run then asserts one contract: every accepted request resolved in
+time (else it is *lost*) to a validated, finite plan; no worker died;
+every exact plan is **bit-identical** (s-expression and cost ``repr``)
+to a single-threaded, chaos-disarmed replay; and every scheduled kill
+was delivered and shows in the cluster ``healthz()``.  With
+``--store-dir`` / ``--kill-during-write`` the shards append to a durable
+plan store (killed mid-append), and the run also asserts zero corrupt
+replays after recovery, warm hits bit-identical to cold optimization,
+and fail-open (armed = disarmed plans) for every store fault kind.
 
-The chaos schedule is a pure function of ``(service seed, request id,
-attempt)``, so a given seed poisons the same attempts the same way on
-every run regardless of thread interleaving.  Exit status is 0 iff every
-assertion holds, which is what the CI ``soak-smoke`` job keys on.
-
-``--shards N`` moves the same soak onto a
-:class:`~repro.service.sharded.ShardedService` (N supervised shard
-processes), and ``--kill-shards K`` arms **process-kill chaos**: K times
-over the run a seeded schedule SIGKILLs a random live shard mid-flight.
-The contract hardens accordingly: every accepted request must *still*
-resolve — failed over to a surviving shard, or served by the front-end
-fallback ladder — to a validated plan bit-identical to the
-single-process disarmed replay, and the respawns/fail-overs must be
-visible in the cluster ``healthz()``.  A future that never resolves is
-counted as *lost* and fails the run.  That is what the CI
-``shard-chaos-smoke`` job keys on.
-
-``--store-dir DIR`` arms the durable L2 plan store under the shards
-(single-writer ``shard-<id>.rpl`` segments), and ``--kill-during-write``
-hardens the kill-shards contract into the crash-safe cache contract:
-SIGKILLs now land while shards are appending cache records, and after
-the run every segment is re-opened through recovery and the report
-asserts (a) **zero corrupt replays** — torn tails truncated, CRC
-mismatches quarantined, every surviving record decodes; (b) **warm hits
-bit-identical to cold** — a cache warmed from the recovered segments
-serves exactly the plans a cache-less optimizer computes; and (c)
-**fail-open certification** — for every store fault kind, armed vs
-disarmed injection produces bit-identical plans.  That is what the CI
-``cache-durability-smoke`` job keys on.
+Exit status is 0 iff every assertion holds; the CI ``soak-smoke``,
+``shard-chaos-smoke`` and ``cache-durability-smoke`` jobs key on it.
 """
 
 from __future__ import annotations
@@ -58,24 +34,31 @@ import sys
 import tempfile
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.service import service_failure_counts
+from repro.context.plancache import PlanCache
 from repro.context.store import atomic_write_text
 from repro.cost.model import CostModel
 from repro.errors import ReproError, ServiceOverloadError
+from repro.plans.join_tree import JoinTree
 from repro.plans.validation import check_finite, validate_plan
 from repro.query import Query
 from repro.resilience.faults import FaultInjector
 from repro.resilience.optimizer import ResilientOptimizer
-from repro.service.breaker import BreakerBoard
-from repro.service.retry import RetryPolicy
-from repro.service.server import OptimizationService, OptimizeRequest
-from repro.telemetry import Telemetry, Tracer, TraceSink
+from repro.service.server import (
+    OptimizationService,
+    OptimizeRequest,
+    OptimizeResponse,
+)
+from repro.service.sharded.service import ShardedService
+from repro.service.sharded.shard import shard_breakers, shard_retry_policy
+from repro.telemetry import MetricRegistry, Telemetry, Tracer, TraceSink
 from repro.telemetry.summary import summarize_spans
 from repro.workload.generator import QueryGenerator
 
@@ -84,10 +67,9 @@ __all__ = [
     "ChaosAttempt",
     "SoakRecord",
     "SoakReport",
-    "ShardedSoakReport",
+    "Target",
     "build_query_pool",
     "run_soak",
-    "run_sharded_soak",
     "main",
 ]
 
@@ -229,6 +211,7 @@ def build_query_pool(
     return pool
 
 
+
 @dataclass
 class SoakRecord:
     """The compact per-request outcome the soak keeps (plans are validated
@@ -236,6 +219,8 @@ class SoakRecord:
 
     request_id: int
     pool_key: str
+    #: A response status; ``"lost"`` / ``"failed"`` when the future never
+    #: resolved / raised.
     status: str
     rung: str = ""
     degraded: bool = False
@@ -243,6 +228,9 @@ class SoakRecord:
     retries: int = 0
     breaker_waits: int = 0
     injected: int = 0
+    #: Who answered: a shard id, ``"fallback"`` when the response names no
+    #: shard, ``""`` when nothing answered.
+    served_by: str = ""
     plan_sexpr: str = ""
     cost_repr: str = ""
     valid: bool = False
@@ -251,18 +239,30 @@ class SoakRecord:
 
 @dataclass
 class SoakReport:
-    """Everything one soak run observed, JSON-ready."""
+    """Everything one soak run observed, JSON-ready.
+
+    Sections a run does not produce stay ``None``: ``kills``, ``cluster``
+    and ``store`` come from cluster runs (``store`` with a store
+    directory only), ``breakers`` and ``plan_cache`` from in-process
+    runs, ``span_summary`` from runs with a tracing-armed telemetry
+    bundle.
+    """
 
     seconds: float
     seed: int
     rate: float
+    #: Worker threads per serving process (the service, or each shard).
     workers: int
+    shards: int = 0
+    kills_requested: int = 0
     submitted: int = 0
     accepted: int = 0
     rejected: int = 0
     completed: int = 0
     failed: int = 0
     timeouts: int = 0
+    #: Accepted requests whose future never resolved.
+    lost: int = 0
     invalid_plans: int = 0
     replay_checked: int = 0
     replay_mismatches: int = 0
@@ -271,16 +271,47 @@ class SoakReport:
     retries: int = 0
     breaker_trips: int = 0
     injected_faults: int = 0
+    failovers: int = 0
+    respawns: int = 0
+    fallback_served: int = 0
+    wire_errors: int = 0
     scheduled_chaos: Dict[str, int] = field(default_factory=dict)
     rung_histogram: Dict[str, int] = field(default_factory=dict)
+    #: Responses per serving shard (``"fallback"`` = the front-end lane).
+    shard_histogram: Dict[str, int] = field(default_factory=dict)
     breaker_trace: List[str] = field(default_factory=list)
-    breakers: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    breakers: Optional[Dict[str, Dict[str, object]]] = None
     plan_cache: Optional[Dict[str, object]] = None
+    #: One entry per SIGKILL delivered: elapsed seconds, shard id, pid.
+    kills: Optional[List[Dict[str, object]]] = None
+    cluster: Optional[Dict[str, object]] = None
+    #: Durable-store verdicts: per-segment recovery, corrupt replays,
+    #: warm-vs-cold bit-identity, per-fault-kind fail-open.
+    store: Optional[Dict[str, object]] = None
+    span_summary: Optional[Dict[str, Dict[str, Dict[str, float]]]] = None
     violations: List[str] = field(default_factory=list)
-    #: Per-phase span duration summaries, populated when the soak ran with
-    #: a tracing-armed :class:`~repro.telemetry.Telemetry` bundle.
-    span_summary: Dict[str, Dict[str, Dict[str, float]]] = field(
-        default_factory=dict
+
+    #: JSON groups of scalar fields; the ``_SECTIONS`` are keys of their own.
+    _GROUPS = {
+        "config": (
+            "seconds", "seed", "rate", "workers", "shards", "kills_requested",
+        ),
+        "requests": (
+            "submitted", "accepted", "rejected", "completed", "failed",
+            "timeouts", "lost",
+        ),
+        "validation": (
+            "invalid_plans", "replay_checked", "replay_mismatches",
+            "degraded_responses", "unhandled_worker_errors",
+        ),
+        "resilience": (
+            "failovers", "respawns", "fallback_served", "wire_errors",
+        ),
+    }
+    _SECTIONS = (
+        "rung_histogram", "shard_histogram", "breaker_trace", "breakers",
+        "plan_cache", "kills", "cluster", "store", "span_summary",
+        "violations",
     )
 
     @property
@@ -288,79 +319,114 @@ class SoakReport:
         return not self.violations
 
     def as_dict(self) -> Dict[str, object]:
-        failures = service_failure_counts(
+        payload: Dict[str, object] = {"passed": self.passed}
+        for group, names in self._GROUPS.items():
+            payload[group] = {name: getattr(self, name) for name in names}
+        payload["failures"] = service_failure_counts(
             timeouts=self.timeouts,
             errors=self.failed,
             degraded=self.degraded_responses,
             retries=self.retries,
             breaker_trips=self.breaker_trips,
-        )
-        return {
-            "passed": self.passed,
-            "config": {
-                "seconds": self.seconds,
-                "seed": self.seed,
-                "rate": self.rate,
-                "workers": self.workers,
-            },
-            "requests": {
-                "submitted": self.submitted,
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "completed": self.completed,
-                "failed": self.failed,
-                "timeouts": self.timeouts,
-            },
-            "failures": failures.as_dict(),
-            "validation": {
-                "invalid_plans": self.invalid_plans,
-                "replay_checked": self.replay_checked,
-                "replay_mismatches": self.replay_mismatches,
-                "degraded_responses": self.degraded_responses,
-                "unhandled_worker_errors": self.unhandled_worker_errors,
-            },
-            "chaos": {
-                "scheduled": dict(self.scheduled_chaos),
-                "injected_faults": self.injected_faults,
-            },
-            "rung_histogram": dict(self.rung_histogram),
-            "breaker_trace": list(self.breaker_trace),
-            "breakers": dict(self.breakers),
-            "plan_cache": self.plan_cache,
-            "violations": list(self.violations),
-            "span_summary": dict(self.span_summary),
+        ).as_dict()
+        payload["chaos"] = {
+            "scheduled": dict(self.scheduled_chaos),
+            "injected_faults": self.injected_faults,
         }
+        payload.update((name, getattr(self, name)) for name in self._SECTIONS)
+        return payload
 
     def describe(self) -> str:
+        payload = self.as_dict()
         lines = [
-            f"soak {'PASSED' if self.passed else 'FAILED'}: "
-            f"{self.seconds:.0f}s, seed={self.seed}, rate={self.rate}, "
-            f"workers={self.workers}",
-            f"requests   : {self.submitted} submitted, {self.accepted} "
-            f"accepted, {self.rejected} shed, {self.completed} completed, "
-            f"{self.failed} failed, {self.timeouts} timeouts",
+            f"{'sharded soak' if self.shards else 'soak'} "
+            f"{'PASSED' if self.passed else 'FAILED'}: {self.seconds:.0f}s, "
+            f"seed={self.seed}, rate={self.rate}, workers={self.workers}, "
+            f"shards={self.shards}, {len(self.kills or ())}/"
+            f"{self.kills_requested} kills delivered",
+        ]
+        for group in ("requests", "validation", "resilience"):
+            counts = ", ".join(
+                f"{value} {name.replace('_', ' ')}"
+                for name, value in payload[group].items()
+            )
+            lines.append(f"{group:<11}: {counts}")
+        lines += [
             f"chaos      : {self.injected_faults} faults injected "
             f"({self.scheduled_chaos}), {self.retries} retries, "
             f"{self.breaker_trips} breaker trips",
-            f"validation : {self.invalid_plans} invalid plans, "
-            f"{self.replay_mismatches}/{self.replay_checked} replay "
-            f"mismatches, {self.degraded_responses} degraded, "
-            f"{self.unhandled_worker_errors} unhandled worker errors",
             f"rungs      : {self.rung_histogram}",
+            f"shards     : {self.shard_histogram}",
         ]
-        if self.breaker_trace:
-            lines.append("breaker trace:")
-            lines.extend(f"  {line}" for line in self.breaker_trace)
-        if self.violations:
-            lines.append("violations:")
-            lines.extend(f"  {violation}" for violation in self.violations)
+        store = self.store
+        if store is not None:
+            lines.append(
+                f"store      : {store['entries']} entries recovered from "
+                f"{len(store['segments'])} file(s), "
+                f"{store['corrupt_replays']} corrupt replays, "
+                f"{store['quarantined_records']} quarantined, "
+                f"{store['warm_l2_hits']}/{store['warm_checked']} warm L2 "
+                f"hits ({store['warm_mismatches']} mismatches), fail-open "
+                f"certified for {len(store['fail_open'])} fault kind(s)"
+            )
+        lines.extend(
+            f"  kill @{kill['elapsed']:.1f}s: shard {kill['shard']} "
+            f"(pid {kill['pid']})"
+            for kill in self.kills or ()
+        )
+        for title, entries in (
+            ("breaker trace", self.breaker_trace),
+            ("violations", self.violations),
+        ):
+            if entries:
+                lines.append(f"{title}:")
+                lines.extend(f"  {entry}" for entry in entries)
         return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 
+#: A plan's bit-identity: its s-expression and the ``repr`` of its cost.
+PlanBits = Tuple[str, str]
 
-def _validate_response(record: SoakRecord, response, query: Query) -> None:
+
+def _plan_bits(plan: JoinTree, cost: float) -> PlanBits:
+    """The one key every soak bit-identity check compares."""
+    return plan.sexpr(), repr(cost)
+
+
+def _diverged(got: Dict, want: Dict) -> List:
+    """The keys whose :data:`PlanBits` in ``got`` differ from ``want``."""
+    # Bit-exact by design: repr strings, not floats — any epsilon would
+    # hide a determinism regression.
+    return [
+        key
+        for key, (sexpr, cost_repr) in got.items()
+        if (sexpr, cost_repr) != want[key]  # repro: disable=no-float-cost-eq
+    ]
+
+
+def _replay(
+    pool: Sequence[Tuple[str, Query]],
+    optimizer: Optional[ResilientOptimizer] = None,
+) -> Dict[str, PlanBits]:
+    """The oracle: pool key -> plan bits, one query at a time.
+
+    The default optimizer is single-threaded, chaos-disarmed and has no
+    plan cache; :func:`_verify_store` passes ones over a store.
+    """
+    if optimizer is None:
+        optimizer = ResilientOptimizer()
+    bits: Dict[str, PlanBits] = {}
+    for key, query in pool:
+        result = optimizer.optimize(query)
+        bits[key] = _plan_bits(result.plan, result.cost)
+    return bits
+
+
+def _validate_response(
+    record: SoakRecord, response: OptimizeResponse, query: Query
+) -> None:
     """Eagerly validate one response's plan against its clean query."""
     record.status = response.status
     record.rung = response.rung
@@ -369,6 +435,8 @@ def _validate_response(record: SoakRecord, response, query: Query) -> None:
     record.retries = response.retries
     record.breaker_waits = response.breaker_waits
     record.injected = sum(response.injected.values())
+    shard = response.shard
+    record.served_by = "fallback" if shard is None else str(shard)
     record.error = response.error
     if not response.ok:
         return
@@ -380,35 +448,252 @@ def _validate_response(record: SoakRecord, response, query: Query) -> None:
         record.error = f"invalid plan: {type(error).__name__}: {error}"
         return
     record.valid = True
-    record.plan_sexpr = response.plan.sexpr()
-    record.cost_repr = repr(response.cost)
+    record.plan_sexpr, record.cost_repr = _plan_bits(
+        response.plan, response.cost
+    )
+
+
+# ---------------------------------------------------------------------------
+
+
+class Target:
+    """What :func:`run_soak` drives: a serving system plus its own chaos.
+
+    The driver enters the target, calls :meth:`tick` before every
+    submission and once with ``final=True`` after the last, drains every
+    future, calls :meth:`observe` while the target still runs and
+    :meth:`verify` once it has stopped.  The defaults here serve through
+    ``self.service`` (anything with ``start``, ``submit`` and context
+    exit) and add no chaos or checks of their own; a test substitutes a
+    fake by overriding them.
+    """
+
+    service = None
+
+    def __enter__(self) -> "Target":
+        self.service.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return self.service.__exit__(exc_type, exc, tb)
+
+    def submit(self, query: Query, priority: int) -> "Future[OptimizeResponse]":
+        """Admit one request; raise ``ServiceOverloadError`` to shed it."""
+        return self.service.submit(query, priority=priority)
+
+    def tick(self, final: bool = False) -> None:
+        """Deliver the target's due chaos (all that is left if final)."""
+
+    def observe(self, report: SoakReport, records: Sequence[SoakRecord]) -> None:
+        """Fill the report's target sections from the running target."""
+
+    def verify(self, report: SoakReport, pool: Sequence[Tuple[str, Query]]) -> None:
+        """Append the checks that need the target stopped."""
+
+
+class _ServiceTarget(Target):
+    """The in-process target: one service, its attempts chaos-armed.
+
+    ``config`` is the run's report, read for seed, rate and workers.
+    """
+
+    def __init__(
+        self,
+        config: SoakReport,
+        queue_capacity: int,
+        telemetry: Optional[Telemetry],
+    ):
+        self.plant = ChaosPlant(seed=config.seed, rate=config.rate)
+        self.service = OptimizationService(
+            workers=config.workers,
+            queue_capacity=queue_capacity,
+            retry_policy=shard_retry_policy(),
+            breakers=shard_breakers(),
+            plan_cache=PlanCache(256),
+            chaos=self.plant,
+            seed=config.seed,
+            telemetry=telemetry,
+        )
+
+    def observe(self, report: SoakReport, records: Sequence[SoakRecord]) -> None:
+        health = self.service.healthz()
+        report.unhandled_worker_errors = health.unhandled_worker_errors
+        report.breaker_trips = health.breaker_trips
+        report.scheduled_chaos = dict(self.plant.scheduled)
+        report.breaker_trace = self.service.breakers.trace()
+        report.breakers = self.service.breakers.snapshot()
+        report.plan_cache = health.plan_cache
+        if health.workers_alive != health.workers_total:
+            report.violations.append(
+                f"only {health.workers_alive}/{health.workers_total} "
+                "workers survived"
+            )
+
+
+class _ClusterTarget(Target):
+    """The cluster target: a sharded service plus seeded shard kills.
+
+    ``config`` is the run's report, read for seconds, seed, rate, shards,
+    workers and kills.  The kills are spaced evenly over the run; each
+    picks a seeded-random live shard, so a seed fixes the schedule
+    (modulo which shards are alive when a kill falls due).  ``store_dir``
+    gives every shard a durable store segment and has :meth:`verify` run
+    :func:`_verify_store`; ``kill_during_write`` holds each kill until a
+    shard has a record on disk, so the crash path is productive.
+    """
+
+    def __init__(
+        self,
+        config: SoakReport,
+        queue_capacity: int,
+        store_dir: Optional[str],
+        kill_during_write: bool,
+        progress: Optional[Callable[[str], None]],
+        telemetry: Optional[Telemetry],
+    ):
+        kills = config.kills_requested
+        if kill_during_write and store_dir is None:
+            raise ValueError("kill_during_write requires store_dir")
+        if kill_during_write and kills <= 0:
+            raise ValueError("kill_during_write requires kill_shards > 0")
+        if telemetry is None:
+            # A registry puts the repro_shard_* series into the report's
+            # cluster section.
+            telemetry = Telemetry(registry=MetricRegistry(enabled=True))
+        self.service = ShardedService(
+            shards=config.shards,
+            workers_per_shard=config.workers,
+            shard_queue_capacity=queue_capacity,
+            seed=config.seed,
+            chaos_rate=config.rate,
+            store_dir=store_dir,
+            telemetry=telemetry,
+        )
+        self._store_dir = store_dir
+        self._kill_during_write = kill_during_write
+        self._progress = progress
+        self._kill_rng = random.Random(config.seed * 9_176 + 4_242)
+        self._kill_times = [
+            (index + 1) * config.seconds / (kills + 1) for index in range(kills)
+        ]
+        self._kills: List[Dict[str, object]] = []
+        # Built just before the run starts: the kill schedule's origin.
+        self._started = time.perf_counter()
+
+    def tick(self, final: bool = False) -> None:
+        while self._kill_times and (
+            final
+            or time.perf_counter() - self._started >= self._kill_times[0]
+        ):
+            # Kill-during-write holds a kill until a shard has appended;
+            # the final ones wait a moment for that, then go regardless.
+            written = not self._kill_during_write or self._store_written(
+                patience=5.0 if final else 0.0
+            )
+            if not (written or final):
+                return
+            self._kill_times.pop(0)
+            self._kill_one()
+
+    def _kill_one(self) -> None:
+        """SIGKILL one seeded-random live shard (none alive: no kill)."""
+        shards = self.service.healthz().shards
+        victims = [status.shard_id for status in shards if status.alive]
+        if not victims:
+            return
+        victim = victims[self._kill_rng.randrange(len(victims))]
+        pid = self.service.kill_shard(victim)
+        elapsed = time.perf_counter() - self._started
+        self._kills.append({"elapsed": elapsed, "shard": victim, "pid": pid})
+        if self._progress is not None:
+            self._progress(f"{elapsed:.1f}s: SIGKILL shard {victim} (pid {pid})")
+
+    def _store_written(self, patience: float) -> bool:
+        """Whether a shard segment holds a decodeable record, polling for
+        up to ``patience`` seconds (a kill before anything reached disk
+        would leave recovery nothing to protect)."""
+        from repro.context.store import DurableStore
+
+        deadline = time.perf_counter() + patience
+        pattern = os.path.join(self._store_dir, "shard-*.rpl")
+        while True:
+            for path in sorted(glob.glob(pattern)):
+                try:
+                    with DurableStore(path, writable=False, fsync=False) as seg:
+                        if seg.report.entries_replayed:
+                            return True
+                except (ReproError, OSError):  # repro: disable=no-silent-fallback
+                    continue  # mid-write segment poll; the next one retries
+            if time.perf_counter() >= deadline:
+                return False
+            time.sleep(0.05)
+
+    def observe(self, report: SoakReport, records: Sequence[SoakRecord]) -> None:
+        health = self.service.healthz()
+        # Kills delivered after the last request race the supervisor's
+        # monitor tick; give it a moment to notice the deaths before
+        # the snapshot, or the respawn count reads as a (false) miss.
+        settle_deadline = time.perf_counter() + 5.0
+        while (
+            self._kills
+            and not (health.respawns or health.fallback_served)
+            and time.perf_counter() < settle_deadline
+        ):
+            time.sleep(0.05)
+            health = self.service.healthz()
+        report.kills = list(self._kills)
+        report.failovers = health.failovers
+        report.respawns = health.respawns
+        report.fallback_served = health.fallback_served
+        report.wire_errors = health.wire_errors
+        served = Counter(r.served_by for r in records if r.served_by)
+        report.shard_histogram = dict(sorted(served.items()))
+        report.cluster = health.as_dict()
+
+    def verify(self, report: SoakReport, pool: Sequence[Tuple[str, Query]]) -> None:
+        if self._store_dir is not None:
+            _verify_store(
+                report, self._store_dir, pool, self._kill_during_write,
+                self._progress,
+            )
+
+
+# ---------------------------------------------------------------------------
 
 
 def run_soak(
     seconds: float = 30.0,
     seed: int = 7,
     rate: float = 0.3,
+    shards: int = 0,
     workers: int = 4,
     queue_capacity: int = 64,
     pool_size: int = 12,
     families: Sequence[str] = ("chain", "star", "clique"),
     min_relations: int = 5,
     max_relations: int = 9,
+    kill_shards: int = 0,
+    store_dir: Optional[str] = None,
+    kill_during_write: bool = False,
     replay: bool = True,
     max_requests: Optional[int] = None,
+    resolve_timeout: float = 120.0,
     progress: Optional[Callable[[str], None]] = None,
     telemetry: Optional[Telemetry] = None,
+    target: Optional[Target] = None,
 ) -> SoakReport:
     """Run the chaos soak and return its :class:`SoakReport`.
 
-    ``max_requests`` additionally bounds the number of submissions (for
-    fast tests); the wall-clock bound always applies.  ``telemetry`` arms
-    the service's spans and metrics for the chaos run — the replay stays
-    disarmed on purpose, so a passing soak also certifies that armed and
-    disarmed optimization choose bit-identical plans.
+    ``shards=0`` soaks an in-process service of ``workers`` threads,
+    ``shards=N`` N shard processes of ``workers`` threads each, which
+    ``kill_shards``, ``store_dir`` and ``kill_during_write`` then apply
+    to; ``target`` replaces the target these arguments would build.  A
+    future unresolved after ``resolve_timeout`` counts as *lost*, one
+    that raises as failed.  ``max_requests`` also bounds submissions
+    (for fast tests).  ``telemetry`` arms the target's spans and metrics
+    while the replay stays disarmed, so a passing soak also certifies
+    that armed and disarmed optimization choose bit-identical plans.
     """
-    from repro.context.plancache import PlanCache
-
     pool = build_query_pool(
         seed,
         pool_size=pool_size,
@@ -416,22 +701,24 @@ def run_soak(
         min_relations=min_relations,
         max_relations=max_relations,
     )
-    plant = ChaosPlant(seed=seed, rate=rate)
-    service = OptimizationService(
-        workers=workers,
-        queue_capacity=queue_capacity,
-        retry_policy=RetryPolicy(
-            max_attempts=8, base_delay=0.005, max_delay=0.1
-        ),
-        breakers=BreakerBoard(failure_threshold=2, cooldown_seconds=0.1),
-        plan_cache=PlanCache(256),
-        chaos=plant,
+    queries = dict(pool)
+    report = SoakReport(
+        seconds=seconds,
         seed=seed,
-        telemetry=telemetry,
+        rate=rate,
+        workers=workers,
+        shards=shards,
+        kills_requested=kill_shards,
     )
-    report = SoakReport(seconds=seconds, seed=seed, rate=rate, workers=workers)
+    if target is None and shards > 0:
+        target = _ClusterTarget(
+            report, queue_capacity, store_dir, kill_during_write, progress,
+            telemetry,
+        )
+    elif target is None:
+        target = _ServiceTarget(report, queue_capacity, telemetry)
     records: List[SoakRecord] = []
-    pending: "deque[Tuple[SoakRecord, object]]" = deque()
+    pending: "deque[Tuple[SoakRecord, Future]]" = deque()
 
     def drain(block: bool) -> None:
         while pending:
@@ -439,22 +726,32 @@ def run_soak(
             if not block and not future.done():
                 return
             pending.popleft()
-            response = future.result()
-            key = record.pool_key
-            query = next(q for k, q in pool if k == key)
-            _validate_response(record, response, query)
+            try:
+                response = future.result(timeout=resolve_timeout)
+            except FuturesTimeoutError:
+                # The hard failure the contract exists to catch: an
+                # accepted request nobody will ever answer.
+                record.status = "lost"
+                record.error = f"future unresolved after {resolve_timeout:.0f}s"
+            except Exception as error:
+                # Resolved, not lost — but still counted against the run.
+                record.status = "failed"
+                record.error = f"{type(error).__name__}: {error}"
+            else:
+                _validate_response(record, response, queries[record.pool_key])
             records.append(record)
 
     started = time.perf_counter()
     index = 0
-    with service:
+    with target:
         while time.perf_counter() - started < seconds:
             if max_requests is not None and index >= max_requests:
                 break
+            target.tick()
             key, query = pool[index % len(pool)]
             report.submitted += 1
             try:
-                future = service.submit(query, priority=index % 3)
+                future = target.submit(query, priority=index % 3)
             except ServiceOverloadError:
                 report.rejected += 1
                 drain(block=False)
@@ -469,29 +766,27 @@ def run_soak(
                 drain(block=False)
             if progress is not None and index % 200 == 0:
                 progress(
-                    f"{time.perf_counter() - started:.0f}s: {index} submitted, "
-                    f"{len(records)} completed"
+                    f"{time.perf_counter() - started:.0f}s: {index} "
+                    f"submitted, {len(records)} completed"
                 )
+        # Short (--max-requests) runs still exercise every kill asked for.
+        target.tick(final=True)
         drain(block=True)
+        target.observe(report, records)
 
     # -- aggregate ------------------------------------------------------
-    health = service.healthz()
-    report.completed = sum(1 for r in records if r.status == "ok")
-    report.failed = sum(1 for r in records if r.status == "failed")
-    report.timeouts = sum(1 for r in records if r.status == "timeout")
+    statuses = Counter(record.status for record in records)
+    report.completed = statuses["ok"]
+    report.failed = statuses["failed"]
+    report.timeouts = statuses["timeout"]
+    report.lost = statuses["lost"]
     report.invalid_plans = sum(
         1 for r in records if r.status == "ok" and not r.valid
     )
     report.degraded_responses = sum(1 for r in records if r.degraded)
-    report.unhandled_worker_errors = health.unhandled_worker_errors
     report.retries = sum(r.retries for r in records)
-    report.breaker_trips = health.breaker_trips
     report.injected_faults = sum(r.injected for r in records)
-    report.scheduled_chaos = dict(plant.scheduled)
-    report.rung_histogram = dict(health.rung_histogram)
-    report.breaker_trace = service.breakers.trace()
-    report.breakers = service.breakers.snapshot()
-    report.plan_cache = health.plan_cache
+    report.rung_histogram = dict(Counter(r.rung for r in records if r.rung))
     if telemetry is not None and telemetry.tracer is not None:
         report.span_summary = summarize_spans(
             telemetry.tracer.finished_spans()
@@ -499,516 +794,62 @@ def run_soak(
 
     # -- replay: single-threaded, chaos disarmed, bit-identical ---------
     if replay:
-        clean: Dict[str, Tuple[str, str]] = {}
-        for key, query in pool:
-            result = ResilientOptimizer().optimize(query)
-            clean[key] = (result.plan.sexpr(), repr(result.cost))
-        for record in records:
-            if record.status != "ok" or record.degraded or not record.valid:
-                continue
-            report.replay_checked += 1
-            want_sexpr, want_cost = clean[record.pool_key]
-            # Bit-exact by design: replay compares repr strings, not
-            # floats — any epsilon would hide a determinism regression.
-            if (
-                record.plan_sexpr != want_sexpr
-                or record.cost_repr != want_cost  # repro: disable=no-float-cost-eq
-            ):
-                report.replay_mismatches += 1
-                if len(report.violations) < 20:
-                    report.violations.append(
-                        f"replay mismatch for request#{record.request_id} "
-                        f"({record.pool_key}): got {record.plan_sexpr} "
-                        f"@ {record.cost_repr}, want {want_sexpr} "
-                        f"@ {want_cost}"
-                    )
-
-    # -- verdicts -------------------------------------------------------
-    if report.failed:
-        report.violations.append(
-            f"{report.failed} accepted request(s) failed without a plan"
-        )
-        for record in records:
-            if record.status == "failed" and len(report.violations) < 20:
-                report.violations.append(
-                    f"  request#{record.request_id} ({record.pool_key}): "
-                    f"{record.error} after {record.attempts} attempt(s), "
-                    f"{record.breaker_waits} breaker wait(s)"
-                )
-    if report.timeouts:
-        report.violations.append(
-            f"{report.timeouts} accepted request(s) timed out"
-        )
-    if report.invalid_plans:
-        report.violations.append(
-            f"{report.invalid_plans} returned plan(s) failed validation"
-        )
-    if report.unhandled_worker_errors:
-        report.violations.append(
-            f"{report.unhandled_worker_errors} unhandled worker exception(s)"
-        )
-    if health.workers_alive not in (0, workers):
-        report.violations.append(
-            f"only {health.workers_alive}/{workers} workers survived"
-        )
-    return report
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardedSoakReport:
-    """Everything one sharded (``--shards``) soak run observed."""
-
-    seconds: float
-    seed: int
-    rate: float
-    shards: int
-    workers_per_shard: int
-    kills_requested: int = 0
-    #: One entry per SIGKILL actually delivered: elapsed seconds, shard
-    #: id, pid at kill time.
-    kills: List[Dict[str, object]] = field(default_factory=list)
-    submitted: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    completed: int = 0
-    failed: int = 0
-    timeouts: int = 0
-    #: Accepted requests whose future never resolved (the hard loss the
-    #: kill-shards contract forbids).
-    lost: int = 0
-    invalid_plans: int = 0
-    replay_checked: int = 0
-    replay_mismatches: int = 0
-    degraded_responses: int = 0
-    injected_faults: int = 0
-    failovers: int = 0
-    respawns: int = 0
-    fallback_served: int = 0
-    wire_errors: int = 0
-    rung_histogram: Dict[str, int] = field(default_factory=dict)
-    #: Responses per serving shard (``None`` key = front-end fallback).
-    shard_histogram: Dict[str, int] = field(default_factory=dict)
-    cluster: Optional[Dict[str, object]] = None
-    #: Durable-store verification section (``--store-dir`` runs only):
-    #: per-segment recovery reports, corrupt-replay count, warm-vs-cold
-    #: bit-identity and the per-fault-kind fail-open certification.
-    store: Optional[Dict[str, object]] = None
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "passed": self.passed,
-            "config": {
-                "seconds": self.seconds,
-                "seed": self.seed,
-                "rate": self.rate,
-                "shards": self.shards,
-                "workers_per_shard": self.workers_per_shard,
-                "kills_requested": self.kills_requested,
-            },
-            "kills": list(self.kills),
-            "requests": {
-                "submitted": self.submitted,
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "completed": self.completed,
-                "failed": self.failed,
-                "timeouts": self.timeouts,
-                "lost": self.lost,
-            },
-            "validation": {
-                "invalid_plans": self.invalid_plans,
-                "replay_checked": self.replay_checked,
-                "replay_mismatches": self.replay_mismatches,
-                "degraded_responses": self.degraded_responses,
-            },
-            "chaos": {"injected_faults": self.injected_faults},
-            "resilience": {
-                "failovers": self.failovers,
-                "respawns": self.respawns,
-                "fallback_served": self.fallback_served,
-                "wire_errors": self.wire_errors,
-            },
-            "rung_histogram": dict(self.rung_histogram),
-            "shard_histogram": dict(self.shard_histogram),
-            "cluster": self.cluster,
-            "store": self.store,
-            "violations": list(self.violations),
-        }
-
-    def describe(self) -> str:
-        lines = [
-            f"sharded soak {'PASSED' if self.passed else 'FAILED'}: "
-            f"{self.seconds:.0f}s, seed={self.seed}, rate={self.rate}, "
-            f"{self.shards} shards x {self.workers_per_shard} workers, "
-            f"{len(self.kills)}/{self.kills_requested} kills delivered",
-            f"requests   : {self.submitted} submitted, {self.accepted} "
-            f"accepted, {self.rejected} shed, {self.completed} completed, "
-            f"{self.failed} failed, {self.timeouts} timeouts, "
-            f"{self.lost} lost",
-            f"resilience : {self.failovers} fail-overs, {self.respawns} "
-            f"respawns, {self.fallback_served} fallback-served, "
-            f"{self.wire_errors} wire errors",
-            f"validation : {self.invalid_plans} invalid plans, "
-            f"{self.replay_mismatches}/{self.replay_checked} replay "
-            f"mismatches, {self.degraded_responses} degraded",
-            f"rungs      : {self.rung_histogram}",
-            f"shards     : {self.shard_histogram}",
+        clean = _replay(pool)
+        checked = [
+            r for r in records if r.status == "ok" and r.valid and not r.degraded
         ]
-        if self.store is not None:
-            lines.append(
-                f"store      : {self.store.get('entries', 0)} entries "
-                f"recovered from {len(self.store.get('segments', ()))} "
-                f"file(s), {self.store.get('corrupt_replays', 0)} corrupt "
-                f"replays, {self.store.get('quarantined_records', 0)} "
-                f"quarantined, {self.store.get('warm_l2_hits', 0)}/"
-                f"{self.store.get('warm_checked', 0)} warm L2 hits "
-                f"({self.store.get('warm_mismatches', 0)} mismatches), "
-                f"fail-open certified for "
-                f"{len(self.store.get('fail_open', ()))} fault kind(s)"
-            )
-        for kill in self.kills:
-            lines.append(
-                f"  kill @{kill['elapsed']:.1f}s: shard {kill['shard']} "
-                f"(pid {kill['pid']})"
-            )
-        if self.violations:
-            lines.append("violations:")
-            lines.extend(f"  {violation}" for violation in self.violations)
-        return "\n".join(lines)
-
-
-def _store_has_a_complete_record(store_dir: str) -> bool:
-    """True once any shard segment holds at least one decodeable entry.
-
-    Kill-during-write holds its SIGKILLs behind this gate: killing a
-    shard before anything reached disk would make the zero-corruption
-    assertion vacuous (there would be nothing for recovery to protect).
-    """
-    from repro.context.store import DurableStore
-
-    for path in sorted(glob.glob(os.path.join(store_dir, "shard-*.rpl"))):
-        try:
-            segment = DurableStore(path, writable=False, fsync=False)
-        except (ReproError, OSError):  # repro: disable=no-silent-fallback
-            continue  # mid-write segment poll; the next tick retries
-        try:
-            if segment.report.entries_replayed:
-                return True
-        finally:
-            segment.close()
-    return False
-
-
-def run_sharded_soak(
-    seconds: float = 30.0,
-    seed: int = 7,
-    rate: float = 0.3,
-    shards: int = 3,
-    workers_per_shard: int = 2,
-    queue_capacity: int = 64,
-    pool_size: int = 12,
-    families: Sequence[str] = ("chain", "star", "clique"),
-    min_relations: int = 5,
-    max_relations: int = 9,
-    kill_shards: int = 0,
-    replay: bool = True,
-    max_requests: Optional[int] = None,
-    resolve_timeout: float = 120.0,
-    store_dir: Optional[str] = None,
-    kill_during_write: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> ShardedSoakReport:
-    """Run the chaos soak against a :class:`ShardedService`.
-
-    ``kill_shards`` schedules that many SIGKILLs of random live shards,
-    evenly spaced over the run (seeded choice of victim).  The loss
-    contract is absolute: every accepted request's future must resolve
-    within ``resolve_timeout`` — to a validated plan or an honest typed
-    failure — no matter how many shards died under it; anything else is
-    recorded as *lost* and fails the run.
-
-    ``store_dir`` gives every shard a durable L2 plan-store segment under
-    that directory; after the run :func:`_verify_store` re-opens the
-    segments through recovery and appends its verdicts to the report.
-    ``kill_during_write`` additionally *requires* the crash path to have
-    been productive: the recovered store must be non-empty and must
-    produce warm L2 hits for the query pool (a vacuous pass is a fail).
-    """
-    from repro.service.sharded import ShardedService
-
-    if kill_during_write and store_dir is None:
-        raise ValueError("kill_during_write requires store_dir")
-    if kill_during_write and kill_shards <= 0:
-        raise ValueError("kill_during_write requires kill_shards > 0")
-
-    pool = build_query_pool(
-        seed,
-        pool_size=pool_size,
-        families=families,
-        min_relations=min_relations,
-        max_relations=max_relations,
-    )
-    report = ShardedSoakReport(
-        seconds=seconds,
-        seed=seed,
-        rate=rate,
-        shards=shards,
-        workers_per_shard=workers_per_shard,
-        kills_requested=kill_shards,
-    )
-    service = ShardedService(
-        shards=shards,
-        workers_per_shard=workers_per_shard,
-        shard_queue_capacity=queue_capacity,
-        seed=seed,
-        chaos_rate=rate,
-        store_dir=store_dir,
-        telemetry=telemetry,
-    )
-    records: List[SoakRecord] = []
-    shard_counts: Dict[str, int] = {}
-    pending: "deque[Tuple[SoakRecord, object]]" = deque()
-
-    def drain(block: bool) -> None:
-        while pending:
-            record, future = pending[0]
-            if not block and not future.done():
-                return
-            pending.popleft()
-            try:
-                response = future.result(timeout=resolve_timeout)
-            except FuturesTimeoutError:
-                # The hard failure mode kill-shards exists to catch: an
-                # accepted request nobody will ever answer.
-                report.lost += 1
-                record.status = "lost"
-                record.error = (
-                    f"future unresolved after {resolve_timeout:.0f}s"
-                )
-                records.append(record)
-                continue
-            except Exception as error:
-                # Honest typed failure (e.g. shutdown strands): resolved,
-                # not lost — but still counted against the run.
-                record.status = "failed"
-                record.error = f"{type(error).__name__}: {error}"
-                records.append(record)
-                continue
-            query = next(q for k, q in pool if k == record.pool_key)
-            _validate_response(record, response, query)
-            shard_key = (
-                "fallback" if response.shard is None else str(response.shard)
-            )
-            shard_counts[shard_key] = shard_counts.get(shard_key, 0) + 1
-            records.append(record)
-
-    # Evenly spaced kill times; the victim draw is seeded, so a given
-    # seed produces one fixed kill schedule (modulo which shards are
-    # alive when each timer fires).
-    kill_rng = random.Random(seed * 9_176 + 4_242)
-    kill_times = [
-        (index + 1) * seconds / (kill_shards + 1)
-        for index in range(kill_shards)
-    ]
-
-    started = time.perf_counter()
-    index = 0
-    with service:
-        while time.perf_counter() - started < seconds:
-            if max_requests is not None and index >= max_requests:
-                break
-            elapsed = time.perf_counter() - started
-            while kill_times and elapsed >= kill_times[0]:
-                if kill_during_write and not _store_has_a_complete_record(
-                    store_dir
-                ):
-                    break  # hold the kill until a shard has appended
-                kill_times.pop(0)
-                victims = [
-                    status.shard_id
-                    for status in service.healthz().shards
-                    if status.alive
-                ]
-                if not victims:
-                    continue  # everything already dead; nothing to kill
-                victim = victims[kill_rng.randrange(len(victims))]
-                pid = service.kill_shard(victim)
-                report.kills.append(
-                    {"elapsed": elapsed, "shard": victim, "pid": pid}
-                )
-                if progress is not None:
-                    progress(
-                        f"{elapsed:.1f}s: SIGKILL shard {victim} (pid {pid})"
-                    )
-            key, query = pool[index % len(pool)]
-            report.submitted += 1
-            try:
-                future = service.submit(query, priority=index % 3)
-            except ServiceOverloadError:
-                report.rejected += 1
-                drain(block=False)
-                time.sleep(0.001)
-            else:
-                report.accepted += 1
-                pending.append(
-                    (
-                        SoakRecord(request_id=index, pool_key=key, status=""),
-                        future,
-                    )
-                )
-            index += 1
-            if len(pending) >= queue_capacity:
-                drain(block=False)
-            if progress is not None and index % 200 == 0:
-                progress(
-                    f"{time.perf_counter() - started:.0f}s: {index} "
-                    f"submitted, {len(records)} completed"
-                )
-        # Deliver any kills the submission loop didn't reach (short
-        # --max-requests runs), so smoke runs still exercise the crash
-        # path the number of times they asked for.
-        for _ in list(kill_times):
-            kill_times.pop(0)
-            if kill_during_write:
-                # Give in-flight appends a moment to land so the kill
-                # has something on disk to threaten.
-                gate_deadline = time.perf_counter() + 5.0
-                while (
-                    not _store_has_a_complete_record(store_dir)
-                    and time.perf_counter() < gate_deadline
-                ):
-                    time.sleep(0.05)
-            victims = [
-                status.shard_id
-                for status in service.healthz().shards
-                if status.alive
-            ]
-            if not victims:
-                continue
-            victim = victims[kill_rng.randrange(len(victims))]
-            pid = service.kill_shard(victim)
-            report.kills.append(
-                {
-                    "elapsed": time.perf_counter() - started,
-                    "shard": victim,
-                    "pid": pid,
-                }
-            )
-        drain(block=True)
-        health = service.healthz()
-        # Kills delivered after the last request race the supervisor's
-        # monitor tick; give it a moment to notice the deaths before
-        # the snapshot, or the respawn count reads as a (false) miss.
-        if (
-            report.kills
-            and health.respawns == 0
-            and health.fallback_served == 0
-        ):
-            settle_deadline = time.perf_counter() + 5.0
-            while time.perf_counter() < settle_deadline:
-                time.sleep(0.05)
-                health = service.healthz()
-                if health.respawns or health.fallback_served:
-                    break
-
-    # -- aggregate ------------------------------------------------------
-    report.completed = sum(1 for r in records if r.status == "ok")
-    report.failed = sum(1 for r in records if r.status == "failed")
-    report.timeouts = sum(1 for r in records if r.status == "timeout")
-    report.invalid_plans = sum(
-        1 for r in records if r.status == "ok" and not r.valid
-    )
-    report.degraded_responses = sum(1 for r in records if r.degraded)
-    report.injected_faults = sum(r.injected for r in records)
-    report.failovers = health.failovers
-    report.respawns = health.respawns
-    report.fallback_served = health.fallback_served
-    report.wire_errors = health.wire_errors
-    for record in records:
-        if record.rung:
-            report.rung_histogram[record.rung] = (
-                report.rung_histogram.get(record.rung, 0) + 1
-            )
-    report.shard_histogram = dict(sorted(shard_counts.items()))
-    report.cluster = health.as_dict()
-
-    # -- replay: single-process, chaos disarmed, bit-identical ----------
-    if replay:
-        clean: Dict[str, Tuple[str, str]] = {}
-        for key, query in pool:
-            result = ResilientOptimizer().optimize(query)
-            clean[key] = (result.plan.sexpr(), repr(result.cost))
-        for record in records:
-            if record.status != "ok" or record.degraded or not record.valid:
-                continue
-            report.replay_checked += 1
+        wrong = _diverged(
+            {i: (r.plan_sexpr, r.cost_repr) for i, r in enumerate(checked)},
+            {i: clean[r.pool_key] for i, r in enumerate(checked)},
+        )
+        report.replay_checked = len(checked)
+        report.replay_mismatches = len(wrong)
+        for i in wrong[:20]:
+            record = checked[i]
             want_sexpr, want_cost = clean[record.pool_key]
-            # Bit-exact on purpose (see run_soak): any epsilon would hide
-            # a routing- or fail-over-dependent determinism regression.
-            if (
-                record.plan_sexpr != want_sexpr
-                or record.cost_repr != want_cost  # repro: disable=no-float-cost-eq
-            ):
-                report.replay_mismatches += 1
-                if len(report.violations) < 20:
-                    report.violations.append(
-                        f"replay mismatch for request#{record.request_id} "
-                        f"({record.pool_key}): got {record.plan_sexpr} "
-                        f"@ {record.cost_repr}, want {want_sexpr} "
-                        f"@ {want_cost}"
-                    )
+            report.violations.append(
+                f"replay mismatch for request#{record.request_id} "
+                f"({record.pool_key}): got {record.plan_sexpr} "
+                f"@ {record.cost_repr}, want {want_sexpr} @ {want_cost}"
+            )
 
-    # -- verdicts -------------------------------------------------------
-    if report.lost:
-        report.violations.append(
-            f"{report.lost} accepted request(s) never resolved (lost)"
-        )
-    if report.failed:
-        report.violations.append(
-            f"{report.failed} accepted request(s) failed without a plan"
-        )
-        for record in records:
-            if record.status == "failed" and len(report.violations) < 20:
-                report.violations.append(
-                    f"  request#{record.request_id} ({record.pool_key}): "
-                    f"{record.error}"
-                )
-    if report.timeouts:
-        report.violations.append(
-            f"{report.timeouts} accepted request(s) timed out"
-        )
-    if report.invalid_plans:
-        report.violations.append(
-            f"{report.invalid_plans} returned plan(s) failed validation"
-        )
-    if len(report.kills) < kill_shards:
-        report.violations.append(
-            f"only {len(report.kills)}/{kill_shards} scheduled shard kills "
-            "were delivered"
-        )
-    if report.kills and report.respawns == 0 and report.fallback_served == 0:
-        report.violations.append(
-            "shards were killed but neither a respawn nor a fallback serve "
-            "is visible in cluster healthz"
-        )
-
-    # -- durable store: recovery, warm bit-identity, fail-open ----------
-    if store_dir is not None:
-        _verify_store(report, store_dir, pool, kill_during_write, progress)
+    _verdicts(report, records)
+    target.verify(report, pool)
     return report
+
+
+def _verdicts(report: SoakReport, records: Sequence[SoakRecord]) -> None:
+    """Turn the aggregated counts into the run's violations."""
+    kills = len(report.kills or ())
+    for broken, violation in (
+        (report.lost, f"{report.lost} accepted request(s) never resolved "
+         "(lost)"),
+        (report.failed, f"{report.failed} accepted request(s) failed "
+         "without a plan"),
+        (report.timeouts, f"{report.timeouts} accepted request(s) timed out"),
+        (report.invalid_plans, f"{report.invalid_plans} returned plan(s) "
+         "failed validation"),
+        (report.unhandled_worker_errors, f"{report.unhandled_worker_errors} "
+         "unhandled worker exception(s)"),
+        (kills < report.kills_requested, f"only {kills}/"
+         f"{report.kills_requested} scheduled shard kills were delivered"),
+        (kills and not (report.respawns or report.fallback_served),
+         "shards were killed but neither a respawn nor a fallback serve is "
+         "visible in cluster healthz"),
+    ):
+        if broken:
+            report.violations.append(violation)
+    for record in records:
+        if record.status == "failed" and len(report.violations) < 20:
+            report.violations.append(
+                f"  request#{record.request_id} ({record.pool_key}): "
+                f"{record.error} after {record.attempts} attempt(s), "
+                f"{record.breaker_waits} breaker wait(s)"
+            )
 
 
 def _verify_store(
-    report: ShardedSoakReport,
+    report: SoakReport,
     store_dir: str,
     pool: Sequence[Tuple[str, Query]],
     kill_during_write: bool,
@@ -1016,73 +857,64 @@ def _verify_store(
 ) -> None:
     """Post-run durable-store contract checks (``--store-dir`` runs).
 
-    Three assertions, matching the crash-safe cache contract:
-
     * **zero corrupt replays** — every segment (and the snapshot, if
-      present) re-opens through :class:`DurableStore` recovery, which
-      truncates torn tails and quarantines CRC mismatches; every record
-      that recovery *did* replay must then decode cleanly.  A record
-      that passes the CRC but fails decode is corruption that escaped
-      the frame check and fails the run.
-    * **warm hits bit-identical to cold** — a fresh
-      :class:`TieredPlanCache` warmed from the merged recovered records
-      must serve every pool query with exactly the plan (same
-      s-expression, same cost ``repr``) a cache-less optimizer computes.
-    * **fail-open certification** — for every store fault kind, an
-      optimizer over a fault-armed store produces plans bit-identical to
-      the same setup with the injector disarmed: store faults degrade
-      durability, never plan choice.
+      present) re-opens through :class:`DurableStore` recovery (torn
+      tails truncated, CRC mismatches quarantined), and every record
+      recovery replays must decode: one that passes the CRC but fails
+      decode escaped the frame check.
+    * **warm hits bit-identical to cold** — a :class:`TieredPlanCache`
+      warmed from the merged records serves every pool query with the
+      plan bits a cache-less optimizer computes.
+    * **fail-open certification** — per store fault kind, an optimizer
+      over a fault-armed store chooses the plans it chooses disarmed.
     """
     from repro.context.store import DurableStore, TieredPlanCache, decode_entry
     from repro.resilience.faults import STORE_FAULT_KINDS, StoreFaultInjector
 
-    summary: Dict[str, object] = {
-        "store_dir": store_dir,
-        "kill_during_write": kill_during_write,
-        "segments": [],
-    }
-    snapshot_path = os.path.join(store_dir, "snapshot.rpl")
     paths = sorted(glob.glob(os.path.join(store_dir, "shard-*.rpl")))
+    snapshot_path = os.path.join(store_dir, "snapshot.rpl")
     if os.path.exists(snapshot_path):
         paths.insert(0, snapshot_path)
     merged: Dict[str, Dict[str, object]] = {}
-    corrupt_replays = 0
-    quarantined = 0
-    torn_tails = 0
+    segments: List[Dict[str, object]] = []
+    corrupt: List[str] = []
     for path in paths:
         store = DurableStore(path, writable=False)
-        undecodable = 0
+        undecodable = len(corrupt)
         for key, record in store.records.items():
             try:
                 decode_entry(record)
             except ReproError as error:
-                undecodable += 1
-                corrupt_replays += 1
-                if len(report.violations) < 40:
-                    report.violations.append(
-                        f"store segment {os.path.basename(path)} replayed "
-                        f"a corrupt record for {key!r}: {error}"
-                    )
-                continue
-            merged[key] = record
-        quarantined += store.report.quarantined_records
-        torn_tails += 1 if store.report.torn_tail else 0
-        summary["segments"].append(
+                corrupt.append(
+                    f"store segment {os.path.basename(path)} replayed a "
+                    f"corrupt record for {key!r}: {error}"
+                )
+            else:
+                merged[key] = record
+        segments.append(
             {
                 "path": os.path.basename(path),
                 "entries": len(store.records),
-                "undecodable": undecodable,
+                "undecodable": len(corrupt) - undecodable,
                 "recovery": store.report.as_dict(),
             }
         )
         store.close()
-    summary["entries"] = len(merged)
-    summary["corrupt_replays"] = corrupt_replays
-    summary["quarantined_records"] = quarantined
-    summary["torn_tails"] = torn_tails
-    if corrupt_replays:
+    summary: Dict[str, object] = {
+        "store_dir": store_dir,
+        "kill_during_write": kill_during_write,
+        "segments": segments,
+        "entries": len(merged),
+        "corrupt_replays": len(corrupt),
+        "quarantined_records": sum(
+            seg["recovery"]["quarantined_records"] for seg in segments
+        ),
+        "torn_tails": sum(1 for seg in segments if seg["recovery"]["torn_tail"]),
+    }
+    report.violations.extend(corrupt[: max(0, 40 - len(report.violations))])
+    if corrupt:
         report.violations.append(
-            f"{corrupt_replays} corrupt store record(s) survived recovery "
+            f"{len(corrupt)} corrupt store record(s) survived recovery "
             "and would have been replayed"
         )
     if kill_during_write and not merged:
@@ -1097,30 +929,22 @@ def _verify_store(
     warm_cache = TieredPlanCache(
         capacity=max(64, 2 * len(merged)), warm_records=merged
     )
-    warm_optimizer = ResilientOptimizer(plan_cache=warm_cache)
-    cold_optimizer = ResilientOptimizer()
-    warm_mismatches = 0
-    for key, query in pool:
-        warm = warm_optimizer.optimize(query)
-        cold = cold_optimizer.optimize(query)
-        if (
-            warm.plan.sexpr() != cold.plan.sexpr()
-            or repr(warm.cost) != repr(cold.cost)  # repro: disable=no-float-cost-eq
-        ):
-            warm_mismatches += 1
-            if len(report.violations) < 40:
-                report.violations.append(
-                    f"warm store hit for pool query {key!r} is not "
-                    f"bit-identical to cold optimization: got "
-                    f"{warm.plan.sexpr()} @ {warm.cost!r}, want "
-                    f"{cold.plan.sexpr()} @ {cold.cost!r}"
-                )
+    warm = _replay(pool, ResilientOptimizer(plan_cache=warm_cache))
+    cold = _replay(pool)
+    warm_mismatches = _diverged(warm, cold)
+    for key in warm_mismatches:
+        if len(report.violations) < 40:
+            report.violations.append(
+                f"warm store hit for pool query {key!r} is not "
+                f"bit-identical to cold optimization: got "
+                f"{' @ '.join(warm[key])}, want {' @ '.join(cold[key])}"
+            )
     summary["warm_checked"] = len(pool)
     summary["warm_l2_hits"] = warm_cache.l2_hits
-    summary["warm_mismatches"] = warm_mismatches
+    summary["warm_mismatches"] = len(warm_mismatches)
     if warm_mismatches:
         report.violations.append(
-            f"{warm_mismatches} warm store hit(s) diverged from cold "
+            f"{len(warm_mismatches)} warm store hit(s) diverged from cold "
             "optimization"
         )
     if kill_during_write and merged and warm_cache.l2_hits == 0:
@@ -1133,10 +957,9 @@ def _verify_store(
     # Fail-open certification: per fault kind, a fault-armed store must
     # not change plan choice relative to the identical disarmed setup.
     fail_open: Dict[str, Dict[str, object]] = {}
-    cert_pool = list(pool)[: min(3, len(pool))]
+    cert_pool = list(pool)[:3]
     for offset, kind in enumerate(STORE_FAULT_KINDS):
-        kind_report: Dict[str, object] = {"injected": 0, "mismatches": 0}
-        baseline: List[Tuple[str, str]] = []
+        runs: Dict[bool, Dict[str, PlanBits]] = {}
         for armed in (False, True):
             label = "armed" if armed else "disarmed"
             path = os.path.join(store_dir, f".failopen-{kind}-{label}.rpl")
@@ -1146,47 +969,38 @@ def _verify_store(
             cache = TieredPlanCache.open(path, fault_injector=injector)
             if armed:
                 injector.arm()
-            optimizer = ResilientOptimizer(plan_cache=cache)
-            plans = [
-                (result.plan.sexpr(), repr(result.cost))
-                for result in (
-                    optimizer.optimize(query) for _, query in cert_pool
-                )
-            ]
+            runs[armed] = _replay(
+                cert_pool, ResilientOptimizer(plan_cache=cache)
+            )
             cache.close()
             injector.disarm()
             for leftover in (path, path + ".quarantine", path + ".stale"):
                 if os.path.exists(leftover):
                     os.unlink(leftover)
-            if not armed:
-                baseline = plans
-                continue
-            kind_report["injected"] = injector.total_injected
-            mismatches = sum(
-                1 for got, want in zip(plans, baseline) if got != want
+        # ``injector`` is the armed run's.
+        mismatches = len(_diverged(runs[True], runs[False]))
+        if mismatches:
+            report.violations.append(
+                f"store fault kind {kind!r}: armed run produced "
+                f"{mismatches} plan(s) not bit-identical to the "
+                "disarmed run (fail-open broken)"
             )
-            kind_report["mismatches"] = mismatches
-            if mismatches:
-                report.violations.append(
-                    f"store fault kind {kind!r}: armed run produced "
-                    f"{mismatches} plan(s) not bit-identical to the "
-                    "disarmed run (fail-open broken)"
-                )
-            if injector.total_injected == 0:
-                report.violations.append(
-                    f"store fault kind {kind!r}: armed injector never "
-                    "fired, certification is vacuous"
-                )
-            kind_report["certified"] = (
-                mismatches == 0 and injector.total_injected > 0
+        if injector.total_injected == 0:
+            report.violations.append(
+                f"store fault kind {kind!r}: armed injector never "
+                "fired, certification is vacuous"
             )
-        fail_open[kind] = kind_report
+        fail_open[kind] = {
+            "injected": injector.total_injected,
+            "mismatches": mismatches,
+            "certified": mismatches == 0 and injector.total_injected > 0,
+        }
     summary["fail_open"] = fail_open
     report.store = summary
     if progress is not None:
         progress(
             f"store: {len(merged)} entries recovered from {len(paths)} "
-            f"file(s), {corrupt_replays} corrupt replays, "
+            f"file(s), {len(corrupt)} corrupt replays, "
             f"{summary['warm_l2_hits']} warm L2 hits"
         )
 
@@ -1197,9 +1011,9 @@ def _verify_store(
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.soak",
-        description="Chaos soak for the concurrent optimization service: "
-        "mixed workload, seeded fault injection, validation and replay "
-        "determinism checks.",
+        description="Chaos soak for the optimization service, in-process "
+        "or sharded: mixed workload, seeded fault injection, validation "
+        "and replay determinism checks.",
     )
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=7)
@@ -1209,7 +1023,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.3,
         help="probability an optimization attempt is poisoned",
     )
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="worker threads per serving process (the service, or each "
+        "shard)",
+    )
     parser.add_argument(
         "--shards",
         type=int,
@@ -1217,12 +1037,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run against a ShardedService with N shard processes "
         "(0 = single-process service)",
-    )
-    parser.add_argument(
-        "--workers-per-shard",
-        type=int,
-        default=2,
-        help="worker threads inside each shard (sharded mode only)",
     )
     parser.add_argument(
         "--kill-shards",
@@ -1281,12 +1095,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    progress = None if args.quiet else lambda line: print(line, flush=True)
-    telemetry = None
-    sink = None
-    if args.trace is not None:
-        sink = TraceSink(args.trace)
-        telemetry = Telemetry(tracer=Tracer(sink=sink))
     if args.kill_shards and not args.shards:
         print("--kill-shards requires --shards N", file=sys.stderr)
         return 2
@@ -1296,6 +1104,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    progress = None if args.quiet else lambda line: print(line, flush=True)
     store_dir = args.store_dir
     if args.kill_during_write:
         if args.kill_shards == 0:
@@ -1304,51 +1113,25 @@ def main(argv=None) -> int:
             store_dir = tempfile.mkdtemp(prefix="repro-soak-store-")
             if progress is not None:
                 progress(f"store dir (temp): {store_dir}")
-    if args.shards:
-        from repro.telemetry import MetricRegistry
-
-        # Sharded mode always carries a registry so the report's cluster
-        # snapshot includes the repro_shard_* series.
-        if telemetry is None:
-            telemetry = Telemetry(registry=MetricRegistry(enabled=True))
-        sharded_report = run_sharded_soak(
-            seconds=args.seconds,
-            seed=args.seed,
-            rate=args.rate,
-            shards=args.shards,
-            workers_per_shard=args.workers_per_shard,
-            queue_capacity=args.queue,
-            pool_size=args.pool,
-            families=tuple(args.families.split(",")),
-            min_relations=args.min_relations,
-            max_relations=args.max_relations,
-            kill_shards=args.kill_shards,
-            replay=not args.no_replay,
-            max_requests=args.max_requests,
-            store_dir=store_dir,
-            kill_during_write=args.kill_during_write,
-            progress=progress,
-            telemetry=telemetry,
-        )
-        if sink is not None:
-            sink.close()
-        if args.json is not None:
-            atomic_write_text(
-                str(args.json),
-                json.dumps(sharded_report.as_dict(), indent=2),
-            )
-        print(sharded_report.describe())
-        return 0 if sharded_report.passed else 1
+    telemetry = None
+    sink = None
+    if args.trace is not None:
+        sink = TraceSink(args.trace)
+        telemetry = Telemetry(tracer=Tracer(sink=sink))
     report = run_soak(
         seconds=args.seconds,
         seed=args.seed,
         rate=args.rate,
+        shards=args.shards,
         workers=args.workers,
         queue_capacity=args.queue,
         pool_size=args.pool,
         families=tuple(args.families.split(",")),
         min_relations=args.min_relations,
         max_relations=args.max_relations,
+        kill_shards=args.kill_shards,
+        store_dir=store_dir,
+        kill_during_write=args.kill_during_write,
         replay=not args.no_replay,
         max_requests=args.max_requests,
         progress=progress,

@@ -118,18 +118,32 @@ class TestCrashFailover:
         assert deaths and respawns
         assert snapshot["repro_shard_cluster_shards_up"] == 2.0
 
-    def test_all_shards_down_serves_via_fallback(self, queries):
+    @pytest.mark.parametrize("topk", (1, 3))
+    def test_all_shards_down_serves_via_fallback(self, queries, topk):
         # Backoff long enough that no respawn lands mid-test.
         slow = RetryPolicy(max_attempts=3, base_delay=30.0, max_delay=60.0)
         with make_service(shards=2, respawn_policy=slow) as service:
             assert wait_until(lambda: service.healthz().shards_up == 2)
+            # Cluster request 0 goes to a shard, so the fallback answer
+            # (the lane's own request 0) must carry cluster id 1.
+            assert service.submit(queries[1]).result(timeout=60).ok
             service.kill_shard(0)
             service.kill_shard(1)
             assert wait_until(lambda: service.healthz().shards_up == 0)
-            response = service.submit(queries[0]).result(timeout=120)
+            response = service.submit(queries[0], topk=topk).result(
+                timeout=120
+            )
             health = service.healthz()
         assert response.ok
-        assert response.shard is None  # served by the front-end ladder
+        assert response.shard is None  # served by the front-end lane
+        assert response.request_id == 1
+        assert response.queue_wait_seconds >= 0.0
+        clean = ResilientOptimizer().optimize(queries[0])
+        assert response.plan.sexpr() == clean.plan.sexpr()
+        assert repr(response.cost) == repr(clean.cost)
+        if topk > 1:
+            assert response.ranked_costs
+            assert list(response.ranked_costs) == sorted(response.ranked_costs)
         assert health.status == "down"
         assert health.fallback_served >= 1
         assert "fallback only" in health.describe()

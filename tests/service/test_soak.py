@@ -2,15 +2,16 @@
 
 import json
 import threading
+from concurrent.futures import Future
 
 import pytest
 
 from repro.service.soak import (
     ChaosPlant,
     SoakReport,
+    Target,
     build_query_pool,
     main,
-    run_sharded_soak,
     run_soak,
 )
 from repro.service.server import OptimizeRequest
@@ -208,11 +209,49 @@ class TestRunSoak:
         assert {"request", "attempt", "ladder_rung", "enumerate"} <= names
 
 
+class _SilentAndFailingTarget(Target):
+    """A fake target: request 0 never resolves, request 1 raises."""
+
+    def __init__(self):
+        self.futures = [Future(), Future()]
+        self.futures[1].set_exception(RuntimeError("shard exploded"))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        return False
+
+    def submit(self, query, priority):
+        return self.futures.pop(0)
+
+
+class TestLossContract:
+    def test_unresolved_and_raising_futures_fail_the_run(self):
+        # Neither a hung future nor a raising one may hang or crash the
+        # soak: they are counted as lost and failed, and the run fails.
+        report = run_soak(
+            seconds=30.0,
+            pool_size=2,
+            min_relations=4,
+            max_relations=4,
+            max_requests=2,
+            resolve_timeout=0.2,
+            target=_SilentAndFailingTarget(),
+        )
+        assert report.lost == 1
+        assert report.failed == 1
+        assert report.passed is False
+        assert any("lost" in violation for violation in report.violations)
+
+
 class TestMain:
-    def test_cli_smoke_passes_and_writes_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("shards", ("0", "2"))
+    def test_cli_smoke_passes_and_writes_json(self, tmp_path, capsys, shards):
         out = tmp_path / "soak.json"
         code = main(
             [
+                "--shards", shards,
                 "--seconds", "30",
                 "--seed", "7",
                 "--rate", "0.3",
@@ -229,6 +268,7 @@ class TestMain:
         assert "soak PASSED" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["passed"] is True
+        assert payload["config"]["shards"] == int(shards)
 
     def test_kill_shards_without_shards_is_an_error(self, capsys):
         assert main(["--kill-shards", "2"]) == 2
@@ -248,14 +288,14 @@ class TestRunShardedSoak:
             seed=7,
             rate=0.2,
             shards=2,
-            workers_per_shard=2,
+            workers=2,
             pool_size=4,
             min_relations=4,
             max_relations=5,
             max_requests=24,
         )
         settings.update(overrides)
-        return run_sharded_soak(**settings)
+        return run_soak(**settings)
 
     def test_short_sharded_soak_passes(self):
         report = self.sharded()
