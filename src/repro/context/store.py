@@ -30,9 +30,10 @@ store reopens writable with every surviving entry warm.
 LRU; misses consult the recovered warm map (decode + promote to L1);
 puts admit to L2 by *cold-work provenance* (:class:`AdmissionPolicy`) so
 the log holds plans that were expensive to compute, not every lookup.
-Every L2 interaction is guarded by a dedicated circuit breaker and fails
-open to L1-only behaviour — an injected or organic store fault may cost
-durability, never a wrong plan and never an optimization failure.
+Every L2 interaction is guarded by a ``plan_store``
+:class:`~repro.service.breaker.CircuitBreaker` and fails open to L1-only
+behaviour — an injected or organic store fault may cost durability,
+never a wrong plan and never an optimization failure.
 
 Sharded layout (single-writer discipline): each shard appends to its own
 ``shard-<id>.rpl`` segment and warms from a shared read-only
@@ -53,7 +54,7 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.context.fingerprint import QUANT_STEPS
@@ -619,79 +620,12 @@ class AdmissionPolicy:
         )
 
 
-class _StoreBreaker:
-    """A small dedicated circuit breaker for the L2 store.
+def _plan_store_breaker():
+    """The L2 guard: three consecutive failures open it for one second."""
+    # Deferred: repro.service imports this package at module load.
+    from repro.service.breaker import CircuitBreaker
 
-    Deliberately self-contained (the service-tier breaker lives above
-    this package and importing it here would cycle): ``failure_threshold``
-    consecutive failures open the circuit for ``cooldown_seconds``; after
-    the cooldown one probe is allowed through, and a success closes it.
-    While open, the tiered cache simply behaves as L1-only.
-    """
-
-    __slots__ = (
-        "failure_threshold",
-        "cooldown_seconds",
-        "_clock",
-        "_lock",
-        "_failures",
-        "_opened_at",
-        "_state",
-        "opens",
-    )
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown_seconds: float = 1.0,
-        clock=time.monotonic,
-    ):
-        self.failure_threshold = failure_threshold
-        self.cooldown_seconds = cooldown_seconds
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._opened_at = 0.0
-        self._state = "closed"
-        self.opens = 0
-
-    def allow(self) -> bool:
-        with self._lock:
-            if self._state == "closed":
-                return True
-            if self._clock() - self._opened_at >= self.cooldown_seconds:
-                self._state = "half_open"
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._state = "closed"
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            if self._state == "half_open" or self._failures >= self.failure_threshold:
-                if self._state != "open":
-                    self.opens += 1
-                self._state = "open"
-                self._opened_at = self._clock()
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "state": self._state,
-                "consecutive_failures": self._failures,
-                "opens": self.opens,
-                "failure_threshold": self.failure_threshold,
-                "cooldown_seconds": self.cooldown_seconds,
-            }
+    return CircuitBreaker("plan_store", failure_threshold=3, cooldown_seconds=1.0)
 
 
 class TieredPlanCache(PlanCache):
@@ -728,7 +662,7 @@ class TieredPlanCache(PlanCache):
         store: Optional[DurableStore] = None,
         warm_records: Optional[Dict[str, Dict[str, object]]] = None,
         admission: Optional[AdmissionPolicy] = None,
-        breaker: Optional[_StoreBreaker] = None,
+        breaker=None,
         telemetry=None,
     ):
         super().__init__(capacity)
@@ -739,7 +673,7 @@ class TieredPlanCache(PlanCache):
         self._warm_lock = threading.Lock()
         self._persisted = set(self._warm)
         self._admission = admission if admission is not None else AdmissionPolicy()
-        self._breaker = breaker if breaker is not None else _StoreBreaker()
+        self._breaker = breaker if breaker is not None else _plan_store_breaker()
         self._telemetry = telemetry
         self.l2_hits = 0
         self.l2_misses = 0
@@ -765,8 +699,7 @@ class TieredPlanCache(PlanCache):
         admission: Optional[AdmissionPolicy] = None,
         fault_injector=None,
         telemetry=None,
-        breaker_failure_threshold: int = 3,
-        breaker_cooldown_seconds: float = 1.0,
+        breaker=None,
         fsync: bool = True,
     ) -> "TieredPlanCache":
         """Open (recovering) a writable segment plus read-only snapshots.
@@ -776,10 +709,8 @@ class TieredPlanCache(PlanCache):
         to L1-only — opening *never* raises for store-side reasons.
         """
         warm: Dict[str, Dict[str, object]] = {}
-        breaker = _StoreBreaker(
-            failure_threshold=breaker_failure_threshold,
-            cooldown_seconds=breaker_cooldown_seconds,
-        )
+        if breaker is None:
+            breaker = _plan_store_breaker()
         for snapshot_path in snapshot_paths:
             if not os.path.exists(snapshot_path):
                 continue
@@ -909,6 +840,11 @@ class TieredPlanCache(PlanCache):
                     "store_append_failed", key=key, error=str(error)
                 )
             return
+        except BaseException:
+            # Record the outcome before propagating: a half-open breaker
+            # admits one probe, and only an outcome hands its slot back.
+            self._breaker.record_failure()
+            raise
         self._breaker.record_success()
         with self._warm_lock:
             self._persisted.add(key)

@@ -17,52 +17,14 @@ processes behind one front-end:
 See ``docs/service.md`` ("Sharded topology") for the operator view.
 """
 
-from repro.service.sharded.health import ClusterHealth, ShardStatus
-from repro.service.sharded.router import (
-    DEFAULT_VIRTUAL_NODES,
-    ConsistentHashRouter,
-)
+from repro.service.sharded.health import ClusterHealth
+from repro.service.sharded.router import ConsistentHashRouter
 from repro.service.sharded.service import ShardedService
-from repro.service.sharded.shard import ShardConfig, shard_main
-from repro.service.sharded.supervisor import (
-    RespawnBackoff,
-    ShardHandle,
-    ShardSupervisor,
-    pick_mp_context,
-)
-from repro.service.sharded.wire import (
-    Drained,
-    DrainCommand,
-    Heartbeat,
-    HealthProbe,
-    Hello,
-    ShutdownCommand,
-    WireRequest,
-    WireResponse,
-    WireShed,
-    strip_response,
-)
+from repro.service.sharded.shard import ShardConfig
 
 __all__ = [
     "ClusterHealth",
     "ConsistentHashRouter",
-    "DEFAULT_VIRTUAL_NODES",
-    "DrainCommand",
-    "Drained",
-    "HealthProbe",
-    "Heartbeat",
-    "Hello",
-    "RespawnBackoff",
     "ShardConfig",
-    "ShardHandle",
-    "ShardStatus",
-    "ShardSupervisor",
     "ShardedService",
-    "ShutdownCommand",
-    "WireRequest",
-    "WireResponse",
-    "WireShed",
-    "pick_mp_context",
-    "shard_main",
-    "strip_response",
 ]

@@ -38,6 +38,7 @@ single-process disarmed replay.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from concurrent.futures import Future
@@ -54,7 +55,12 @@ from repro.errors import (
 )
 from repro.query import Query
 from repro.service.retry import RetryPolicy
-from repro.service.server import OptimizationService, OptimizeResponse
+from repro.service.server import (
+    OptimizationService,
+    OptimizeRequest,
+    OptimizeResponse,
+    _Ticket,
+)
 from repro.service.sharded.health import ClusterHealth, ShardStatus
 from repro.service.sharded.router import (
     DEFAULT_VIRTUAL_NODES,
@@ -73,7 +79,6 @@ from repro.service.sharded.wire import (
     Heartbeat,
     Hello,
     ShutdownCommand,
-    WireRequest,
     WireResponse,
     WireShed,
 )
@@ -90,44 +95,14 @@ def DEFAULT_RESPAWN_POLICY() -> RetryPolicy:
     )
 
 
-class _ClusterTicket:
-    """One accepted request: routing state plus its completion future."""
+class _ClusterTicket(_Ticket):
+    """An admitted request plus its routing state across shards."""
 
-    __slots__ = (
-        "request_id",
-        "query",
-        "priority",
-        "deadline_seconds",
-        "seed",
-        "topk",
-        "key",
-        "future",
-        "created_at",
-        "tried",
-        "dispatches",
-        "shard_id",
-    )
+    __slots__ = ("key", "tried", "dispatches", "shard_id")
 
-    def __init__(
-        self,
-        request_id: int,
-        query: Query,
-        priority: int,
-        deadline_seconds: Optional[float],
-        seed: int,
-        key: str,
-        created_at: float,
-        topk: int = 1,
-    ):
-        self.request_id = request_id
-        self.query = query
-        self.priority = priority
-        self.deadline_seconds = deadline_seconds
-        self.seed = seed
-        self.topk = topk
+    def __init__(self, request: OptimizeRequest, admitted_at: float, key: str):
+        super().__init__(request, admitted_at)
         self.key = key
-        self.future: "Future[OptimizeResponse]" = Future()
-        self.created_at = created_at
         #: Shards this ticket already bounced off (death or shed).
         self.tried: Set[int] = set()
         self.dispatches = 0
@@ -370,7 +345,7 @@ class ShardedService:
         for ticket in stranded:
             ticket.future.set_exception(
                 ServiceShutdownError(
-                    f"request#{ticket.request_id} stranded by cluster shutdown"
+                    f"{ticket.request.describe()} stranded by cluster shutdown"
                 )
             )
         # Stranded first: a lane answer arriving now finds no ticket.
@@ -379,10 +354,10 @@ class ShardedService:
 
     # -- admission & routing -------------------------------------------
 
-    def _derive_seed(self, request_id: int) -> int:
-        # Same derivation as the single-process service, so a request
-        # stream produces identical per-request seeds either way.
-        return self.seed * 1_000_003 + request_id * 7_919 + 1
+    # The single-process service's own definitions, so a request stream
+    # produces identical per-request seeds either way.
+    _derive_seed = OptimizationService._derive_seed
+    optimize = OptimizationService.optimize
 
     def submit(
         self,
@@ -408,16 +383,15 @@ class ShardedService:
                 )
             request_id = self._next_request_id
             self._next_request_id += 1
-            ticket = _ClusterTicket(
-                request_id=request_id,
+            request = OptimizeRequest(
                 query=query,
+                request_id=request_id,
                 priority=priority,
                 deadline_seconds=deadline_seconds,
                 seed=seed if seed is not None else self._derive_seed(request_id),
-                key=key,
-                created_at=self._clock(),
                 topk=topk,
             )
+            ticket = _ClusterTicket(request, self._clock(), key)
             # Claim RUNNING immediately: a cluster ticket may hop shards,
             # and a caller cancelling mid-hop would race set_result.
             ticket.future.set_running_or_notify_cancel()
@@ -425,23 +399,6 @@ class ShardedService:
             self.accepted += 1
         self._dispatch(ticket)
         return ticket.future
-
-    def optimize(
-        self,
-        query: Query,
-        priority: int = 0,
-        deadline_seconds: Optional[float] = None,
-        seed: Optional[int] = None,
-        topk: int = 1,
-    ) -> OptimizeResponse:
-        """Synchronous convenience: submit and wait."""
-        return self.submit(
-            query,
-            priority=priority,
-            deadline_seconds=deadline_seconds,
-            seed=seed,
-            topk=topk,
-        ).result()
 
     def _alive_shard_ids(self) -> List[int]:
         """Shards a request may be routed to (call with ``_lock`` held)."""
@@ -455,12 +412,13 @@ class ShardedService:
         """Route a ticket to a shard, the fallback lane, or a timeout."""
         while True:
             timed_out = False
+            request_id = ticket.request.request_id
             with self._lock:
-                if ticket.request_id not in self._tickets:
+                if request_id not in self._tickets:
                     return  # already completed elsewhere
                 remaining = self._remaining_deadline(ticket)
                 if remaining is not None and remaining <= 0.0:
-                    del self._tickets[ticket.request_id]
+                    del self._tickets[request_id]
                     timed_out = True
                 else:
                     alive = self._alive_shard_ids()
@@ -475,16 +433,17 @@ class ShardedService:
                         handle = None
                     else:
                         handle = self._handles[target]
-                        handle.outstanding[ticket.request_id] = ticket
+                        handle.outstanding[request_id] = ticket
                         handle.dispatched += 1
                         ticket.shard_id = target
                         ticket.dispatches += 1
             if timed_out:
+                deadline = ticket.request.deadline_seconds
                 response = OptimizeResponse(
-                    request_id=ticket.request_id,
+                    request_id=request_id,
                     status="timeout",
                     error=(
-                        f"deadline ({ticket.deadline_seconds * 1000:.0f} ms) "
+                        f"deadline ({deadline * 1000:.0f} ms) "
                         "expired before a shard could serve the request"
                     ),
                 )
@@ -493,33 +452,41 @@ class ShardedService:
             if handle is None:
                 self._dispatch_fallback(ticket)
                 return
-            request = WireRequest(
-                request_id=ticket.request_id,
-                query=ticket.query,
-                priority=ticket.priority,
-                deadline_seconds=self._remaining_deadline(ticket),
-                seed=ticket.seed,
-                topk=ticket.topk,
-            )
-            if handle.send(request):
+            # The shard serves under the cluster's seed and only what is
+            # left of the deadline, so fail-over never extends a budget.
+            if handle.send(self._remaining_request(ticket)):
                 return
             # The pipe died under us: unassign, remember the bounce, let
             # the supervisor declare the death, and pick again.
             with self._lock:
                 handle.pipe_broken = True
-                handle.outstanding.pop(ticket.request_id, None)
+                handle.outstanding.pop(request_id, None)
                 ticket.tried.add(handle.shard_id)
                 ticket.shard_id = None
 
     def _remaining_deadline(self, ticket: _ClusterTicket) -> Optional[float]:
-        if ticket.deadline_seconds is None:
+        if ticket.request.deadline_seconds is None:
             return None
-        return ticket.deadline_seconds - (self._clock() - ticket.created_at)
+        return ticket.request.deadline_seconds - (
+            self._clock() - ticket.admitted_at
+        )
+
+    def _remaining_request(self, ticket: _ClusterTicket) -> OptimizeRequest:
+        """The ticket's request with the deadline it has left."""
+        remaining = self._remaining_deadline(ticket)
+        if remaining is None:
+            return ticket.request
+        return dataclasses.replace(ticket.request, deadline_seconds=remaining)
 
     def _finish(
         self, ticket: _ClusterTicket, response: OptimizeResponse
     ) -> None:
-        """Complete an already-popped ticket and account the outcome."""
+        """Complete an already-popped ticket and account the outcome.
+
+        Shards and the fallback lane number requests locally; the caller
+        always sees the cluster's id.
+        """
+        response.request_id = ticket.request.request_id
         with self._lock:
             if response.status == "ok":
                 self.completed += 1
@@ -689,7 +656,7 @@ class ShardedService:
             orphans = [
                 ticket
                 for ticket in handle.outstanding.values()
-                if ticket.request_id in self._tickets
+                if ticket.request.request_id in self._tickets
             ]
             handle.outstanding.clear()
             handle.failed_over += len(orphans)
@@ -798,13 +765,14 @@ class ShardedService:
     def _dispatch_fallback(self, ticket: _ClusterTicket) -> None:
         """Hand the in-process lane a ticket no shard can take."""
         submitted_at = self._clock()
+        request = self._remaining_request(ticket)
         try:
             future = self._fallback.submit(
-                ticket.query,
-                priority=ticket.priority,
-                deadline_seconds=self._remaining_deadline(ticket),
-                seed=ticket.seed,
-                topk=ticket.topk,
+                request.query,
+                priority=request.priority,
+                deadline_seconds=request.deadline_seconds,
+                seed=request.seed,
+                topk=request.topk,
             )
         except ReproError as error:  # refused: a typed failure, not a loss
             future = Future()
@@ -817,7 +785,7 @@ class ShardedService:
         self, ticket: _ClusterTicket, submitted_at: float, future: Future
     ) -> None:
         with self._lock:
-            if self._tickets.pop(ticket.request_id, None) is None:
+            if self._tickets.pop(ticket.request.request_id, None) is None:
                 return  # completed elsewhere meanwhile
             self.fallback_served += 1
         self._count_event(
@@ -828,14 +796,13 @@ class ShardedService:
             response = future.result()
         except Exception as error:  # typed failure, never a lost request
             response = OptimizeResponse(
-                request_id=ticket.request_id,
+                request_id=ticket.request.request_id,
                 status="failed",
                 error=f"fallback {type(error).__name__}: {error}",
             )
-        # The lane numbers and times its own requests; the caller sees
-        # the cluster's id and the wait since cluster admission.
-        response.request_id = ticket.request_id
-        response.queue_wait_seconds += submitted_at - ticket.created_at
+        # The lane times its own queue; the caller sees the wait since
+        # cluster admission.
+        response.queue_wait_seconds += submitted_at - ticket.admitted_at
         self._finish(ticket, response)
 
     # -- health ---------------------------------------------------------

@@ -6,10 +6,10 @@ degradation ladder → plan cache) exactly as ``repro.service`` defines it,
 then bridges it to the parent over a duplex ``multiprocessing`` pipe
 using the :mod:`~repro.service.sharded.wire` message types:
 
-* :class:`~repro.service.sharded.wire.WireRequest` s are submitted to
-  the local service; each completion callback ships the stripped
-  response back (one sender lock serializes pipe writes — worker
-  callbacks and the main loop share the connection);
+* :class:`~repro.service.OptimizeRequest` s are submitted to the local
+  service; each completion callback ships the stripped response back
+  (one sender lock serializes pipe writes — worker callbacks and the
+  main loop share the connection);
 * a :class:`~repro.service.sharded.wire.Heartbeat` goes out every
   ``heartbeat_interval`` seconds carrying the local ``healthz()``
   snapshot and breaker trace, so the supervisor can detect a wedged
@@ -21,7 +21,7 @@ using the :mod:`~repro.service.sharded.wire` message types:
   is sent and the process exits cleanly.
 
 Determinism: the shard never derives request seeds — every
-``WireRequest`` arrives with an explicit seed chosen by the front-end,
+``OptimizeRequest`` arrives with an explicit seed chosen by the front-end,
 so a request produces the same plan whichever shard (or respawn
 generation) serves it.  Chaos, when armed (``chaos_rate > 0``), uses the
 same seeded :class:`~repro.service.soak.ChaosPlant` schedule keyed on
@@ -47,15 +47,17 @@ from repro.context.plancache import PlanCache
 from repro.errors import ReproError, ServiceOverloadError
 from repro.service.breaker import BreakerBoard
 from repro.service.retry import RetryPolicy
-from repro.service.server import OptimizationService
+from repro.service.server import (
+    OptimizationService,
+    OptimizeRequest,
+    OptimizeResponse,
+)
 from repro.service.sharded.wire import (
     Drained,
     DrainCommand,
     Heartbeat,
-    HealthProbe,
     Hello,
     ShutdownCommand,
-    WireRequest,
     WireResponse,
     WireShed,
     strip_response,
@@ -113,7 +115,7 @@ class _ShardBridge:
         self._conn = conn
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._outstanding: Dict[int, WireRequest] = {}
+        self._outstanding: Dict[int, OptimizeRequest] = {}
         self._served = 0
         self._sequence = 0
         self._alive = True
@@ -138,7 +140,7 @@ class _ShardBridge:
 
     # -- request accounting --------------------------------------------
 
-    def begin(self, request: WireRequest) -> None:
+    def begin(self, request: OptimizeRequest) -> None:
         with self._lock:
             self._outstanding[request.request_id] = request
 
@@ -212,11 +214,33 @@ def _heartbeat(
     )
 
 
+def _shed(
+    bridge: _ShardBridge,
+    config: ShardConfig,
+    request_id: int,
+    queue_depth: int = -1,
+    capacity: int = -1,
+) -> None:
+    """Bounce a request back to the front-end for re-routing.
+
+    ``-1`` depth and capacity mark a bounce that is not queue
+    back-pressure (a draining shard, a local service refusing work).
+    """
+    bridge.send(
+        WireShed(
+            shard_id=config.shard_id,
+            request_id=request_id,
+            queue_depth=queue_depth,
+            capacity=capacity,
+        )
+    )
+
+
 def _submit(
     bridge: _ShardBridge,
     config: ShardConfig,
     service: OptimizationService,
-    request: WireRequest,
+    request: OptimizeRequest,
 ) -> None:
     bridge.begin(request)
     try:
@@ -229,35 +253,21 @@ def _submit(
         )
     except ServiceOverloadError as error:
         bridge.finish(request.request_id)
-        bridge.send(
-            WireShed(
-                shard_id=config.shard_id,
-                request_id=request.request_id,
-                queue_depth=error.queue_depth,
-                capacity=error.capacity,
-            )
+        _shed(
+            bridge, config, request.request_id, error.queue_depth, error.capacity
         )
         return
     except ReproError:
         # Submitting to a draining local service and similar races:
         # answer honestly (bounce for re-routing) so no request is lost.
         bridge.finish(request.request_id)
-        bridge.send(
-            WireShed(
-                shard_id=config.shard_id,
-                request_id=request.request_id,
-                queue_depth=-1,
-                capacity=-1,
-            )
-        )
+        _shed(bridge, config, request.request_id)
         return
 
     def _complete(done_future, request_id: int = request.request_id) -> None:
         try:
             response = done_future.result()
         except BaseException as error:  # typed failure, never silence
-            from repro.service.server import OptimizeResponse
-
             response = OptimizeResponse(
                 request_id=request_id,
                 status="failed",
@@ -298,22 +308,13 @@ def shard_main(config: ShardConfig, conn) -> None:
                     message = conn.recv()
                 except (EOFError, OSError):
                     break
-                if isinstance(message, WireRequest):
+                if isinstance(message, OptimizeRequest):
                     if draining:
                         # Late racer past the drain decision: bounce it
                         # back for re-routing rather than serving it.
-                        bridge.send(
-                            WireShed(
-                                shard_id=config.shard_id,
-                                request_id=message.request_id,
-                                queue_depth=-1,
-                                capacity=-1,
-                            )
-                        )
+                        _shed(bridge, config, message.request_id)
                     else:
                         _submit(bridge, config, service, message)
-                elif isinstance(message, HealthProbe):
-                    _heartbeat(bridge, config, service)
                 elif isinstance(message, DrainCommand):
                     draining = True
                 elif isinstance(message, ShutdownCommand):

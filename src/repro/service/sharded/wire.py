@@ -1,8 +1,8 @@
 """Wire protocol between the sharded front-end and its shard processes.
 
 Every message crossing a shard pipe is one of the small picklable types
-below.  The protocol is deliberately tiny — four parent→shard commands,
-four shard→parent events — because everything interesting already lives
+below.  The protocol is deliberately tiny — three parent→shard messages,
+five shard→parent events — because everything interesting already lives
 in the types the single-process service defined
 (:class:`~repro.service.OptimizeRequest` /
 :class:`~repro.service.OptimizeResponse`): the wire layer's only job is
@@ -27,8 +27,9 @@ and breaker traces — survives the pipe bit-for-bit, and
 field cannot silently go missing.
 
 Parent → shard:
-    :class:`WireRequest`, :class:`DrainCommand`,
-    :class:`ShutdownCommand`, :class:`HealthProbe`.
+    :class:`~repro.service.OptimizeRequest` (the request envelope itself,
+    with the *remaining* deadline), :class:`DrainCommand`,
+    :class:`ShutdownCommand`.
 
 Shard → parent:
     :class:`Hello`, :class:`Heartbeat`, :class:`WireResponse`,
@@ -39,19 +40,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.query import Query
 from repro.service.server import OptimizeResponse
 
 __all__ = [
     "Drained",
     "DrainCommand",
     "Heartbeat",
-    "HealthProbe",
     "Hello",
     "ShutdownCommand",
-    "WireRequest",
     "WireResponse",
     "WireShed",
     "strip_response",
@@ -59,26 +57,6 @@ __all__ = [
 
 
 # -- parent -> shard --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WireRequest:
-    """One optimization request dispatched to a shard.
-
-    ``request_id`` is cluster-global (assigned by the front-end), and
-    ``seed`` is always explicit — the shard must never derive its own, or
-    a failed-over request would change plans-irrelevant retry decisions
-    depending on which shard served it.  ``deadline_seconds`` is the
-    *remaining* allowance at dispatch time; the front-end shrinks it on
-    every re-dispatch so fail-over never extends a request's budget.
-    """
-
-    request_id: int
-    query: Query
-    priority: int = 0
-    deadline_seconds: Optional[float] = None
-    seed: int = 0
-    topk: int = 1
 
 
 @dataclass(frozen=True)
@@ -91,11 +69,6 @@ class ShutdownCommand:
     """Stop now; ``drain`` picks between finishing and failing backlog."""
 
     drain: bool = True
-
-
-@dataclass(frozen=True)
-class HealthProbe:
-    """Ask the shard for an immediate :class:`Heartbeat` (out of cycle)."""
 
 
 # -- shard -> parent --------------------------------------------------------

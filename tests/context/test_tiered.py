@@ -1,6 +1,7 @@
 """TieredPlanCache: warm hits, admission, breaker fail-open, telemetry."""
 
 import os
+from contextlib import nullcontext
 
 import pytest
 
@@ -9,10 +10,10 @@ from repro.context import (
     DurableStore,
     TieredPlanCache,
 )
-from repro.context.store import _StoreBreaker
 from repro.core.optimizer import Optimizer
-from repro.errors import StoreEpochError
+from repro.errors import StoreEpochError, StoreError
 from repro.resilience.faults import STORE_FAULT_KINDS, StoreFaultInjector
+from repro.service.breaker import CircuitBreaker, ManualClock
 from repro.telemetry import MetricRegistry, Telemetry
 from repro.workload.generator import QueryGenerator
 
@@ -119,6 +120,12 @@ class TestTieredLifecycle:
         cache.close()
 
 
+def _breaker(clock):
+    return CircuitBreaker(
+        "plan_store", failure_threshold=1, cooldown_seconds=10.0, clock=clock
+    )
+
+
 class TestFailOpen:
     """Injected store faults may cost durability, never plan choice."""
 
@@ -176,8 +183,9 @@ class TestFailOpen:
         cache = TieredPlanCache.open(
             str(tmp_path / "seg.rpl"),
             fault_injector=injector,
-            breaker_failure_threshold=1,
-            breaker_cooldown_seconds=3600.0,
+            breaker=CircuitBreaker(
+                "plan_store", failure_threshold=1, cooldown_seconds=3600.0
+            ),
         )
         with injector:
             for query in queries:
@@ -191,19 +199,48 @@ class TestFailOpen:
         cache.close()
 
     def test_breaker_recloses_after_cooldown_and_success(self, tmp_path, query):
-        clock = [0.0]
-        breaker = _StoreBreaker(
-            failure_threshold=1,
-            cooldown_seconds=10.0,
-            clock=lambda: clock[0],
-        )
+        clock = ManualClock()
+        breaker = _breaker(clock)
+        cache = TieredPlanCache.open(str(tmp_path / "seg.rpl"), breaker=breaker)
+        assert cache.snapshot()["l2"]["breaker"]["component"] == "plan_store"
         assert breaker.allow()
         breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-        clock[0] = 11.0
-        assert breaker.allow()  # half-open probe
-        breaker.record_success()
-        assert breaker.state == "closed"
+        assert cache.breaker_state == "open" and not breaker.allow()
+        clock.advance(11.0)
+        assert cache.breaker_state == "half_open"
+        Optimizer(plan_cache=cache).optimize(query)  # the probe's put
+        assert cache.breaker_state == "closed"
+        assert cache.store.appended == 1
+        cache.close()
+
+    @pytest.mark.parametrize("error", (StoreError, RuntimeError))
+    def test_failed_probe_reopens_and_a_later_probe_is_admitted(
+        self, tmp_path, queries, error
+    ):
+        clock = ManualClock()
+        breaker = _breaker(clock)
+        cache = TieredPlanCache.open(str(tmp_path / "seg.rpl"), breaker=breaker)
+        breaker.record_failure()
+        clock.advance(11.0)
+        append = cache.store.append
+
+        def failing_append(key, entry):
+            raise error("probe append failed")
+
+        cache.store.append = failing_append
+        # A store error fails open; any other error propagates.
+        escapes = (
+            pytest.raises(RuntimeError) if error is RuntimeError else nullcontext()
+        )
+        with escapes:
+            Optimizer(plan_cache=cache).optimize(queries[0])
+        assert cache.breaker_state == "open"
+        cache.store.append = append
+        clock.advance(11.0)
+        Optimizer(plan_cache=cache).optimize(queries[1])
+        assert cache.breaker_state == "closed"
+        assert cache.store.appended == 1
+        cache.close()
 
     def test_store_fault_counters_reach_telemetry(self, tmp_path, query):
         telemetry = Telemetry(registry=MetricRegistry(enabled=True))

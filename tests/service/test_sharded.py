@@ -16,6 +16,7 @@ from repro.errors import (
 )
 from repro.resilience.optimizer import ResilientOptimizer
 from repro.service.retry import RetryPolicy
+from repro.service.server import OptimizeRequest
 from repro.service.sharded import ShardedService
 from repro.service.sharded.supervisor import RespawnBackoff
 from repro.telemetry import MetricRegistry, Telemetry
@@ -74,6 +75,23 @@ class TestServing:
                 response = service.submit(query).result(timeout=60)
                 assert response.plan.sexpr() == clean[index].plan.sexpr()
                 assert repr(response.cost) == repr(clean[index].cost)
+
+    def test_responses_carry_the_cluster_request_id(self):
+        # Each shard numbers its own requests from 0; the caller must
+        # see the id the cluster assigned, whichever shard served it.
+        generator = QueryGenerator(seed=34)
+        stream = [
+            generator.generate(family, n)
+            for family in ("chain", "star", "cycle", "clique")
+            for n in (4, 5)
+        ]
+        with make_service() as service:
+            futures = [service.submit(query) for query in stream]
+            responses = [future.result(timeout=60) for future in futures]
+        assert {response.shard for response in responses} == {0, 1}
+        assert [response.request_id for response in responses] == list(
+            range(len(stream))
+        )
 
     def test_healthz_reports_ok_when_fully_staffed(self, queries):
         with make_service() as service:
@@ -196,15 +214,12 @@ class TestAdmissionAndLifecycle:
             # park a synthetic ticket in the table.
             from repro.service.sharded.service import _ClusterTicket
 
+            request = OptimizeRequest(
+                query=queries[0], request_id=999_999, seed=1
+            )
             with service._lock:
                 service._tickets[999_999] = _ClusterTicket(
-                    request_id=999_999,
-                    query=queries[0],
-                    priority=0,
-                    deadline_seconds=None,
-                    seed=1,
-                    key="synthetic",
-                    created_at=0.0,
+                    request, admitted_at=0.0, key="synthetic"
                 )
             try:
                 with pytest.raises(ServiceOverloadError):

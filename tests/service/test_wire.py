@@ -26,10 +26,8 @@ from repro.service.sharded.wire import (
     Drained,
     DrainCommand,
     Heartbeat,
-    HealthProbe,
     Hello,
     ShutdownCommand,
-    WireRequest,
     WireResponse,
     WireShed,
     strip_response,
@@ -88,13 +86,17 @@ def assert_fields_equal(received, original, *, skip=()):
 
 class TestRequestSide:
     def test_wire_request_round_trips_every_field(self, query):
-        request = WireRequest(
-            request_id=41,
+        # What the front-end sends a shard: the admitted request with its
+        # remaining deadline swapped in.
+        admitted = OptimizeRequest(
             query=query,
-            priority=2,
-            deadline_seconds=1.25,
+            request_id=41,
+            priority=-3,
+            deadline_seconds=2.0,
             seed=987_654_321,
+            topk=3,
         )
+        request = dataclasses.replace(admitted, deadline_seconds=1.25)
         received = pipe_round_trip(request)
         assert_fields_equal(received, request, skip=("query",))
         # Query has no __eq__; the canonical fingerprint is its identity.
@@ -114,11 +116,7 @@ class TestRequestSide:
         assert_fields_equal(received, request, skip=("query",))
 
     def test_control_messages_round_trip(self):
-        for message in (
-            DrainCommand(),
-            ShutdownCommand(drain=False),
-            HealthProbe(),
-        ):
+        for message in (DrainCommand(), ShutdownCommand(drain=False)):
             received = pipe_round_trip(message)
             assert_fields_equal(received, message)
 
