@@ -16,7 +16,7 @@ enumerate; the overhead is charged to DPccp's measured runtime).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.context.context import OptimizationContext
 from repro.cost.model import CostModel
@@ -79,15 +79,28 @@ def _enumerate_cmp(graph: QueryGraph, subset: int) -> Iterator[int]:
         yield from _enumerate_csg_rec(graph, high, forbidden | below)
 
 
-def enumerate_csg_cmp_pairs(graph: QueryGraph) -> Iterator[Tuple[int, int]]:
-    """Every csg-cmp pair of the graph, each symmetric pair once."""
-    for left in enumerate_csg(graph):
+def enumerate_csg_cmp_pairs(
+    graph: QueryGraph, csgs: Optional[Iterable[int]] = None
+) -> Iterator[Tuple[int, int]]:
+    """Every csg-cmp pair of the graph, each symmetric pair once.
+
+    ``csgs`` is the graph's connected-set list in :func:`enumerate_csg`
+    order, for a caller that already listed it; by default it is
+    enumerated here.
+    """
+    for left in enumerate_csg(graph) if csgs is None else csgs:
         for right in _enumerate_cmp(graph, left):
             yield (left, right)
 
 
 class DPccp:
-    """Bottom-up optimal bushy join ordering without cross products."""
+    """Bottom-up optimal bushy join ordering without cross products.
+
+    ``csgs`` hands in the query graph's connected sets, in
+    :func:`enumerate_csg` order, when the caller already enumerated them
+    (the optimizer's work prediction does); the run then does not list
+    them again.
+    """
 
     name = "dpccp"
 
@@ -99,6 +112,7 @@ class DPccp:
         budget: Optional["Budget"] = None,
         *,
         context: Optional[OptimizationContext] = None,
+        csgs: Optional[Sequence[int]] = None,
     ):
         if context is None:
             if query is None:
@@ -115,6 +129,7 @@ class DPccp:
         self._builder = context.builder
         self._memo = MemoTable(k=context.topk)
         self._budget = budget if budget is not None else context.budget
+        self._csgs = csgs
 
     @property
     def memo(self) -> MemoTable:
@@ -139,7 +154,7 @@ class DPccp:
         # Bucket ccps by result size so every sub-plan exists when needed.
         budget = self._budget
         buckets: Dict[int, List[Tuple[int, int]]] = {}
-        for left, right in enumerate_csg_cmp_pairs(self._graph):
+        for left, right in enumerate_csg_cmp_pairs(self._graph, self._csgs):
             if budget is not None:
                 budget.check(len(self._memo))
             self.stats.ccps_enumerated += 1

@@ -44,7 +44,7 @@ back to DPccp honestly instead.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.baselines.dpccp import enumerate_csg
 from repro.context.context import OptimizationContext
@@ -59,7 +59,7 @@ from repro.stats.counters import OptimizationStats
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from repro.resilience.budget import Budget
 
-__all__ = ["DPconv", "eligible"]
+__all__ = ["DPconv", "convolution_work", "eligible"]
 
 _INFINITY = float("inf")
 
@@ -84,13 +84,31 @@ def eligible(context: OptimizationContext) -> bool:
     )
 
 
+def _splits(size: int) -> int:
+    """Proper splits the sweep probes for one connected set of ``size``."""
+    return (1 << (size - 1)) - 1  # repro: disable=bitset-discipline
+
+
+def convolution_work(csgs: Iterable[int]) -> int:
+    """DPconv's exact work over the connected sets ``csgs``.
+
+    Sum of ``2^(|S|-1) - 1`` over every set ``S``: the split probes the
+    sweep makes, and so exactly the ``ccps_considered`` a run reports.
+    """
+    bit_count = bitset.bit_count
+    return sum(_splits(bit_count(subset)) for subset in csgs)
+
+
 class DPconv:
     """Bottom-up optimal bushy join ordering via layered subset convolution.
 
     Same plan space and bit-identical optimal costs as :class:`DPccp`, for
     union-shaped (``C_out``) cost models at ``k = 1`` only.  Constructed
     like every other baseline: either from a ``query`` (plus optional cost
-    model / stats / budget) or from a ready ``context=``.
+    model / stats / budget) or from a ready ``context=``.  ``csgs`` hands
+    in the query graph's connected sets when the caller already enumerated
+    them (the optimizer's work prediction does); the sweep then does not
+    list them again.
     """
 
     name = "dpconv"
@@ -103,6 +121,7 @@ class DPconv:
         budget: Optional["Budget"] = None,
         *,
         context: Optional[OptimizationContext] = None,
+        csgs: Optional[Sequence[int]] = None,
     ):
         if context is None:
             if query is None:
@@ -119,6 +138,7 @@ class DPconv:
         self._builder = context.builder
         self._memo = MemoTable(k=context.topk)
         self._budget = budget if budget is not None else context.budget
+        self._csgs = csgs
         self._require_eligible(context)
 
     @staticmethod
@@ -206,7 +226,8 @@ class DPconv:
         bit_count = bitset.bit_count
 
         layers: List[List[int]] = [[] for _ in range(n + 1)]
-        for subset in enumerate_csg(graph):
+        csgs = enumerate_csg(graph) if self._csgs is None else self._csgs
+        for subset in csgs:
             layers[bit_count(subset)].append(subset)
 
         size = graph.all_vertices + 1
@@ -218,7 +239,7 @@ class DPconv:
         infinity = _INFINITY
         classes_done = n
         for layer_size in range(2, n + 1):
-            splits_per_class = (1 << (layer_size - 1)) - 1  # repro: disable=bitset-discipline
+            splits_per_class = _splits(layer_size)
             for vertex_set in layers[layer_size]:
                 if budget is not None:
                     budget.check(classes_done)

@@ -2,10 +2,12 @@
 
 Times the three exact enumerators that must agree bit-for-bit under the
 ``C_out`` cost model — DPccp (bottom-up baseline), DPconv (the layered
-subset-convolution fast path) and top-down APCBI — over a seeded
-chain/star/cycle/clique matrix, and emits ``BENCH_enumspeed.json``.
+subset-convolution fast path) and top-down APCBI — plus ``auto``, the
+default :class:`~repro.core.optimizer.Optimizer` that routes each query
+to DPconv or DPccp by predicted work, over a seeded chain/star/cycle/
+clique matrix, and emits ``BENCH_enumspeed.json``.
 
-Two kinds of failure are gated:
+Three kinds of failure are gated:
 
 * **cost divergence** (always checked, in-run): every algorithm must
   produce the same optimal cost, compared by ``float.hex()`` — a single
@@ -19,6 +21,10 @@ Two kinds of failure are gated:
   baseline's fails the gate; entries where DPccp itself finishes faster
   than ``--min-seconds`` are too noisy to norm and are reported but not
   gated.
+* **misrouting** (``--check``): in the fresh run, ``auto``'s normed time
+  may exceed the faster of DPccp and DPconv by at most ``--threshold``;
+  a router that picks the slower algorithm fails.  Entries where both
+  sides finish under ``--min-seconds`` are too noisy to compare.
 
 CI runs this as the ``enumspeed-gate`` job::
 
@@ -28,6 +34,7 @@ CI runs this as the ``enumspeed-gate`` job::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -41,12 +48,17 @@ from repro.workload.generator import QueryGenerator
 __all__ = ["run_benchmark", "check_against", "main"]
 
 #: (family, relations) matrix.  Sizes where enumeration (not setup)
-#: dominates; clique stops at 12 to keep the CI job under ~half a minute.
+#: dominates; clique stops at 12 to keep the CI job near a minute.
+#: The sparse rows past 14 are where DPconv's ~2^n split probes lose to
+#: DPccp's polynomial csg-cmp pairs, so they pin the router's choice.
 DEFAULT_WORKLOAD = (
     ("chain", 8),
     ("chain", 10),
     ("chain", 12),
     ("chain", 14),
+    ("chain", 16),
+    ("chain", 18),
+    ("chain", 20),
     ("star", 8),
     ("star", 10),
     ("star", 12),
@@ -55,6 +67,9 @@ DEFAULT_WORKLOAD = (
     ("cycle", 10),
     ("cycle", 12),
     ("cycle", 14),
+    ("cycle", 16),
+    ("cycle", 18),
+    ("cycle", 20),
     ("clique", 8),
     ("clique", 10),
     ("clique", 12),
@@ -69,7 +84,7 @@ DEFAULT_THRESHOLD = 0.15
 DEFAULT_MIN_SECONDS = 0.05
 
 #: The algorithms under test.  DPccp is the normalizer and must stay first.
-ALGORITHMS = ("dpccp", "dpconv", "topdown_apcbi")
+ALGORITHMS = ("dpccp", "dpconv", "topdown_apcbi", "auto")
 
 
 def _run_algorithm(name: str, query):
@@ -85,11 +100,13 @@ def _run_algorithm(name: str, query):
             cost_model_factory=CoutCostModel,
             dpconv_auto=False,
         ).optimize(query)
+    if name == "auto":
+        return Optimizer(cost_model_factory=CoutCostModel).optimize(query)
     raise ValueError(f"unknown enumspeed algorithm {name!r}")
 
 
 def run_benchmark(
-    rounds: int = 3,
+    rounds: int = 5,
     seed: int = SEED,
     workload=DEFAULT_WORKLOAD,
     min_seconds: float = DEFAULT_MIN_SECONDS,
@@ -97,9 +114,13 @@ def run_benchmark(
     """Time every algorithm on every query; returns the JSON report.
 
     Per (query, algorithm) the reported time is the minimum across
-    ``rounds`` runs — the noise-robust statistic for benchmarking — and
-    the per-round order interleaves algorithms so cache warmup cannot
-    systematically favor one of them.
+    ``rounds`` runs — the noise-robust statistic for benchmarking.  A
+    round times every query once, so a query's samples spread over the
+    whole run and a burst of machine noise cannot spoil all of them.
+    Each round rotates the order of the algorithms, and every run starts
+    from a fresh garbage collection and runs with the collector off (as
+    :mod:`timeit` does), so neither cache warmup nor the garbage another
+    algorithm left behind systematically favors one of them.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -109,26 +130,39 @@ def run_benchmark(
         for family, size in workload
     ]
 
+    timings = [dict.fromkeys(ALGORITHMS, float("inf")) for _ in queries]
+    costs: List[Dict[str, str]] = [{} for _ in queries]
+    routed = [""] * len(queries)
+    for round_index in range(rounds):
+        shift = round_index % len(ALGORITHMS)
+        order = ALGORITHMS[shift:] + ALGORITHMS[:shift]
+        for index, (_, _, query) in enumerate(queries):
+            for name in order:
+                gc.collect()
+                gc.disable()  # as timeit does: no collector pauses timed
+                try:
+                    started = time.perf_counter()
+                    result = _run_algorithm(name, query)
+                    elapsed = time.perf_counter() - started
+                finally:
+                    gc.enable()
+                timings[index][name] = min(timings[index][name], elapsed)
+                costs[index][name] = result.cost.hex()
+                if name == "auto":
+                    routed[index] = result.pruning
+
     entries: List[Dict[str, object]] = []
     divergences: List[str] = []
-    for family, size, query in queries:
-        seconds: Dict[str, float] = {name: float("inf") for name in ALGORITHMS}
-        costs: Dict[str, str] = {}
-        for _ in range(rounds):
-            for name in ALGORITHMS:
-                started = time.perf_counter()
-                result = _run_algorithm(name, query)
-                elapsed = time.perf_counter() - started
-                if elapsed < seconds[name]:
-                    seconds[name] = elapsed
-                costs[name] = result.cost.hex()
-        reference = costs["dpccp"]
+    for index, (family, size, _) in enumerate(queries):
+        seconds = timings[index]
+        reference = costs[index]["dpccp"]
         for name in ALGORITHMS:
+            cost = costs[index][name]
             # Comparing float.hex() *strings*: exact equality is the whole
             # point of the divergence gate, not a float robustness bug.
-            if costs[name] != reference:  # repro: disable=no-float-cost-eq
+            if cost != reference:  # repro: disable=no-float-cost-eq
                 divergences.append(
-                    f"{family}-{size}: {name} cost {costs[name]} != "
+                    f"{family}-{size}: {name} cost {cost} != "
                     f"dpccp cost {reference}"
                 )
         dpccp_seconds = seconds["dpccp"]
@@ -147,6 +181,7 @@ def run_benchmark(
                     for name in ALGORITHMS
                 },
                 "cost_hex": reference,
+                "routed": routed[index],
                 "gated": gated,
             }
         )
@@ -170,11 +205,31 @@ def check_against(
 
     Only normed (machine-portable) times are compared, and only for
     entries both sides flagged as ``gated``.  Cost divergences in the
-    fresh report always fail.  An entry present in the baseline but
-    missing from the report fails too — silently dropping the expensive
-    rows is not a way to pass the gate.
+    fresh report always fail, and so does a fresh entry whose ``auto``
+    normed time exceeds the faster of DPccp and DPconv by more than
+    ``threshold`` (unless both finish under the baseline's noise floor).
+    An entry present in the baseline but missing from the report fails
+    too — silently dropping the expensive rows is not a way to pass the
+    gate.
     """
     failures = list(report.get("cost_divergences") or [])
+    min_seconds = float(baseline.get("min_seconds", DEFAULT_MIN_SECONDS))
+    for entry in report.get("entries", []):
+        normed = entry["normed"]
+        # A report without the column fails the baseline comparison below.
+        if "auto" not in normed:
+            continue
+        fastest = min(("dpccp", "dpconv"), key=normed.__getitem__)
+        seconds = entry["seconds"]
+        if max(seconds["auto"], seconds[fastest]) < min_seconds:
+            continue
+        if normed["auto"] > normed[fastest] * (1.0 + threshold):
+            failures.append(
+                f"{entry['family']}-{entry['relations']}: auto normed time "
+                f"{normed['auto']:.3f} (routed to {entry['routed']}) exceeds "
+                f"{fastest}'s {normed[fastest]:.3f} by more than "
+                f"{threshold:.0%}"
+            )
     current = {
         (e["family"], e["relations"]): e for e in report.get("entries", [])
     }
@@ -189,7 +244,6 @@ def check_against(
             continue
         if not (expected.get("gated") and entry.get("gated")):
             continue
-        min_seconds = float(baseline.get("min_seconds", DEFAULT_MIN_SECONDS))
         for name, baseline_normed in expected["normed"].items():
             observed = entry["normed"].get(name)
             if observed is None:
@@ -222,7 +276,8 @@ def _speedup_line(report: Dict[str, object]) -> str:
             lines.append(
                 f"{entry['family']}-{entry['relations']}: "
                 f"dpccp {seconds['dpccp']:.3f}s dpconv {dpconv:.3f}s "
-                f"({speedup:.1f}x)"
+                f"({speedup:.1f}x) auto {seconds['auto']:.3f}s "
+                f"({entry['routed']})"
             )
     return "\n".join(lines)
 
@@ -243,7 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="BASELINE",
         help="baseline JSON to gate against; non-zero exit on regression",
     )
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument(
         "--threshold",
         type=float,

@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["haas", "cout"],
         default="haas",
         help="cost model: 'haas' (the paper's, default) or 'cout' "
-        "(output-cardinality; required for the DPconv fast path)",
+        "(output-cardinality; required for the DPconv fast path, and "
+        "routes each unbudgeted query to DPconv or DPccp by predicted work)",
     )
     parser.add_argument(
         "--heuristic",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.graph.renumber import invert_mapping
 from repro.plans.join_tree import JoinTree, LeafNode
@@ -49,6 +49,7 @@ class CachedPlan:
         "canonical_ranked",
         "cold_seconds",
         "expansions",
+        "algorithm",
     )
 
     def __init__(
@@ -58,6 +59,7 @@ class CachedPlan:
         canonical_ranked: Sequence[JoinTree] = (),
         cold_seconds: float = 0.0,
         expansions: int = 0,
+        algorithm: Optional[Tuple[str, str]] = None,
     ):
         self.canonical_plan = canonical_plan
         self.canonical_cost = canonical_plan.cost
@@ -73,6 +75,9 @@ class CachedPlan:
         #: decide whether the entry is worth persisting).
         self.cold_seconds = cold_seconds
         self.expansions = expansions
+        #: The ``(enumerator, pruning)`` the cold run ran on, which labels
+        #: every hit; ``None`` on entries written before it was recorded.
+        self.algorithm = algorithm
 
     def clone(self) -> "CachedPlan":
         """A deep, independent copy (identity relabel of every tree).
@@ -90,6 +95,7 @@ class CachedPlan:
             tuple(tree.relabel(identity) for tree in self.canonical_ranked),
             cold_seconds=self.cold_seconds,
             expansions=self.expansions,
+            algorithm=self.algorithm,
         )
 
     def __repr__(self) -> str:

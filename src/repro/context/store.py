@@ -177,6 +177,7 @@ def encode_entry(key: str, entry: CachedPlan) -> Dict[str, object]:
         "ranked": [encode_plan(tree) for tree in entry.canonical_ranked],
         "cold_seconds": float(entry.cold_seconds).hex(),
         "expansions": int(entry.expansions),
+        "algorithm": list(entry.algorithm) if entry.algorithm else None,
     }
 
 
@@ -188,10 +189,17 @@ def decode_entry(record: Dict[str, object]) -> Tuple[str, CachedPlan]:
         ranked = record.get("ranked", ())
         cold = float.fromhex(record.get("cold_seconds", "0x0.0p+0"))
         expansions = int(record.get("expansions", 0))
+        # Records written before entries carried their algorithm lack it.
+        algorithm = record.get("algorithm")
+        if algorithm is not None:
+            enumerator, pruning = algorithm
+            algorithm = (enumerator, pruning)
     except Exception as error:
         raise StoreCorruptionError(f"malformed store record: {error}") from error
     if not isinstance(key, str) or not isinstance(payload, str):
         raise StoreCorruptionError("store record key/payload must be strings")
+    if algorithm is not None and not all(isinstance(n, str) for n in algorithm):
+        raise StoreCorruptionError("store record algorithm must be two strings")
     plan = decode_plan(record.get("plan"))
     canonical_ranked = tuple(decode_plan(item) for item in ranked)
     return key, CachedPlan(
@@ -200,6 +208,7 @@ def decode_entry(record: Dict[str, object]) -> Tuple[str, CachedPlan]:
         canonical_ranked,
         cold_seconds=cold,
         expansions=expansions,
+        algorithm=algorithm,
     )
 
 

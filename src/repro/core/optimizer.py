@@ -18,13 +18,21 @@ runs it: it alone owns the timer, the ``enumerate`` span, the
 ``BudgetExceeded`` salvage and the result envelope.  :func:`run_dpccp`
 and :func:`run_dpconv` are thin calls into the same :func:`_execute`.
 
+Under a ``C_out``-shaped cost model :meth:`Optimizer._select` routes by
+predicted work: one :func:`~repro.baselines.dpccp.enumerate_csg` pass
+lists the query graph's connected sets, DPconv's work over them is
+counted exactly and DPccp's estimated as :data:`DPCCP_WORK_PER_CSG` per
+set, and the cheaper of the two runs on the same list.
+
 Timing rule (§V-C), applied by :func:`_execute` alone: the measured
 interval covers everything the algorithm does at query time — including
 the GOO heuristic and the graph renumbering of APCBI — but *excludes* the
 DPccp pre-pass that supplies APCBI_Opt's oracle upper bounds ("we do not
 include the pre-computation time", §V-C), which runs before the clock
-starts.  Building the per-query context is never timed.  A plan-cache hit
-is timed from before the fingerprint to the replayed plan.
+starts.  Building the per-query context is never timed.  A routed run is
+timed from before its connected-set pass, the enumeration the served
+algorithm would otherwise run itself.  A plan-cache hit is timed from
+before the fingerprint to the replayed plan.
 """
 
 from __future__ import annotations
@@ -34,8 +42,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.baselines.dpccp import DPccp
-from repro.baselines.dpconv import DPconv, eligible as dpconv_eligible
+from repro.baselines.dpccp import DPccp, enumerate_csg
+from repro.baselines.dpconv import (
+    DPconv,
+    convolution_work,
+    eligible as dpconv_eligible,
+)
 from repro.context.context import OptimizationContext
 from repro.context.fingerprint import fingerprint
 from repro.context.plancache import CachedPlan, PlanCache, replay_plan
@@ -73,17 +85,21 @@ __all__ = [
     "optimize_topk",
     "run_dpccp",
     "run_dpconv",
-    "DPCONV_AUTO_MIN_RELATIONS",
+    "DPCCP_WORK_PER_CSG",
     "PRUNING_STRATEGIES",
     "PRUNING_SUFFIXES",
     "algorithm_label",
 ]
 
-#: The automatic DPconv fast path engages from this many relations up.
-#: Below it, per-query enumeration is cheap enough that the requested
-#: top-down algorithm's richer counters/anytime behavior win; from here on
-#: the O(3^n) constant factor dominates per-query latency.
-DPCONV_AUTO_MIN_RELATIONS = 12
+#: DPccp's predicted work per connected set, in DPconv split probes.
+#: The router counts DPconv's work exactly (``convolution_work``: the
+#: splits its sweep will probe) and predicts DPccp's as this constant
+#: times the number of connected sets.  The constant sits where the two
+#: cross in ``BENCH_enumspeed.json``: chain-14 has 311 split probes per
+#: connected set and DPconv takes 1.08x DPccp's time (a near tie);
+#: cycle-12 has 199 and DPconv wins (0.64x); cycle-14 has 670 and DPccp
+#: wins (DPconv 1.54x).  docs/dpconv.md tabulates the rows.
+DPCCP_WORK_PER_CSG = 300
 
 #: Pruning name -> plan generator class for the simple (non-APCBI) variants.
 PRUNING_STRATEGIES: Dict[str, Type[PlanGeneratorBase]] = {
@@ -108,6 +124,16 @@ PRUNING_SUFFIXES: Dict[str, str] = {
 #: (``None`` for the caller's numbering) and a complete heuristic tree in
 #: the caller's numbering, the last-resort salvage (or ``None``).
 _Prepared = Tuple[Any, Optional[List[int]], Optional[JoinTree]]
+
+
+@dataclass(frozen=True)
+class _Route:
+    """A selection made by predicted work (see :meth:`Optimizer._select`)."""
+
+    #: Clock reading before the connected-set pass: the run's start.
+    started: float
+    #: Candidate algorithm -> predicted work, in DPconv split probes.
+    predicted: Dict[str, int]
 
 
 def algorithm_label(enumerator: str, pruning: str) -> str:
@@ -165,11 +191,16 @@ def _execute(
     enumerator: str,
     pruning: str,
     prepare: Callable[..., _Prepared],
+    route: Optional[_Route] = None,
 ) -> OptimizationResult:
     """Run one algorithm on ``context``: the single execution path.
 
     ``prepare(context=, budget=)`` builds the algorithm inside the measured
-    interval (GOO and renumbering are timed, §V-C).  A
+    interval (GOO and renumbering are timed, §V-C).  A ``route`` moves the
+    start of that interval back to its connected-set pass, and its
+    prediction lands on the ``enumerate`` span as an
+    ``algorithm_selected`` event beside the run's actual
+    ``ccps_considered``.  A
     :class:`~repro.errors.BudgetExceeded` leaves enriched with the best
     complete plans registered so far (``partial_plan`` /
     ``partial_ranked``, in the caller's numbering; the heuristic tree when
@@ -180,7 +211,7 @@ def _execute(
     query = context.query
     root = query.graph.all_vertices
     telemetry = context.telemetry
-    started = time.perf_counter()
+    started = route.started if route is not None else time.perf_counter()
     span = NULL_SPAN
     if telemetry is not None:
         span = telemetry.span(
@@ -193,6 +224,7 @@ def _execute(
         algorithm, mapping, heuristic_tree = prepare(context=context, budget=budget)
         inverse = invert_mapping(mapping) if mapping is not None else None
         memo = algorithm.memo
+        considered = context.stats.ccps_considered
         try:
             plan = algorithm.run()
         except BudgetExceeded as error:
@@ -210,6 +242,14 @@ def _execute(
             ccps_enumerated=context.stats.ccps_enumerated,
             plan_classes_built=memo.n_plan_classes(),
         )
+        if route is not None:
+            span.event(
+                "algorithm_selected",
+                candidates=tuple(route.predicted),
+                predicted_work=dict(route.predicted),
+                choice=pruning,
+                ccps_considered=context.stats.ccps_considered - considered,
+            )
     ranked = tuple(memo.best_k(root)) if context.topk > 1 else ()
     if inverse is not None:
         plan = plan.relabel(inverse)
@@ -289,14 +329,18 @@ class Optimizer:
         ``enumerate`` span and the cache path emits ``plan_cache_hit``
         events.  Telemetry never influences plan choice.
     dpconv_auto:
-        When True (the default), unbudgeted single-best runs on
-        :data:`DPCONV_AUTO_MIN_RELATIONS`-or-larger queries whose bound
-        cost model is ``C_out``-shaped are served by the DPconv
-        subset-convolution fast path instead of the requested top-down
-        algorithm.  Every algorithm involved is exact, so the optimal
-        *cost* is unchanged; only wall-clock (and, on exact-cost ties,
-        plan shape) can differ.  The result reports
-        ``pruning == "dpconv"`` whenever the fast path actually ran.
+        When True (the default), unbudgeted single-best runs whose bound
+        cost model is ``C_out``-shaped (and which DPconv's 24-relation
+        layout can hold) are routed by predicted work instead of running
+        the requested top-down algorithm: one connected-set pass predicts
+        DPconv's work exactly and DPccp's as :data:`DPCCP_WORK_PER_CSG`
+        per connected set, and the smaller prediction runs, on the same
+        connected-set list.  Dense graphs go to DPconv, sparse ones to
+        DPccp.  Every algorithm involved is exact, so the optimal *cost*
+        is unchanged; only wall-clock (and, on exact-cost ties, plan
+        shape) can differ.  The result reports ``pruning == "dpconv"`` or
+        ``"dpccp"`` for the algorithm that ran, and an armed trace
+        records an ``algorithm_selected`` event with the prediction.
     """
 
     def __init__(
@@ -449,43 +493,53 @@ class Optimizer:
             previous = plan.cost
         return result
 
-    def _select(
-        self, context: OptimizationContext, budget: Optional["Budget"]
-    ) -> Tuple[str, str]:
-        """The ``(enumerator, pruning)`` that serves ``context``.
+    def _configured(self, context: OptimizationContext) -> Tuple[str, str]:
+        """The configured ``(enumerator, pruning)``, before any routing.
 
         ``pruning="dpconv"`` runs DPconv when :func:`dpconv_eligible`
         allows it and falls back to DPccp otherwise, labelled ``dpccp``.
-        The automatic fast path hands unbudgeted runs on
-        :data:`DPCONV_AUTO_MIN_RELATIONS`-or-larger queries to DPconv
-        whenever it is eligible (a ``C_out``-shaped bound model and
-        ``topk == 1``): a budgeted run wants the top-down generators'
-        anytime best-so-far salvage.  Everything else runs the configured
-        algorithm.
         """
-        if self.pruning == "dpconv":
-            if dpconv_eligible(context):
-                return "dpconv", "dpconv"
-            return "dpccp", "dpccp"
-        if (
-            self.dpconv_auto
-            and budget is None
-            and context.query.n_relations >= DPCONV_AUTO_MIN_RELATIONS
-            and dpconv_eligible(context)
-        ):
+        if self.pruning != "dpconv":
+            return self.enumerator, self.pruning
+        if dpconv_eligible(context):
             return "dpconv", "dpconv"
-        return self.enumerator, self.pruning
+        return "dpccp", "dpccp"
 
-    def _run(
+    def _select(
         self, context: OptimizationContext, budget: Optional["Budget"]
-    ) -> OptimizationResult:
-        """Enumerate with the selected algorithm (no cache involved)."""
-        enumerator, pruning = self._select(context, budget)
+    ) -> Tuple[str, str, Callable[..., _Prepared], Optional[_Route]]:
+        """The algorithm that serves ``context``, and how to build it.
+
+        Returns ``(enumerator, pruning, prepare, route)``.  Unbudgeted
+        runs with ``dpconv_auto`` on and a context DPconv is eligible for
+        (a ``C_out``-shaped bound model, ``topk == 1``) are routed by
+        predicted work: one :func:`enumerate_csg` pass lists the
+        connected sets, DPconv's work over them is exact
+        (:func:`convolution_work`) and DPccp's is estimated as
+        :data:`DPCCP_WORK_PER_CSG` per set; the smaller prediction wins
+        (DPconv on a tie) and is handed the list, so nothing enumerates
+        the sets twice.  A budgeted run wants the top-down generators'
+        anytime best-so-far salvage and keeps the configured algorithm,
+        as does everything else.  Building an APCBI_Opt run starts its
+        oracle pre-pass, so only a cache miss may call this.
+        """
+        enumerator, pruning = self._configured(context)
         if pruning == "dpconv":
-            prepare = _plain(DPconv)
-        elif pruning == "dpccp":
-            prepare = _prepare_dpconv_fallback
-        elif pruning in PRUNING_STRATEGIES:
+            return enumerator, pruning, _plain(DPconv), None
+        if pruning == "dpccp":
+            return enumerator, pruning, _prepare_dpconv_fallback, None
+        if self.dpconv_auto and budget is None and dpconv_eligible(context):
+            started = time.perf_counter()
+            csgs = list(enumerate_csg(context.query.graph))
+            predicted = {
+                "dpconv": convolution_work(csgs),
+                "dpccp": DPCCP_WORK_PER_CSG * len(csgs),
+            }
+            choice = min(predicted, key=predicted.__getitem__)
+            algorithm = DPconv if choice == "dpconv" else DPccp
+            prepare = _plain(partial(algorithm, csgs=csgs))
+            return choice, choice, prepare, _Route(started, predicted)
+        if pruning in PRUNING_STRATEGIES:
             prepare = _plain(
                 partial(
                     PRUNING_STRATEGIES[pruning],
@@ -494,7 +548,14 @@ class Optimizer:
             )
         else:
             prepare = self._prepare_apcbi(context, budget)
-        return _execute(context, budget, enumerator, pruning, prepare)
+        return enumerator, pruning, prepare, None
+
+    def _run(
+        self, context: OptimizationContext, budget: Optional["Budget"]
+    ) -> OptimizationResult:
+        """Enumerate with the selected algorithm (no cache involved)."""
+        enumerator, pruning, prepare, route = self._select(context, budget)
+        return _execute(context, budget, enumerator, pruning, prepare, route)
 
     # -- plan cache --------------------------------------------------------
 
@@ -509,8 +570,9 @@ class Optimizer:
         one entry.  A hit replays the stored canonical tree through the
         requesting query's context — cardinalities and costs on the
         returned plan are always native to the requesting query — and is
-        labelled with the algorithm :meth:`_select` picks, the one a miss
-        would have run.
+        labelled with the algorithm the entry records its miss ran on, so
+        a hit predicts nothing.  An entry written before entries recorded
+        it is labelled with the configured algorithm.
         """
         cache = self.plan_cache
         started = time.perf_counter()
@@ -528,7 +590,7 @@ class Optimizer:
             context.stats.plan_cache_hits += 1
             if self.telemetry is not None:
                 self.telemetry.event("plan_cache_hit", key=key)
-            enumerator, pruning = self._select(context, budget)
+            enumerator, pruning = entry.algorithm or self._configured(context)
             elapsed = time.perf_counter() - started
             return OptimizationResult(
                 plan=plan,
@@ -568,6 +630,7 @@ class Optimizer:
                 canonical_ranked,
                 cold_seconds=result.elapsed,
                 expansions=result.stats.ccps_enumerated,
+                algorithm=(result.enumerator, result.pruning),
             ),
         )
         return result

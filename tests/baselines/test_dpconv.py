@@ -7,13 +7,17 @@ outside the envelope, and the :class:`Optimizer` facade must only ever
 engage it when that envelope holds.
 """
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import dpccp as dpccp_module
+from repro.baselines import dpconv as dpconv_module
 from repro.baselines.dpconv import DPconv, _MAX_RELATIONS, eligible
 from repro.context.context import OptimizationContext
+from repro.core import optimizer as optimizer_module
 from repro.core.optimizer import (
-    DPCONV_AUTO_MIN_RELATIONS,
     Optimizer,
     optimize_topk,
     run_dpccp,
@@ -24,8 +28,46 @@ from repro.cost.haas import HaasCostModel
 from repro.errors import BudgetExceeded, OptimizationError
 from repro.plans.validation import validate_plan
 from repro.resilience.budget import Budget
+from repro.telemetry import MetricRegistry, Telemetry, Tracer
 from repro.workload.generator import QueryGenerator
 from tests.conftest import small_queries
+
+FAMILIES = ("chain", "star", "cycle", "clique", "acyclic", "cyclic")
+
+
+@contextlib.contextmanager
+def _counted_csg_passes():
+    """Counts every connected-set enumeration, wherever it is looked up."""
+    calls = []
+    original = dpccp_module.enumerate_csg
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (dpccp_module, dpconv_module, optimizer_module):
+            patch.setattr(module, "enumerate_csg", counting)
+        yield calls
+
+
+@pytest.fixture
+def csg_passes():
+    with _counted_csg_passes() as calls:
+        yield calls
+
+
+def _traced():
+    return Telemetry(registry=MetricRegistry(), tracer=Tracer())
+
+
+def _selected_events(telemetry):
+    return [
+        event
+        for span in telemetry.tracer.finished_spans()
+        for event in span.events
+        if event["name"] == "algorithm_selected"
+    ]
 
 
 class TestBitExactness:
@@ -119,9 +161,7 @@ class TestFacadeRouting:
         assert result.cost.hex() == reference.cost.hex()
 
     def test_fallback_emits_a_telemetry_event(self):
-        from repro.telemetry import MetricRegistry, Telemetry, Tracer
-
-        telemetry = Telemetry(registry=MetricRegistry(), tracer=Tracer())
+        telemetry = _traced()
         query = QueryGenerator(seed=9).generate("cycle", 7)
         Optimizer(pruning="dpconv", telemetry=telemetry).optimize(query)
         events = [
@@ -132,49 +172,115 @@ class TestFacadeRouting:
         ]
         assert events, "fallback must be observable in the trace"
 
-    def test_auto_fast_path_engages_on_large_cout_queries(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+    @pytest.mark.parametrize("family, n", [("chain", 24), ("cycle", 20)])
+    def test_sparse_cout_queries_route_to_dpccp(self, family, n):
+        # DPconv would probe about 2^n splits here; DPccp's csg-cmp
+        # pairs grow polynomially.
+        telemetry = _traced()
+        query = QueryGenerator(seed=2).generate(family, n)
+        result = Optimizer(
+            cost_model_factory=CoutCostModel, telemetry=telemetry
+        ).optimize(query)
+        assert result.pruning == result.enumerator == "dpccp"
+        assert result.label == "DPccp"
+        # Routed, not a fallback: no dpconv_fallback event.
+        names = [
+            event["name"]
+            for span in telemetry.tracer.finished_spans()
+            for event in span.events
+        ]
+        assert names == ["algorithm_selected"]
+        reference = run_dpccp(query, cost_model_factory=CoutCostModel)
+        assert result.cost.hex() == reference.cost.hex()
+
+    @pytest.mark.parametrize("family, n", [("clique", 8), ("star", 9)])
+    def test_dense_cout_queries_route_to_dpconv(self, family, n):
+        query = QueryGenerator(seed=2).generate(family, n)
         result = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
-        assert result.pruning == "dpconv"
+        assert result.pruning == result.enumerator == "dpconv"
 
     def test_auto_fast_path_matches_the_requested_algorithm(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+        query = QueryGenerator(seed=2).generate("clique", 7)
         auto = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
         exact = Optimizer(
             cost_model_factory=CoutCostModel, dpconv_auto=False
         ).optimize(query)
+        assert auto.pruning == "dpconv"
         assert auto.cost.hex() == exact.cost.hex()
 
-    def test_auto_fast_path_respects_opt_out(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+    def test_auto_fast_path_respects_opt_out(self, csg_passes):
+        query = QueryGenerator(seed=2).generate("clique", 7)
         result = Optimizer(
             cost_model_factory=CoutCostModel, dpconv_auto=False
         ).optimize(query)
         assert result.pruning == "apcbi"
+        assert csg_passes == []
 
-    def test_auto_fast_path_stays_off_below_the_size_floor(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS - 1
-        )
-        result = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
-        assert result.pruning == "apcbi"
-
-    def test_auto_fast_path_stays_off_under_a_budget(self):
+    def test_auto_fast_path_stays_off_under_a_budget(self, csg_passes):
         # DPconv has weak partial-plan salvage; anytime runs must keep
-        # the algorithm the caller configured.
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+        # the algorithm the caller configured, and predict nothing.
+        query = QueryGenerator(seed=2).generate("clique", 7)
         result = Optimizer(cost_model_factory=CoutCostModel).optimize(
             query, budget=Budget(max_expansions=10**9)
         )
         assert result.pruning == "apcbi"
+        assert csg_passes == []
+
+    @pytest.mark.parametrize("family, n", [("chain", 16), ("clique", 7)])
+    def test_a_routed_run_enumerates_connected_sets_once(
+        self, csg_passes, family, n
+    ):
+        query = QueryGenerator(seed=2).generate(family, n)
+        result = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
+        assert result.pruning in ("dpconv", "dpccp")
+        assert csg_passes == [query.graph]
+
+    @pytest.mark.parametrize(
+        "family, n, choice", [("clique", 8, "dpconv"), ("chain", 16, "dpccp")]
+    )
+    def test_algorithm_selected_event_records_the_prediction(
+        self, family, n, choice
+    ):
+        telemetry = _traced()
+        query = QueryGenerator(seed=4).generate(family, n)
+        result = Optimizer(
+            cost_model_factory=CoutCostModel, telemetry=telemetry
+        ).optimize(query)
+        (event,) = _selected_events(telemetry)
+        assert event["candidates"] == ("dpconv", "dpccp")
+        assert event["choice"] == result.pruning == choice
+        predicted = event["predicted_work"]
+        assert predicted[choice] == min(predicted.values())
+        assert event["ccps_considered"] == result.stats.ccps_considered
+        if choice == "dpconv":
+            # DPconv's prediction is exact: its split probes, to the unit.
+            assert predicted["dpconv"] == event["ccps_considered"]
+
+    @given(st.sampled_from(FAMILIES), st.integers(3, 10), st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_convolution_work_counts_every_split_probe(self, family, n, seed):
+        query = QueryGenerator(seed=seed).generate(family, n)
+        context = OptimizationContext.for_query(query, cost_model=CoutCostModel)
+        csgs = list(dpccp_module.enumerate_csg(query.graph))
+        DPconv(context=context, csgs=csgs).run()
+        assert dpconv_module.convolution_work(csgs) == (
+            context.stats.ccps_considered
+        )
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(3, 12),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_routed_cost_is_dpccps_cost(self, family, n, seed):
+        if family in ("clique", "cyclic"):
+            n = min(n, 9)  # keep the DPccp reference run cheap
+        query = QueryGenerator(seed=seed).generate(family, n)
+        routed = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
+        reference = run_dpccp(query, cost_model_factory=CoutCostModel)
+        assert routed.pruning in ("dpconv", "dpccp")
+        assert routed.cost.hex() == reference.cost.hex()
 
     @given(
         st.sampled_from(["chain", "star", "cycle"]),
@@ -184,18 +290,22 @@ class TestFacadeRouting:
     @settings(max_examples=25, deadline=None)
     def test_auto_never_engages_for_non_cout_models(self, family, n, seed):
         query = QueryGenerator(seed=seed).generate(family, n)
-        result = Optimizer(pruning="apcb").optimize(query)
+        with _counted_csg_passes() as passes:
+            result = Optimizer(pruning="apcb").optimize(query)
         assert result.pruning == "apcb"
+        assert passes == []
 
     @given(st.integers(2, 4), st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_auto_never_engages_for_ranked_retention(self, k, seed):
-        query = QueryGenerator(seed=seed).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
-        result = optimize_topk(query, k=k, cost_model_factory=CoutCostModel)
+        query = QueryGenerator(seed=seed).generate("chain", 12)
+        with _counted_csg_passes() as passes:
+            result = optimize_topk(
+                query, k=k, cost_model_factory=CoutCostModel
+            )
         assert result.pruning == "apcbi"
         assert len(result.ranked) >= 1
+        assert passes == []
 
     def test_unknown_pruning_still_rejected(self):
         from repro.errors import UnknownAlgorithmError

@@ -47,7 +47,9 @@ class TestRunBenchmark:
                 "dpccp",
                 "dpconv",
                 "topdown_apcbi",
+                "auto",
             }
+            assert entry["routed"] in ("dpconv", "dpccp")
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
@@ -139,3 +141,38 @@ class TestCheckAgainst:
         wobbly["entries"][0]["normed"]["dpconv"] = 0.02
         wobbly["entries"][0]["seconds"]["dpconv"] = 0.01
         assert check_against(wobbly, base) == []
+
+
+class TestRoutingGate:
+    def _routed(self, auto, scale=1.0):
+        normed = {"dpccp": 1.0, "dpconv": 1.6, "topdown_apcbi": 0.9, "auto": auto}
+        seconds = {name: value * scale for name, value in normed.items()}
+        entry = _entry("cycle", 20, normed, seconds=seconds, gated=False)
+        entry["routed"] = "dpccp"
+        return _report([entry])
+
+    def test_auto_at_the_faster_algorithm_passes(self):
+        report = self._routed(1.05)
+        assert check_against(report, copy.deepcopy(report)) == []
+
+    def test_auto_on_the_slower_algorithm_fails(self):
+        # Routed to DPconv where DPccp is faster: auto tracks the 1.6.
+        # The entry is not gated (DPccp itself may be fast); a misroute
+        # that costs real time fails anyway.
+        report = self._routed(1.6)
+        failures = check_against(report, copy.deepcopy(report))
+        assert len(failures) == 1
+        assert "cycle-20" in failures[0] and "dpccp" in failures[0]
+
+    def test_sub_floor_entries_are_not_routing_checked(self):
+        # Both sides finish in 16 ms or less: the ratio is noise.
+        report = self._routed(1.6, scale=0.01)
+        assert check_against(report, copy.deepcopy(report)) == []
+
+    def test_a_baseline_with_auto_fails_a_report_without_it(self):
+        baseline = self._routed(1.0)
+        baseline["entries"][0]["gated"] = True
+        report = copy.deepcopy(baseline)
+        del report["entries"][0]["normed"]["auto"]
+        failures = check_against(report, baseline)
+        assert failures == ["cycle-20: auto not measured"]

@@ -12,11 +12,9 @@ from repro.context import (
     replay_plan,
 )
 from repro.core import optimizer as optimizer_module
-from repro.core.optimizer import (
-    DPCONV_AUTO_MIN_RELATIONS,
-    Optimizer,
-    run_dpccp,
-)
+from repro.baselines import dpccp as dpccp_module
+from repro.baselines import dpconv as dpconv_module
+from repro.core.optimizer import Optimizer, run_dpccp
 from repro.cost.cout import CoutCostModel
 from repro.plans.validation import validate_plan
 from repro.workload.generator import QueryGenerator
@@ -143,9 +141,7 @@ class TestOptimizerIntegration:
         assert cold.label == warm.label == "DPccp"
 
     def test_hit_is_labelled_with_the_auto_fast_path(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+        query = QueryGenerator(seed=2).generate("clique", 7)
         optimizer = Optimizer(
             cost_model_factory=CoutCostModel, plan_cache=PlanCache()
         )
@@ -154,6 +150,39 @@ class TestOptimizerIntegration:
         assert warm.memo_entries == 0
         assert cold.pruning == warm.pruning == "dpconv"
         assert cold.enumerator == warm.enumerator == "dpconv"
+
+    @pytest.mark.parametrize("family, n", [("clique", 7), ("chain", 16)])
+    def test_cout_hit_predicts_nothing(self, monkeypatch, family, n):
+        # A hit is labelled from its entry: no connected-set pass runs.
+        query = QueryGenerator(seed=2).generate(family, n)
+        optimizer = Optimizer(
+            cost_model_factory=CoutCostModel, plan_cache=PlanCache()
+        )
+        cold = optimizer.optimize(query)
+
+        def refuse(graph):
+            raise AssertionError("a cache hit enumerated connected sets")
+
+        for module in (dpccp_module, dpconv_module, optimizer_module):
+            monkeypatch.setattr(module, "enumerate_csg", refuse)
+        warm = optimizer.optimize(query)
+        assert warm.stats.plan_cache_hits == 1
+        assert warm.cost.hex() == cold.cost.hex()
+        assert (warm.enumerator, warm.pruning) == (
+            cold.enumerator,
+            cold.pruning,
+        )
+
+    def test_entry_without_an_algorithm_is_labelled_as_configured(self, query):
+        # Entries written before they recorded their algorithm.
+        cache = PlanCache()
+        optimizer = Optimizer(pruning="dpconv", plan_cache=cache)
+        fp = fingerprint(query)
+        entry, _, _ = _cached_entry(query)
+        cache.put(optimizer._cache_key(fp.key, 1), entry)
+        warm = optimizer.optimize(query)
+        assert warm.memo_entries == 0
+        assert (warm.enumerator, warm.pruning) == ("dpccp", "dpccp")
 
     def test_hit_elapsed_covers_fingerprint_and_probe(self, query, monkeypatch):
         optimizer = Optimizer(plan_cache=PlanCache())
@@ -249,9 +278,11 @@ class TestDefensiveCopies:
             canonical,
             cold_seconds=1.5,
             expansions=42,
+            algorithm=("dpccp", "dpccp"),
         )
         clone = entry.clone()
         assert clone.cold_seconds == 1.5 and clone.expansions == 42
+        assert clone.algorithm == ("dpccp", "dpccp")
         assert len(clone.canonical_ranked) == len(canonical)
         for ours, theirs in zip(clone.canonical_ranked, canonical):
             assert ours is not theirs

@@ -82,14 +82,33 @@ class TestEncoding:
             canonical,
             cold_seconds=0.125,
             expansions=7,
+            algorithm=("dpccp", "dpccp"),
         )
         key, back = decode_entry(encode_entry("k", entry))
         assert key == "k"
         assert back.payload == fp.payload
         assert back.cold_seconds == 0.125 and back.expansions == 7
+        assert back.algorithm == ("dpccp", "dpccp")
         assert [p.sexpr() for p in back.canonical_ranked] == [
             p.sexpr() for p in canonical
         ]
+
+    def test_record_without_an_algorithm_decodes_to_none(self, query):
+        fp = fingerprint(query)
+        plan = run_dpccp(query).plan.relabel(fp.mapping)
+        record = encode_entry("k", CachedPlan(plan, fp.payload))
+        del record["algorithm"]
+        _, back = decode_entry(record)
+        assert back.algorithm is None
+
+    def test_decode_rejects_a_malformed_algorithm(self, query):
+        fp = fingerprint(query)
+        plan = run_dpccp(query).plan.relabel(fp.mapping)
+        record = encode_entry("k", CachedPlan(plan, fp.payload))
+        for bad in (["dpccp"], [1, 2], "dpccp"):
+            record["algorithm"] = bad
+            with pytest.raises(StoreCorruptionError):
+                decode_entry(record)
 
     def test_decode_rejects_malformed_structures(self):
         for bad in (["X", 1, "0x1p+0", "R1"], [], {"key": 1}, None):

@@ -103,8 +103,13 @@ class TestApcbiOpt:
 
 class TestCostModelInjection:
     def test_cout_factory(self, small_query):
-        result = optimize(small_query, cost_model_factory=CoutCostModel)
+        # dpconv_auto off keeps the run on the top-down generator the
+        # injected model must reach.
+        result = Optimizer(
+            cost_model_factory=CoutCostModel, dpconv_auto=False
+        ).optimize(small_query)
         baseline = run_dpccp(small_query, cost_model_factory=CoutCostModel)
+        assert result.pruning == "apcbi"
         assert result.cost == pytest.approx(baseline.cost)
 
 
