@@ -217,12 +217,16 @@ class DPconv:
         Layer ``s`` reads only layers ``1 .. s-1`` — the size-indexed
         evaluation order of the subset convolution — and every connected
         set of size ``s`` takes the pointwise minimum over its splits.
+        ``c(S)`` comes from the provider's factor table
+        (:meth:`~repro.cost.statistics.StatisticsProvider.estimate_cardinality`),
+        so no swept class gets an ``IntermediateStats``; only the ones
+        :meth:`_reconstruct` builds do.
         """
         graph = self._graph
         n = graph.n_vertices
         stats = self.stats
         budget = self._budget
-        cardinality = self._provider.cardinality
+        cardinality = self._provider.estimate_cardinality
         bit_count = bitset.bit_count
 
         layers: List[List[int]] = [[] for _ in range(n + 1)]

@@ -96,9 +96,9 @@ __all__ = [
 #: splits its sweep will probe) and predicts DPccp's as this constant
 #: times the number of connected sets.  The constant sits where the two
 #: cross in ``BENCH_enumspeed.json``: chain-14 has 311 split probes per
-#: connected set and DPconv takes 1.08x DPccp's time (a near tie);
-#: cycle-12 has 199 and DPconv wins (0.64x); cycle-14 has 670 and DPccp
-#: wins (DPconv 1.54x).  docs/dpconv.md tabulates the rows.
+#: connected set and DPconv takes 0.94x DPccp's time (a near tie);
+#: cycle-12 has 199 and DPconv wins (0.58x); cycle-14 has 670 and DPccp
+#: wins (DPconv 1.48x).  docs/dpconv.md tabulates the rows.
 DPCCP_WORK_PER_CSG = 300
 
 #: Pruning name -> plan generator class for the simple (non-APCBI) variants.
@@ -120,10 +120,11 @@ PRUNING_SUFFIXES: Dict[str, str] = {
 }
 
 #: What a ``prepare`` callable hands :func:`_execute`: the algorithm
-#: (anything with ``run()`` and ``memo``), the renumbering its run uses
+#: (anything with ``run()`` and ``memo``), the context it runs on (a
+#: relabeled one under renumbering), the renumbering its run uses
 #: (``None`` for the caller's numbering) and a complete heuristic tree in
 #: the caller's numbering, the last-resort salvage (or ``None``).
-_Prepared = Tuple[Any, Optional[List[int]], Optional[JoinTree]]
+_Prepared = Tuple[Any, OptimizationContext, Optional[List[int]], Optional[JoinTree]]
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,9 @@ def _execute(
             relations=query.n_relations,
         )
     with span:
-        algorithm, mapping, heuristic_tree = prepare(context=context, budget=budget)
+        algorithm, run_context, mapping, heuristic_tree = prepare(
+            context=context, budget=budget
+        )
         inverse = invert_mapping(mapping) if mapping is not None else None
         memo = algorithm.memo
         considered = context.stats.ccps_considered
@@ -238,9 +241,16 @@ def _execute(
             error.partial_ranked = tuple(salvage)
             error.memo_entries = len(memo)
             raise
+        # Statistics objects the run built: a renumbered run prices on its
+        # relabeled context's provider after the heuristic priced on the
+        # caller's, so both count.
+        stats_classes = context.provider.cache_size()
+        if run_context is not context:
+            stats_classes += run_context.provider.cache_size()
         span.set(
             ccps_enumerated=context.stats.ccps_enumerated,
             plan_classes_built=memo.n_plan_classes(),
+            stats_classes=stats_classes,
         )
         if route is not None:
             span.event(
@@ -272,7 +282,7 @@ def _plain(factory: Callable[..., Any]) -> Callable[..., _Prepared]:
     """``prepare`` for an algorithm run in the caller's numbering."""
 
     def prepare(context: OptimizationContext, budget: Optional["Budget"]):
-        return factory(context=context, budget=budget), None, None
+        return factory(context=context, budget=budget), context, None, None
 
     return prepare
 
@@ -293,7 +303,7 @@ def _prepare_dpconv_fallback(
             topk=context.topk,
             relations=context.query.n_relations,
         )
-    return DPccp(context=context, budget=budget), None, None
+    return DPccp(context=context, budget=budget), context, None, None
 
 
 class Optimizer:
@@ -693,7 +703,8 @@ class Optimizer:
                 heuristic=heuristic,
                 budget=budget,
             )
-            return generator, mapping, heuristic_tree or generator.heuristic_tree
+            salvage = heuristic_tree or generator.heuristic_tree
+            return generator, context, mapping, salvage
 
         return prepare
 

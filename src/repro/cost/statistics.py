@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict
 
 from repro.catalog.relation import DEFAULT_PAGE_SIZE
@@ -54,6 +55,13 @@ class IntermediateStats:
 class StatisticsProvider:
     """Memoized cardinality / width / page estimation for one query.
 
+    The catalog is read once, at construction, into one *factor table*:
+    every base relation contributes ``(cardinality, its bit)`` and every
+    join edge ``(selectivity, both endpoint bits)``, sorted by value.  A
+    set's cardinality is then the product, in table order, of the factors
+    whose mask lies inside the set (:meth:`estimate_cardinality`) — no
+    per-set catalog walk.
+
     Parameters
     ----------
     query:
@@ -62,16 +70,32 @@ class StatisticsProvider:
         Page size in bytes used to convert widths to page counts.
     """
 
-    __slots__ = ("_query", "_graph", "_catalog", "_page_size", "_cache")
+    __slots__ = ("_page_size", "_factors", "_widths", "_cache")
 
     def __init__(self, query: Query, page_size: int = DEFAULT_PAGE_SIZE):
-        self._query = query
-        self._graph = query.graph
-        self._catalog = query.catalog
+        catalog = query.catalog
         self._page_size = page_size
+        # Relations before edges: a catalog that has lost one relation's
+        # statistics raises on that relation's own read, here, before any
+        # selectivity mentioning it is asked for (docs/resilience.md).
+        relations = [catalog.relation(index) for index in range(query.n_relations)]
+        factors = [
+            (relation.cardinality, bitset.singleton(index))
+            for index, relation in enumerate(relations)
+        ]
+        factors.extend(
+            (catalog.selectivity(u, v), bitset.singleton(u) | bitset.singleton(v))
+            for u, v in sorted(query.graph.edges)
+        )
+        # Value order makes every product bit-identical under vertex
+        # renumbering (advancement 6 relabels the query; a label-dependent
+        # multiplication order can drift an ulp, which the page ceiling in
+        # _compute amplifies into a whole page of cost).
+        factors.sort(key=itemgetter(0))
+        self._factors = tuple(factors)
+        self._widths = tuple(relation.tuple_width for relation in relations)
         self._cache: Dict[int, IntermediateStats] = {}
-        for index in range(query.n_relations):
-            relation = query.catalog.relation(index)
+        for index, relation in enumerate(relations):
             self._cache[bitset.singleton(index)] = IntermediateStats(
                 vertex_set=bitset.singleton(index),
                 cardinality=relation.cardinality,
@@ -98,22 +122,24 @@ class StatisticsProvider:
     def cardinality(self, vertex_set: int) -> float:
         return self.stats(vertex_set).cardinality
 
-    def _compute(self, vertex_set: int) -> IntermediateStats:
-        # Multiply factors in value order so the result is bit-identical
-        # under vertex renumbering (advancement 6 relabels the query; a
-        # label-dependent multiplication order can drift an ulp, which the
-        # page ceiling below amplifies into a whole page of cost).
-        factors = []
-        width = 0
-        for index in bitset.iter_bits(vertex_set):
-            relation = self._catalog.relation(index)
-            factors.append(relation.cardinality)
-            width += relation.tuple_width
-        for u, v in self._graph.edges_within(vertex_set):
-            factors.append(self._catalog.selectivity(u, v))
+    def estimate_cardinality(self, vertex_set: int) -> float:
+        """Cardinality of ``vertex_set``, priced without memoizing stats.
+
+        Multiplies, in table order, every factor whose mask lies inside
+        the set: the sorted product of the set's base cardinalities and
+        inner-edge selectivities.  Callers that need only ``c(S)`` (the
+        DPconv sweep) use this and build no :class:`IntermediateStats`.
+        """
         cardinality = 1.0
-        for factor in sorted(factors):
-            cardinality *= factor
+        for value, mask in self._factors:
+            if mask & vertex_set == mask:
+                cardinality *= value
+        return cardinality
+
+    def _compute(self, vertex_set: int) -> IntermediateStats:
+        cardinality = self.estimate_cardinality(vertex_set)
+        widths = self._widths
+        width = sum(widths[index] for index in bitset.iter_bits(vertex_set))
         tuples_per_page = max(1, self._page_size // max(1, width))
         pages = max(1.0, math.ceil(cardinality / tuples_per_page))
         return IntermediateStats(

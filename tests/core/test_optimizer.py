@@ -144,6 +144,7 @@ _SPAN_KEYS = {
     "relations",
     "ccps_enumerated",
     "plan_classes_built",
+    "stats_classes",
 }
 
 _ALGORITHMS = {
@@ -187,3 +188,19 @@ class TestEnumerateSpan:
         assert attrs["relations"] == query.n_relations
         assert attrs["ccps_enumerated"] == result.stats.ccps_enumerated
         assert attrs["plan_classes_built"] > 0
+        # Every run prices at least the leaves and one class per join.
+        assert attrs["stats_classes"] >= 2 * query.n_relations - 1
+
+    @pytest.mark.parametrize("family", ["chain", "star", "clique", "cycle"])
+    def test_dpconv_builds_stats_only_for_the_winning_tree(self, family):
+        """The sweep prices from the factor table; only the 2n-1 classes
+        the reconstruction builds (leaves included) get stats objects."""
+        telemetry = Telemetry(registry=MetricRegistry(), tracer=Tracer())
+        query = QueryGenerator(seed=5).generate(family, 10)
+        run_dpconv(query, telemetry=telemetry)
+        (span,) = [
+            span
+            for span in telemetry.tracer.finished_spans()
+            if span.name == "enumerate"
+        ]
+        assert span.attrs["stats_classes"] == 2 * query.n_relations - 1
