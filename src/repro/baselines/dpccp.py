@@ -12,19 +12,26 @@ dynamic programming; we nevertheless bucket pairs by the size of their
 union before the DP sweep, which makes the correctness argument local at
 the price of materializing the pair list (fine at the sizes pure Python can
 enumerate; the overhead is charged to DPccp's measured runtime).
+
+At ``k = 1`` the sweep keeps flat per-class cost and split tables, as
+DPconv does, and builds only the winning tree (``n - 1`` joins) at the
+end; ranked runs (``k > 1``) register trees through BUILDTREE's ranked
+cross product.  :meth:`DPccp.optimal_class_costs` covers every class
+either way.
 """
 
 from __future__ import annotations
 
+from math import isnan
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.context.context import OptimizationContext
 from repro.cost.model import CostModel
-from repro.errors import OptimizationError
+from repro.errors import BudgetExceeded, OptimizationError
 from repro.graph import bitset
 from repro.graph.query_graph import QueryGraph
 from repro.plans.builder import PlanBuilder
-from repro.plans.join_tree import JoinTree
+from repro.plans.join_tree import JoinTree, join_fingerprint
 from repro.plans.memo import MemoTable
 from repro.query import Query
 from repro.stats.counters import OptimizationStats
@@ -130,9 +137,14 @@ class DPccp:
         self._memo = MemoTable(k=context.topk)
         self._budget = budget if budget is not None else context.budget
         self._csgs = csgs
+        # Flat per-class optimum costs (k = 1 runs), kept for
+        # optimal_class_costs().
+        self._dp: Optional[Dict[int, float]] = None
 
     @property
     def memo(self) -> MemoTable:
+        """At ``k = 1``, the winning plan's classes only; use
+        :meth:`optimal_class_costs` for every class's optimum."""
         return self._memo
 
     @property
@@ -161,25 +173,133 @@ class DPccp:
             buckets.setdefault(bitset.bit_count(left | right), []).append(
                 (left, right)
             )
-        for size in sorted(buckets):
-            for left, right in buckets[size]:
-                if budget is not None:
-                    budget.check(len(self._memo))
-                self.stats.ccps_considered += 1
-                left_tree = self._memo.best(left)
-                right_tree = self._memo.best(right)
-                if left_tree is None or right_tree is None:
-                    raise OptimizationError(
-                        "DPccp visited a ccp before its components were "
-                        "planned — enumeration bug"
-                    )
-                self._builder.build_ccp(self._memo, left_tree, right_tree)
-
-        plan = self._memo.best(self._graph.all_vertices)
+        pairs = [pair for size in sorted(buckets) for pair in buckets[size]]
+        if self._memo.k == 1:
+            plan = self._run_flat(pairs)
+        else:
+            plan = self._run_ranked(pairs)
         if plan is None:
             raise OptimizationError("DPccp produced no plan for the full query")
-        self.stats.plan_classes_built = self._memo.n_plan_classes()
         return plan
+
+    def _run_ranked(self, pairs: List[Tuple[int, int]]) -> Optional[JoinTree]:
+        """``k > 1``: every ccp goes through BUILDTREE's ranked cross product."""
+        budget = self._budget
+        memo = self._memo
+        builder = self._builder
+        for left, right in pairs:
+            if budget is not None:
+                budget.check(len(memo))
+            self.stats.ccps_considered += 1
+            left_tree = memo.best(left)
+            right_tree = memo.best(right)
+            if left_tree is None or right_tree is None:
+                raise OptimizationError(_ORDER_BUG)
+            builder.build_ccp(memo, left_tree, right_tree)
+        self.stats.plan_classes_built = memo.n_plan_classes()
+        return memo.best(self._graph.all_vertices)
+
+    def _run_flat(self, pairs: List[Tuple[int, int]]) -> Optional[JoinTree]:
+        """``k = 1``: flat cost/split tables, then only the winning tree.
+
+        Per ccp, both orders are priced (:meth:`PlanBuilder.price`) and
+        summed exactly as ``JoinNode`` would: ``(dp[L] + dp[R]) + c``.  A
+        class keeps the first order in the memotable's (cost, fingerprint)
+        order, NaN never enters, and a class's first entry is taken
+        whatever its cost — so the tables end up holding exactly the plans
+        a memotable of trees would, and
+        :meth:`PlanBuilder.build_split_tree` materializes the root's.  The
+        memo-size budget counts table entries, as it counted memotable
+        entries.
+        """
+        query = self._query
+        budget = self._budget
+        stats = self.stats
+        price = self._builder.price
+        dp: Dict[int, float] = {}
+        split: Dict[int, int] = {}
+        operator_costs: Dict[int, float] = {}
+        # Class -> fingerprint of its current plan, filled only when an
+        # exact tie needs it; a class's entry goes when its plan changes.
+        fingerprints: Dict[int, str] = {}
+        for index in range(query.n_relations):
+            dp[bitset.singleton(index)] = 0.0
+            fingerprints[bitset.singleton(index)] = str(index)
+
+        def fingerprint(vertex_set: int) -> str:
+            """Fingerprint of a class's current plan, cached."""
+            cached = fingerprints.get(vertex_set)
+            if cached is None:
+                cached = join_fingerprint(
+                    fingerprint(vertex_set ^ split[vertex_set]),
+                    fingerprint(split[vertex_set]),
+                )
+                fingerprints[vertex_set] = cached
+            return cached
+
+        self._dp = dp
+        root = self._graph.all_vertices
+        try:
+            for left, right in pairs:
+                if budget is not None:
+                    budget.check(len(dp))
+                stats.ccps_considered += 1
+                left_cost = dp.get(left)
+                right_cost = dp.get(right)
+                if left_cost is None or right_cost is None:
+                    raise OptimizationError(_ORDER_BUG)
+                vertex_set = left | right
+                price_lr, price_rl = price(left, right)
+                base = left_cost + right_cost
+                cost = base + price_lr
+                other = base + price_rl
+                inner = right
+                operator_cost = price_lr
+                tie = False
+                # The first order in (cost, fingerprint) order; NaN last.
+                if other < cost or isnan(cost):
+                    cost = other
+                    inner = left
+                    operator_cost = price_rl
+                elif other == cost:  # repro: disable=no-float-cost-eq
+                    tie = True
+                if not cost <= _INFINITY:
+                    continue  # NaN: DPccp's unbounded budget still refuses it
+                incumbent = dp.get(vertex_set)
+                if incumbent is not None and not cost <= incumbent:
+                    continue
+                # Fingerprints only for a cost that can still enter.
+                if tie and fingerprint(right) < fingerprint(left):
+                    inner = left
+                    operator_cost = price_rl
+                if incumbent is not None:
+                    if cost == incumbent:  # repro: disable=no-float-cost-eq
+                        challenger = join_fingerprint(
+                            fingerprint(vertex_set ^ inner), fingerprint(inner)
+                        )
+                        if not challenger < fingerprint(vertex_set):
+                            continue
+                        fingerprints[vertex_set] = challenger
+                    else:
+                        fingerprints.pop(vertex_set, None)
+                    stats.plan_improvements += 1
+                dp[vertex_set] = cost
+                split[vertex_set] = inner
+                operator_costs[vertex_set] = operator_cost
+        except BudgetExceeded:
+            # The root's best plan so far is complete (every smaller class
+            # is final by then): register it for the caller's salvage.
+            if root in dp:
+                self._builder.build_split_tree(
+                    self._memo, root, split, operator_costs
+                )
+            raise
+        stats.plan_classes_built = len(dp) - query.n_relations
+        if root not in dp:
+            return None
+        return self._builder.build_split_tree(
+            self._memo, root, split, operator_costs
+        )
 
     def optimal_class_costs(self) -> Dict[int, float]:
         """Optimal cost per plan class (the APCBI_Opt oracle ``uB`` table).
@@ -187,6 +307,17 @@ class DPccp:
         Only valid after :meth:`run`.  Singleton classes are included with
         cost 0; harmless, since leaves are returned before ``uB`` lookups.
         """
+        if self._dp is not None:
+            return dict(self._dp)
         return {
             vertex_set: tree.cost for vertex_set, tree in self._memo.entries()
         }
+
+
+_INFINITY = float("inf")
+
+_ORDER_BUG = (
+    "DPccp visited a ccp before its components were planned — "
+    "enumeration bug"
+)
+

@@ -18,10 +18,11 @@ lattice with a *flat per-size memo layout*: one dense ``dp`` cost array
 indexed by bitset plus one ``split`` argmin array, no tree objects, no
 dictionary lookups and no cost-model calls inside the innermost loop.  The
 win over DPccp is the constant factor of the inner loop (three list
-indexings, one add, one compare per split vs. per-ccp ``JoinTree``
-construction, statistics lookups and memotable registration), which is
-what an order-of-magnitude wall-clock target on clique-12+ needs before
-resorting to anything non-pure-Python.
+indexings, one add, one compare per split vs. per-ccp pair enumeration,
+two ``join_cost`` calls with their statistics lookups and a dict-table
+update in DPccp's flat sweep), which is what an order-of-magnitude
+wall-clock target on clique-12+ needs before resorting to anything
+non-pure-Python.
 
 Plan-space equivalence: the sweep visits exactly DPccp's plan space.  A
 candidate split contributes only when both halves carry finite DP values,
@@ -199,7 +200,10 @@ class DPconv:
                 "DPconv produced no plan for the full query (disconnected "
                 "query graph?)"
             )
-        plan = self._reconstruct(root, split)
+        # Only the ~2n-1 classes on the winning tree become ``JoinTree``
+        # objects (and memotable entries), priced by the context's
+        # provider and bound model like any plan DPccp builds.
+        plan = self._builder.build_split_tree(self._memo, root, split)
         if plan.cost != dp[root]:  # repro: disable=no-float-cost-eq
             # Bit-exactness is the contract: a model that declared
             # cout_shaped but priced joins differently would silently
@@ -220,7 +224,7 @@ class DPconv:
         ``c(S)`` comes from the provider's factor table
         (:meth:`~repro.cost.statistics.StatisticsProvider.estimate_cardinality`),
         so no swept class gets an ``IntermediateStats``; only the ones
-        :meth:`_reconstruct` builds do.
+        the reconstruction builds do.
         """
         graph = self._graph
         n = graph.n_vertices
@@ -268,35 +272,3 @@ class DPconv:
                 stats.ccps_considered += splits_per_class
         stats.plan_classes_built = classes_done - n
         return dp, split
-
-    def _reconstruct(self, root: int, split: List[int]) -> JoinTree:
-        """Materialize the winning tree through the shared plan builder.
-
-        Only the ~2n-1 classes on the winning tree become ``JoinTree``
-        objects (and memotable entries); cardinalities and operator costs
-        are priced by the context's provider and bound model, so the
-        returned plan is indistinguishable from one DPccp built.
-        """
-        memo = self._memo
-        builder = self._builder
-        stack = [root]
-        ordered: List[int] = []
-        while stack:
-            vertex_set = stack.pop()
-            if not vertex_set & (vertex_set - 1):
-                continue  # singleton: leaf already registered
-            ordered.append(vertex_set)
-            sub = split[vertex_set]
-            stack.append(vertex_set ^ sub)
-            stack.append(sub)
-        for vertex_set in reversed(ordered):  # children before parents
-            sub = split[vertex_set]
-            left = memo.best(vertex_set ^ sub)
-            right = memo.best(sub)
-            if left is None or right is None:  # pragma: no cover - invariant
-                raise OptimizationError(
-                    "DPconv reconstruction visited a class before its "
-                    "components — split-table bug"
-                )
-            memo.register(builder.create_tree(left, right))
-        return memo.best(root)

@@ -50,7 +50,8 @@ class AcbPlanGenerator(PlanGeneratorBase):
             self.stats.ccps_considered += 1
             # Lines 3-4: subtract the operator cost (computable from the
             # two input sets alone) from the tightest known bound.
-            operator_cost = self._builder.operator_cost(left, right)
+            prices = self._builder.price(left, right)
+            operator_cost = min(prices)
             # Bounding against the k-th retained cost (== best cost at
             # k=1) keeps every tree that could still enter the top-k.
             remaining = (
@@ -65,7 +66,9 @@ class AcbPlanGenerator(PlanGeneratorBase):
             if right_tree is None:
                 continue
             # Line 10: register the cheaper order if within the budget.
-            self._builder.build_ccp(self._memo, left_tree, right_tree, budget)
+            self._builder.build_ccp(
+                self._memo, left_tree, right_tree, budget, prices
+            )
 
         # Lines 11-12: a completed pass without a tree proves lB[S] = b.
         if self._memo.best(vertex_set) is None:

@@ -56,8 +56,8 @@ class ApcbPlanGenerator(PlanGeneratorBase):
                 self.stats.pcb_prunes += 1
                 continue
             self.stats.ccps_considered += 1
-            operator_cost = self._builder.operator_cost(left, right)
-            remaining = bound - operator_cost
+            prices = self._builder.price(left, right)
+            remaining = bound - min(prices)
             left_tree = self._tdpg(left, remaining)
             if left_tree is None:
                 continue
@@ -65,7 +65,9 @@ class ApcbPlanGenerator(PlanGeneratorBase):
             right_tree = self._tdpg(right, remaining)
             if right_tree is None:
                 continue
-            self._builder.build_ccp(self._memo, left_tree, right_tree, budget)
+            self._builder.build_ccp(
+                self._memo, left_tree, right_tree, budget, prices
+            )
 
         if self._memo.best(vertex_set) is None:
             self._bounds.raise_lower(vertex_set, budget)

@@ -165,8 +165,9 @@ class ApcbiPlanGenerator(PlanGeneratorBase):
                 continue
             stats.ccps_considered += 1
             # Lines 17-22.
-            operator_cost = self._builder.operator_cost(left, right)
-            remaining = min(budget, memo.kth_cost(vertex_set)) - operator_cost
+            prices = self._builder.price(left, right)
+            operator_cost = min(prices)
+            remaining = bound - operator_cost
             if config.tighter_left_budget:
                 # Lines 19-21: charge the right side's known or proven cost
                 # against the left request's budget (advancement 5).
@@ -198,7 +199,7 @@ class ApcbiPlanGenerator(PlanGeneratorBase):
                 )
                 continue
             # Lines 29-31.
-            self._builder.build_ccp(memo, left_tree, right_tree, budget)
+            self._builder.build_ccp(memo, left_tree, right_tree, budget, prices)
             new_lower_bound = min(
                 new_lower_bound,
                 left_tree.cost + right_tree.cost + operator_cost,

@@ -94,11 +94,15 @@ __all__ = [
 #: DPccp's predicted work per connected set, in DPconv split probes.
 #: The router counts DPconv's work exactly (``convolution_work``: the
 #: splits its sweep will probe) and predicts DPccp's as this constant
-#: times the number of connected sets.  The constant sits where the two
-#: cross in ``BENCH_enumspeed.json``: chain-14 has 311 split probes per
-#: connected set and DPconv takes 0.94x DPccp's time (a near tie);
-#: cycle-12 has 199 and DPconv wins (0.58x); cycle-14 has 670 and DPccp
-#: wins (DPconv 1.48x).  docs/dpconv.md tabulates the rows.
+#: times the number of connected sets.  Against the flat DPccp the two
+#: cross lower than this (``BENCH_enumspeed.json`` and the ``cold_cout``
+#: pool): cycle-12 has 199 split probes per connected set and DPconv
+#: takes 0.89x DPccp's time (a near tie); acyclic-14 has 295 and DPconv
+#: takes 1.2-1.3x, so this constant misroutes it; chain-14 (311, DPconv
+#: 1.6-1.7x) and cycle-13 (364, 1.4-1.5x) go to DPccp.  It stays at 300
+#: because DPconv and DPccp break exact cost ties differently, so moving
+#: it would change the plan (not the cost) some queries get.
+#: docs/dpconv.md tabulates the rows.
 DPCCP_WORK_PER_CSG = 300
 
 #: Pruning name -> plan generator class for the simple (non-APCBI) variants.
@@ -247,9 +251,12 @@ def _execute(
         stats_classes = context.provider.cache_size()
         if run_context is not context:
             stats_classes += run_context.provider.cache_size()
+        # Counts come from the run's counters, not its memotable: DPconv
+        # and DPccp register only the winning plan's classes there.
         span.set(
             ccps_enumerated=context.stats.ccps_enumerated,
-            plan_classes_built=memo.n_plan_classes(),
+            operator_pricings=context.stats.operator_pricings,
+            plan_classes_built=context.stats.plan_classes_built,
             stats_classes=stats_classes,
         )
         if route is not None:

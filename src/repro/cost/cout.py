@@ -52,12 +52,13 @@ class CoutCostModel(CostModel):
     def _output_cardinality(
         self, left: IntermediateStats, right: IntermediateStats
     ) -> float:
-        if self._provider is None:
+        provider = self._provider
+        if provider is None:
             raise RuntimeError(
                 "CoutCostModel must be bound to a StatisticsProvider "
                 "before pricing joins"
             )
-        return self._provider.cardinality(left.vertex_set | right.vertex_set)
+        return provider.stats(left.vertex_set | right.vertex_set).cardinality
 
     def join_cost(self, outer: IntermediateStats, inner: IntermediateStats) -> float:
         return self._output_cardinality(outer, inner)

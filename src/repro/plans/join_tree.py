@@ -15,7 +15,13 @@ from typing import Iterator, List, Sequence
 
 from repro.graph import bitset
 
-__all__ = ["JoinTree", "LeafNode", "JoinNode", "plan_fingerprint"]
+__all__ = [
+    "JoinTree",
+    "LeafNode",
+    "JoinNode",
+    "plan_fingerprint",
+    "join_fingerprint",
+]
 
 
 def plan_fingerprint(tree: "JoinTree") -> str:
@@ -40,15 +46,24 @@ def plan_fingerprint(tree: "JoinTree") -> str:
     if isinstance(tree, LeafNode):
         fingerprint = str(tree.relation)
     else:
-        fingerprint = (
-            "("
-            + plan_fingerprint(tree.left)
-            + "."
-            + plan_fingerprint(tree.right)
-            + ")"
+        fingerprint = join_fingerprint(
+            plan_fingerprint(tree.left), plan_fingerprint(tree.right)
         )
     tree._fingerprint = fingerprint
     return fingerprint
+
+
+def join_fingerprint(outer: str, inner: str) -> str:
+    """The fingerprint of a join of two trees with these fingerprints.
+
+    For the two orders of one ccp, ``join_fingerprint(a, b) <
+    join_fingerprint(b, a)`` exactly when ``a < b``: the two strings first
+    differ where ``a`` and ``b`` do, unless one is a prefix of the other —
+    which disjoint trees allow only for leaves (``"1"``, ``"12"``), and
+    there ``"."`` sorts below every digit.  So the cheaper order of a cost
+    tie is found from the two inputs' fingerprints, with no join built.
+    """
+    return "(" + outer + "." + inner + ")"
 
 
 class JoinTree:

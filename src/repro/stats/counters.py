@@ -27,7 +27,13 @@ class OptimizationStats:
     ccps_considered:
         ccps that survived predicted-cost bounding and were priced.
     trees_created:
-        Join trees constructed by CREATETREE (both orders counted).
+        Join trees constructed by CREATETREE.  BUILDTREE prices a ccp's
+        two orders first and builds only one that can still enter the
+        memotable; DPccp (at ``k = 1``) and DPconv build only the winning
+        plan's joins.
+    operator_pricings:
+        ccps priced in both orders (:meth:`~repro.plans.PlanBuilder.price`:
+        two ``join_cost`` calls each).
     plan_classes_built:
         Distinct vertex sets (|S| >= 2) for which a best tree was
         registered — the *s* numerator of Table III.
@@ -42,7 +48,8 @@ class OptimizationStats:
     pcb_prunes:
         ccps skipped by predicted-cost bounding (LBE above the bound).
     plan_improvements:
-        Times a newly created tree replaced a registered (worse) tree.
+        Times a ccp's plan entered the memotable for a class that already
+        had one (a cheaper plan, or at ``k > 1`` a new rank).
     budget_raises:
         Times the rising-budget advancement lifted a request's budget.
     lbe_evaluations:
@@ -57,6 +64,7 @@ class OptimizationStats:
     ccps_enumerated: int = 0
     ccps_considered: int = 0
     trees_created: int = 0
+    operator_pricings: int = 0
     plan_classes_built: int = 0
     failed_builds: int = 0
     memo_hits: int = 0

@@ -59,14 +59,14 @@ class TestBoundAdmissibilityAfterMixedRequests:
         then verify every recorded bound against the DPccp oracle."""
         oracle = DPccp(query, HaasCostModel())
         oracle.run()
-        optimum = oracle.memo.best_cost(query.graph.all_vertices)
+        optima = oracle.optimal_class_costs()
+        optimum = optima[query.graph.all_vertices]
         generator = generator_cls(
             query, get_partitioning("mincut_conservative"), HaasCostModel()
         )
         for factor in factors:
             generator._tdpg(query.graph.all_vertices, optimum * factor)
-        for vertex_set, tree in oracle.memo.entries():
-            true_cost = tree.cost
+        for vertex_set, true_cost in optima.items():
             assert generator.bounds.lower(vertex_set) <= true_cost + 1e-6 * max(
                 1.0, true_cost
             )
@@ -81,11 +81,10 @@ class TestBoundAdmissibilityAfterMixedRequests:
         improved LBE relies on)."""
         oracle = DPccp(query, HaasCostModel())
         oracle.run()
+        optima = oracle.optimal_class_costs()
         generator = generator_cls(
             query, get_partitioning("mincut_conservative"), HaasCostModel()
         )
         generator.run()
         for vertex_set, tree in generator.memo.entries():
-            assert tree.cost == pytest.approx(
-                oracle.memo.best_cost(vertex_set), rel=1e-9
-            )
+            assert tree.cost == pytest.approx(optima[vertex_set], rel=1e-9)

@@ -143,6 +143,7 @@ _SPAN_KEYS = {
     "pruning",
     "relations",
     "ccps_enumerated",
+    "operator_pricings",
     "plan_classes_built",
     "stats_classes",
 }
@@ -190,6 +191,25 @@ class TestEnumerateSpan:
         assert attrs["plan_classes_built"] > 0
         # Every run prices at least the leaves and one class per join.
         assert attrs["stats_classes"] >= 2 * query.n_relations - 1
+
+    @pytest.mark.parametrize("name", ["dpconv", "run_dpccp", "apcbi"])
+    def test_span_counts_are_the_run_counters(self, name):
+        """DPconv and flat DPccp register only the winning plan's classes
+        in their memotable; the span reports every class the run built."""
+        telemetry = Telemetry(registry=MetricRegistry(), tracer=Tracer())
+        query = QueryGenerator(seed=5).generate("clique", 8)
+        result = _ALGORITHMS[name](query, telemetry)
+        (span,) = [
+            span
+            for span in telemetry.tracer.finished_spans()
+            if span.name == "enumerate"
+        ]
+        stats = result.stats
+        assert span.attrs["plan_classes_built"] == stats.plan_classes_built
+        assert span.attrs["operator_pricings"] == stats.operator_pricings
+        if name != "apcbi":
+            # A clique's every subset is connected.
+            assert stats.plan_classes_built == 2**8 - 1 - 8
 
     @pytest.mark.parametrize("family", ["chain", "star", "clique", "cycle"])
     def test_dpconv_builds_stats_only_for_the_winning_tree(self, family):

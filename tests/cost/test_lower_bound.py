@@ -27,14 +27,13 @@ class TestBaselineEstimator:
         model = HaasCostModel()
         algorithm = DPccp(query, model)
         algorithm.run()
+        optima = algorithm.optimal_class_costs()
         provider = StatisticsProvider(query)
         lbe = LowerBoundEstimator(provider, model)
         for left, right in enumerate_csg_cmp_pairs(query.graph):
-            best_left = algorithm.memo.best(left)
-            best_right = algorithm.memo.best(right)
             true_cost = (
-                best_left.cost
-                + best_right.cost
+                optima[left]
+                + optima[right]
                 + model.min_join_cost(provider.stats(left), provider.stats(right))
             )
             assert lbe.estimate(left, right) <= true_cost + 1e-6
