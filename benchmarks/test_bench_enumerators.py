@@ -37,7 +37,7 @@ def test_bench_enumerator_overhead(benchmark, results_dir, capsys):
 def test_bench_agat_enumerator(benchmark, representative_queries):
     """AGaT is perfectly usable on non-star shapes."""
     query = representative_queries["chain"]
-    optimizer = Optimizer(enumerator="mincut_agat", pruning="apcbi")
+    optimizer = Optimizer(enumerator="mincut_agat", pruning="apcbi", auto_route=False)
     result = benchmark.pedantic(
         lambda: optimizer.optimize(query), rounds=3, iterations=1
     )

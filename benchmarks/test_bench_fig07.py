@@ -23,5 +23,5 @@ def test_bench_figure7(benchmark, results_dir, capsys):
 
 def test_bench_figure7_headline(benchmark, representative_queries):
     query = representative_queries["acyclic"]
-    optimizer = Optimizer(pruning="apcbi")
+    optimizer = Optimizer(pruning="apcbi", auto_route=False)
     benchmark.pedantic(lambda: optimizer.optimize(query), rounds=3, iterations=1)

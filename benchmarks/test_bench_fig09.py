@@ -21,5 +21,5 @@ def test_bench_figure9(benchmark, results_dir, capsys):
 
 def test_bench_figure9_headline(benchmark, representative_queries):
     query = representative_queries["chain"]
-    optimizer = Optimizer(pruning="apcbi")
+    optimizer = Optimizer(pruning="apcbi", auto_route=False)
     benchmark.pedantic(lambda: optimizer.optimize(query), rounds=3, iterations=1)

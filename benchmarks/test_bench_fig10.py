@@ -22,5 +22,5 @@ def test_bench_figure10(benchmark, results_dir, capsys):
 
 def test_bench_figure10_headline(benchmark, representative_queries):
     query = representative_queries["star"]
-    optimizer = Optimizer(pruning="apcbi")
+    optimizer = Optimizer(pruning="apcbi", auto_route=False)
     benchmark.pedantic(lambda: optimizer.optimize(query), rounds=3, iterations=1)

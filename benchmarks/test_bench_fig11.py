@@ -19,5 +19,5 @@ def test_bench_figure11(benchmark, results_dir, capsys):
 
 def test_bench_figure11_headline(benchmark, representative_queries):
     query = representative_queries["cycle"]
-    optimizer = Optimizer(pruning="apcbi")
+    optimizer = Optimizer(pruning="apcbi", auto_route=False)
     benchmark.pedantic(lambda: optimizer.optimize(query), rounds=3, iterations=1)

@@ -24,5 +24,5 @@ def test_bench_figure12(benchmark, results_dir, capsys):
 
 def test_bench_figure12_headline(benchmark, representative_queries):
     query = representative_queries["clique"]
-    optimizer = Optimizer(pruning="apcbi")
+    optimizer = Optimizer(pruning="apcbi", auto_route=False)
     benchmark.pedantic(lambda: optimizer.optimize(query), rounds=3, iterations=1)

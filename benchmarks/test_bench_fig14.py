@@ -23,5 +23,7 @@ def test_bench_figure14(benchmark, results_dir, capsys):
 
 def test_bench_figure14_headline(benchmark, representative_queries):
     query = representative_queries["cyclic"]
-    optimizer = Optimizer(enumerator="mincut_branch", pruning="apcbi")
+    optimizer = Optimizer(
+        enumerator="mincut_branch", pruning="apcbi", auto_route=False
+    )
     benchmark.pedantic(lambda: optimizer.optimize(query), rounds=3, iterations=1)

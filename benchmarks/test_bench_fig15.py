@@ -31,6 +31,8 @@ def test_bench_single_advancement(benchmark, representative_queries):
     significant single advancement for acyclic graphs)."""
     query = representative_queries["acyclic"]
     optimizer = Optimizer(
-        pruning="apcbi", config=AdvancementConfig.only("rising_budget")
+        pruning="apcbi",
+        config=AdvancementConfig.only("rising_budget"),
+        auto_route=False,
     )
     benchmark.pedantic(lambda: optimizer.optimize(query), rounds=3, iterations=1)

@@ -61,7 +61,7 @@ def test_bench_apcbi_with_heuristic(
     benchmark, heuristic_workload, heuristic, capsys
 ):
     """TDMcC_APCBI runtime under each upper-bound heuristic."""
-    optimizer = Optimizer(pruning="apcbi", heuristic=heuristic)
+    optimizer = Optimizer(pruning="apcbi", heuristic=heuristic, auto_route=False)
     query = heuristic_workload[0]
     baseline = run_dpccp(query)
 

@@ -18,7 +18,7 @@ PRUNINGS = ("none", "pcb", "apcb", "apcbi", "apcbi_opt")
 def test_bench_algorithm(benchmark, representative_queries, enumerator, pruning):
     query = representative_queries["acyclic"]
     baseline = run_dpccp(query)
-    optimizer = Optimizer(enumerator=enumerator, pruning=pruning)
+    optimizer = Optimizer(enumerator=enumerator, pruning=pruning, auto_route=False)
     result = benchmark.pedantic(
         lambda: optimizer.optimize(query), rounds=3, iterations=1
     )

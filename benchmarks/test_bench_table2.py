@@ -38,7 +38,9 @@ def test_bench_table2_full_matrix(benchmark, evaluation_run, results_dir, capsys
 def test_bench_tdmcc_apcbi(benchmark, representative_queries, family):
     """Per-family micro-benchmark of the paper's best combination."""
     query = representative_queries[family]
-    optimizer = Optimizer(enumerator="mincut_conservative", pruning="apcbi")
+    optimizer = Optimizer(
+        enumerator="mincut_conservative", pruning="apcbi", auto_route=False
+    )
     baseline = run_dpccp(query)
     result = benchmark.pedantic(
         lambda: optimizer.optimize(query), rounds=3, iterations=1

@@ -5,7 +5,9 @@ Times the three exact enumerators that must agree bit-for-bit under the
 subset-convolution fast path) and top-down APCBI — plus ``auto``, the
 default :class:`~repro.core.optimizer.Optimizer` that routes each query
 to DPconv or DPccp by predicted work, over a seeded chain/star/cycle/
-clique matrix, and emits ``BENCH_enumspeed.json``.
+clique matrix, and emits ``BENCH_enumspeed.json``.  A Haas section
+(``haas_entries``) times DPccp, top-down APCBI and ``auto``, which routes
+each Haas query to APCBI or DPccp by predicted pruning yield.
 
 Three kinds of failure are gated:
 
@@ -21,10 +23,15 @@ Three kinds of failure are gated:
   baseline's fails the gate; entries where DPccp itself finishes faster
   than ``--min-seconds`` are too noisy to norm and are reported but not
   gated.
-* **misrouting** (``--check``): in the fresh run, ``auto``'s normed time
-  may exceed the faster of DPccp and DPconv by at most ``--threshold``;
-  a router that picks the slower algorithm fails.  Entries where both
-  sides finish under ``--min-seconds`` are too noisy to compare.
+* **misrouting** (``--check``): in the fresh run, the candidate ``auto``
+  was routed to (DPccp or DPconv under ``C_out``, DPccp or top-down
+  APCBI under Haas) may be slower than the faster candidate by at most
+  ``--threshold``; a router that picks the slower algorithm fails.  The
+  check reads the candidates' own columns, not ``auto``'s: a row routed
+  to DPccp would otherwise compare two runs of one algorithm, and timing
+  noise between them is not a misroute.  ``auto``'s overhead is gated by
+  the baseline comparison above.  Entries where both candidates finish
+  under ``--min-seconds`` are too noisy to compare.
 
 CI runs this as the ``enumspeed-gate`` job::
 
@@ -38,11 +45,13 @@ import gc
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.context.store import atomic_write_text
 from repro.core.optimizer import Optimizer, run_dpccp, run_dpconv
 from repro.cost.cout import CoutCostModel
+from repro.cost.haas import HaasCostModel
+from repro.cost.model import CostModel
 from repro.workload.generator import QueryGenerator
 
 __all__ = ["run_benchmark", "check_against", "main"]
@@ -75,6 +84,18 @@ DEFAULT_WORKLOAD = (
     ("clique", 12),
 )
 
+#: Haas (family, relations) rows, drawn in this order from their own
+#: generator.  DPccp clears the noise floor on each.  The dense rows are
+#: ones the router sends to DPccp; on the sparse acyclic-19 APCBI's
+#: pruning takes a few percent of DPccp's time, so a router that sends
+#: everything to DPccp fails the misroute check there.
+HAAS_WORKLOAD = (
+    ("clique", 10),
+    ("star", 12),
+    ("cyclic", 13),
+    ("acyclic", 19),
+)
+
 SEED = 20120403
 
 #: Maximum tolerated relative slowdown of a normed time vs. the baseline.
@@ -85,23 +106,53 @@ DEFAULT_MIN_SECONDS = 0.05
 
 #: The algorithms under test.  DPccp is the normalizer and must stay first.
 ALGORITHMS = ("dpccp", "dpconv", "topdown_apcbi", "auto")
+HAAS_ALGORITHMS = ("dpccp", "topdown_apcbi", "auto")
 
 
-def _run_algorithm(name: str, query):
+class _Section(NamedTuple):
+    """One report section: a cost model and what runs under it."""
+
+    cost_model: Callable[[], CostModel]
+    algorithms: Tuple[str, ...]
+    #: What ``auto`` may be routed to (its ``result.pruning``) -> the
+    #: column that times that algorithm alone (the misroute check).
+    candidates: Dict[str, str]
+    #: Appended to a row's name in failures and divergences.
+    suffix: str
+
+
+#: Report key -> section.
+SECTIONS = {
+    "entries": _Section(
+        CoutCostModel,
+        ALGORITHMS,
+        {"dpccp": "dpccp", "dpconv": "dpconv"},
+        "",
+    ),
+    "haas_entries": _Section(
+        HaasCostModel,
+        HAAS_ALGORITHMS,
+        {"dpccp": "dpccp", "apcbi": "topdown_apcbi"},
+        " (haas)",
+    ),
+}
+
+
+def _run_algorithm(name: str, query, cost_model_factory=CoutCostModel):
     if name == "dpccp":
-        return run_dpccp(query, cost_model_factory=CoutCostModel)
+        return run_dpccp(query, cost_model_factory=cost_model_factory)
     if name == "dpconv":
         return run_dpconv(query)
     if name == "topdown_apcbi":
-        # dpconv_auto off: this row measures the top-down enumerator
-        # itself, not the facade's fast-path routing.
+        # auto_route off: this row measures the top-down enumerator
+        # itself, not the facade's routing.
         return Optimizer(
             pruning="apcbi",
-            cost_model_factory=CoutCostModel,
-            dpconv_auto=False,
+            cost_model_factory=cost_model_factory,
+            auto_route=False,
         ).optimize(query)
     if name == "auto":
-        return Optimizer(cost_model_factory=CoutCostModel).optimize(query)
+        return Optimizer(cost_model_factory=cost_model_factory).optimize(query)
     raise ValueError(f"unknown enumspeed algorithm {name!r}")
 
 
@@ -110,6 +161,7 @@ def run_benchmark(
     seed: int = SEED,
     workload=DEFAULT_WORKLOAD,
     min_seconds: float = DEFAULT_MIN_SECONDS,
+    haas_workload=HAAS_WORKLOAD,
 ) -> Dict[str, object]:
     """Time every algorithm on every query; returns the JSON report.
 
@@ -120,29 +172,59 @@ def run_benchmark(
     Each round rotates the order of the algorithms, and every run starts
     from a fresh garbage collection and runs with the collector off (as
     :mod:`timeit` does), so neither cache warmup nor the garbage another
-    algorithm left behind systematically favors one of them.
+    algorithm left behind systematically favors one of them.  The
+    ``C_out`` rows (``workload``) and the Haas rows (``haas_workload``)
+    draw their queries from generators of the same ``seed``.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    report: Dict[str, object] = {
+        "benchmark": "enumspeed",
+        "seed": seed,
+        "rounds": rounds,
+        "algorithms": list(ALGORITHMS),
+        "haas_algorithms": list(HAAS_ALGORITHMS),
+        "min_seconds": min_seconds,
+    }
+    divergences: List[str] = []
+    workloads = {"entries": workload, "haas_entries": haas_workload}
+    for key, section in SECTIONS.items():
+        report[key] = _measure(
+            section, workloads[key], rounds, seed, min_seconds, divergences
+        )
+    report["cost_divergences"] = divergences
+    return report
+
+
+def _measure(
+    section: _Section,
+    workload,
+    rounds: int,
+    seed: int,
+    min_seconds: float,
+    divergences: List[str],
+) -> List[Dict[str, object]]:
+    """One section's entries; cost divergences go to ``divergences``."""
+    algorithms = section.algorithms
     generator = QueryGenerator(seed=seed)
     queries = [
         (family, size, generator.generate(family, size))
         for family, size in workload
     ]
 
-    timings = [dict.fromkeys(ALGORITHMS, float("inf")) for _ in queries]
+    timings = [dict.fromkeys(algorithms, float("inf")) for _ in queries]
     costs: List[Dict[str, str]] = [{} for _ in queries]
     routed = [""] * len(queries)
     for round_index in range(rounds):
-        shift = round_index % len(ALGORITHMS)
-        order = ALGORITHMS[shift:] + ALGORITHMS[:shift]
+        shift = round_index % len(algorithms)
+        order = algorithms[shift:] + algorithms[:shift]
         for index, (_, _, query) in enumerate(queries):
             for name in order:
                 gc.collect()
                 gc.disable()  # as timeit does: no collector pauses timed
                 try:
                     started = time.perf_counter()
-                    result = _run_algorithm(name, query)
+                    result = _run_algorithm(name, query, section.cost_model)
                     elapsed = time.perf_counter() - started
                 finally:
                     gc.enable()
@@ -152,17 +234,16 @@ def run_benchmark(
                     routed[index] = result.pruning
 
     entries: List[Dict[str, object]] = []
-    divergences: List[str] = []
     for index, (family, size, _) in enumerate(queries):
         seconds = timings[index]
         reference = costs[index]["dpccp"]
-        for name in ALGORITHMS:
+        for name in algorithms:
             cost = costs[index][name]
             # Comparing float.hex() *strings*: exact equality is the whole
             # point of the divergence gate, not a float robustness bug.
             if cost != reference:  # repro: disable=no-float-cost-eq
                 divergences.append(
-                    f"{family}-{size}: {name} cost {cost} != "
+                    f"{family}-{size}{section.suffix}: {name} cost {cost} != "
                     f"dpccp cost {reference}"
                 )
         dpccp_seconds = seconds["dpccp"]
@@ -171,29 +252,21 @@ def run_benchmark(
             {
                 "family": family,
                 "relations": size,
-                "seconds": {name: seconds[name] for name in ALGORITHMS},
+                "seconds": {name: seconds[name] for name in algorithms},
                 "normed": {
                     name: (
                         seconds[name] / dpccp_seconds
                         if dpccp_seconds > 0
                         else float("inf")
                     )
-                    for name in ALGORITHMS
+                    for name in algorithms
                 },
                 "cost_hex": reference,
                 "routed": routed[index],
                 "gated": gated,
             }
         )
-    return {
-        "benchmark": "enumspeed",
-        "seed": seed,
-        "rounds": rounds,
-        "algorithms": list(ALGORITHMS),
-        "min_seconds": min_seconds,
-        "entries": entries,
-        "cost_divergences": divergences,
-    }
+    return entries
 
 
 def check_against(
@@ -205,41 +278,69 @@ def check_against(
 
     Only normed (machine-portable) times are compared, and only for
     entries both sides flagged as ``gated``.  Cost divergences in the
-    fresh report always fail, and so does a fresh entry whose ``auto``
-    normed time exceeds the faster of DPccp and DPconv by more than
-    ``threshold`` (unless both finish under the baseline's noise floor).
+    fresh report always fail, and so does a misrouted fresh entry: one
+    whose ``auto`` was routed to a candidate (DPccp or DPconv under
+    ``C_out``, DPccp or top-down APCBI under Haas) whose normed time
+    exceeds the faster candidate's by more than ``threshold`` (unless
+    both finish under the baseline's noise floor).
     An entry present in the baseline but missing from the report fails
     too — silently dropping the expensive rows is not a way to pass the
     gate.
     """
     failures = list(report.get("cost_divergences") or [])
     min_seconds = float(baseline.get("min_seconds", DEFAULT_MIN_SECONDS))
-    for entry in report.get("entries", []):
+    for key, section in SECTIONS.items():
+        failures += _check_section(
+            section,
+            report.get(key, []),
+            baseline.get(key, []),
+            threshold,
+            min_seconds,
+        )
+    return failures
+
+
+def _check_section(
+    section: _Section,
+    entries,
+    baseline_entries,
+    threshold: float,
+    min_seconds: float,
+) -> List[str]:
+    """:func:`check_against` for one report section."""
+    suffix = section.suffix
+    failures = []
+    for entry in entries:
         normed = entry["normed"]
         # A report without the column fails the baseline comparison below.
         if "auto" not in normed:
             continue
-        fastest = min(("dpccp", "dpconv"), key=normed.__getitem__)
-        seconds = entry["seconds"]
-        if max(seconds["auto"], seconds[fastest]) < min_seconds:
-            continue
-        if normed["auto"] > normed[fastest] * (1.0 + threshold):
+        name_of_row = f"{entry['family']}-{entry['relations']}{suffix}"
+        chosen = section.candidates.get(entry.get("routed"))
+        if chosen is None:
             failures.append(
-                f"{entry['family']}-{entry['relations']}: auto normed time "
-                f"{normed['auto']:.3f} (routed to {entry['routed']}) exceeds "
-                f"{fastest}'s {normed[fastest]:.3f} by more than "
-                f"{threshold:.0%}"
+                f"{name_of_row}: auto routed to {entry.get('routed')!r}, "
+                f"not one of {sorted(section.candidates)}"
             )
-    current = {
-        (e["family"], e["relations"]): e for e in report.get("entries", [])
-    }
-    for expected in baseline.get("entries", []):
+            continue
+        fastest = min(section.candidates.values(), key=normed.__getitem__)
+        seconds = entry["seconds"]
+        if max(seconds[chosen], seconds[fastest]) < min_seconds:
+            continue
+        if normed[chosen] > normed[fastest] * (1.0 + threshold):
+            failures.append(
+                f"{name_of_row}: auto routed to {chosen}, normed time "
+                f"{normed[chosen]:.3f}, which exceeds {fastest}'s "
+                f"{normed[fastest]:.3f} by more than {threshold:.0%}"
+            )
+    current = {(e["family"], e["relations"]): e for e in entries}
+    for expected in baseline_entries:
         key = (expected["family"], expected["relations"])
+        name_of_row = f"{key[0]}-{key[1]}{suffix}"
         entry = current.get(key)
         if entry is None:
             failures.append(
-                f"{key[0]}-{key[1]}: present in baseline but missing from "
-                "this run"
+                f"{name_of_row}: present in baseline but missing from this run"
             )
             continue
         if not (expected.get("gated") and entry.get("gated")):
@@ -247,7 +348,7 @@ def check_against(
         for name, baseline_normed in expected["normed"].items():
             observed = entry["normed"].get(name)
             if observed is None:
-                failures.append(f"{key[0]}-{key[1]}: {name} not measured")
+                failures.append(f"{name_of_row}: {name} not measured")
                 continue
             # A ratio of two ~10ms timings jitters well past any sensible
             # threshold; only gate an algorithm once one side of the
@@ -259,7 +360,7 @@ def check_against(
                 continue
             if observed > baseline_normed * (1.0 + threshold):
                 failures.append(
-                    f"{key[0]}-{key[1]}: {name} normed time "
+                    f"{name_of_row}: {name} normed time "
                     f"{observed:.3f} exceeds baseline "
                     f"{baseline_normed:.3f} by more than {threshold:.0%}"
                 )
@@ -268,15 +369,16 @@ def check_against(
 
 def _speedup_line(report: Dict[str, object]) -> str:
     lines = []
-    for entry in report["entries"]:
-        seconds = entry["seconds"]
-        dpconv = seconds.get("dpconv")
-        if dpconv:
-            speedup = seconds["dpccp"] / dpconv
+    for key, section in SECTIONS.items():
+        for entry in report.get(key, []):
+            seconds = entry["seconds"]
+            timed = " ".join(
+                f"{name} {seconds[name]:.3f}s"
+                for name in section.candidates.values()
+            )
+            name = f"{entry['family']}-{entry['relations']}{section.suffix}"
             lines.append(
-                f"{entry['family']}-{entry['relations']}: "
-                f"dpccp {seconds['dpccp']:.3f}s dpconv {dpconv:.3f}s "
-                f"({speedup:.1f}x) auto {seconds['auto']:.3f}s "
+                f"{name}: {timed} auto {seconds['auto']:.3f}s "
                 f"({entry['routed']})"
             )
     return "\n".join(lines)

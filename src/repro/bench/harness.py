@@ -296,6 +296,9 @@ def run_query_matrix(
     If the baseline itself fails, the algorithms are skipped (normed values
     would be meaningless without the denominator).
 
+    Automatic routing is pinned off (``auto_route=False``), so every spec
+    measures the algorithm it names.
+
     ``plan_cache`` shares one cross-query :class:`~repro.context.PlanCache`
     across the matrix (non-resilient runs only).  Entries are keyed per
     optimizer configuration, so the specs never see each other's plans —
@@ -334,6 +337,7 @@ def run_query_matrix(
                     pruning=spec.pruning,
                     cost_model_factory=cost_model_factory,
                     config=spec.config,
+                    auto_route=False,
                 )
                 outcome = wrapped.optimize(query, budget=budget)
                 if outcome.degraded:
@@ -350,6 +354,7 @@ def run_query_matrix(
                     cost_model_factory=cost_model_factory,
                     config=spec.config,
                     plan_cache=plan_cache,
+                    auto_route=False,
                 )
                 result = optimizer.optimize(query, budget=budget)
                 cost, elapsed, stats = result.cost, result.elapsed, result.stats

@@ -41,6 +41,13 @@ __all__ = ["main"]
 _COST_MODELS = {"haas": HaasCostModel, "cout": CoutCostModel}
 
 
+def _served_label(resilient, args) -> str:
+    """The algorithm that served an exact rung; the configured one else."""
+    if resilient.exact is not None:
+        return resilient.exact.label
+    return algorithm_label(args.enumerator, args.pruning)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-optimize",
@@ -244,7 +251,7 @@ def main(argv=None) -> int:
                 service_meta["shard"] = response.shard
             resilient = response.result
             report = resilient.report
-            label = algorithm_label(args.enumerator, args.pruning)
+            label = _served_label(resilient, args)
             if report.degraded:
                 label = f"{label} (degraded: {report.rung})"
             label = f"{label} [via service]"
@@ -259,7 +266,7 @@ def main(argv=None) -> int:
                 telemetry=telemetry,
             ).optimize(query, budget=budget)
             report = resilient.report
-            label = algorithm_label(args.enumerator, args.pruning)
+            label = _served_label(resilient, args)
             if report.degraded:
                 label = f"{label} (degraded: {report.rung})"
             plan, cost = resilient.plan, resilient.cost

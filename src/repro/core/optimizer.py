@@ -22,7 +22,12 @@ Under a ``C_out``-shaped cost model :meth:`Optimizer._select` routes by
 predicted work: one :func:`~repro.baselines.dpccp.enumerate_csg` pass
 lists the query graph's connected sets, DPconv's work over them is
 counted exactly and DPccp's estimated as :data:`DPCCP_WORK_PER_CSG` per
-set, and the cheaper of the two runs on the same list.
+set, and the cheaper of the two runs on the same list.  Under Haas costs
+an APCBI request is routed by predicted pruning yield: GOO runs once, and
+when its cost leaves more than :data:`HAAS_LIVE_SHARE` of the classes
+nearest the root live, DPccp serves in the numbering APCBI would have used
+(so the plan is APCBI's, bit for bit); otherwise APCBI serves, seeded with
+the same GOO run.
 
 Timing rule (§V-C), applied by :func:`_execute` alone: the measured
 interval covers everything the algorithm does at query time — including
@@ -30,8 +35,8 @@ the GOO heuristic and the graph renumbering of APCBI — but *excludes* the
 DPccp pre-pass that supplies APCBI_Opt's oracle upper bounds ("we do not
 include the pre-computation time", §V-C), which runs before the clock
 starts.  Building the per-query context is never timed.  A routed run is
-timed from before its connected-set pass, the enumeration the served
-algorithm would otherwise run itself.  A plan-cache hit is timed from
+timed from before its connected-set pass or heuristic, work the served
+algorithm would otherwise do itself.  A plan-cache hit is timed from
 before the fingerprint to the replayed plan.
 """
 
@@ -61,7 +66,9 @@ from repro.cost.cout import CoutCostModel
 from repro.cost.haas import HaasCostModel
 from repro.cost.model import CostModel
 from repro.errors import BudgetExceeded, UnknownAlgorithmError
+from repro.graph import bitset
 from repro.graph.renumber import invert_mapping, remap_bitset, renumber_mapping
+from repro.heuristics.base import HeuristicResult
 from repro.heuristics.registry import get_heuristic
 from repro.partitioning.registry import get_partitioning
 from repro.plans.join_tree import JoinTree
@@ -86,6 +93,7 @@ __all__ = [
     "run_dpccp",
     "run_dpconv",
     "DPCCP_WORK_PER_CSG",
+    "HAAS_LIVE_SHARE",
     "PRUNING_STRATEGIES",
     "PRUNING_SUFFIXES",
     "algorithm_label",
@@ -104,6 +112,23 @@ __all__ = [
 #: it would change the plan (not the cost) some queries get.
 #: docs/dpconv.md tabulates the rows.
 DPCCP_WORK_PER_CSG = 300
+
+#: Live share above which DPccp serves a Haas APCBI request.  Under Haas
+#: every join reads both inputs, so a connected class ``S`` other than the
+#: root whose ``pages(S)`` exceeds GOO's cost is in no optimal plan: APCBI
+#: prunes it at its parent's LBE and never expands it, while DPccp prices
+#: every ccp of it.  The router samples the connected classes of size
+#: ``n - 1`` and ``n - 2`` (:func:`_live_share`); when more than this share
+#: of them is live, pruning has little to cut and DPccp is faster.
+#: Measured over 126 queries (the ``cold_haas`` shapes at three statistics
+#: seeds, stars with ordinary statistics, spanning trees plus 1-3 edges at
+#: n = 12-16; best of 5), summed APCBI time over DPccp's by live share:
+#: below 0.5, 27 queries, 0.56 (APCBI faster on 26); 0.5-0.8, 16, 0.97;
+#: 0.8-0.9, 5, 1.09; 0.9-0.95, 9, 1.16; 0.95 and up, 69, 1.43 (DPccp
+#: faster on 62).  Any threshold from 0.6 to 0.9 serves the set at 0.78x
+#: APCBI's time; 0.9 keeps APCBI wherever the two are close.
+#: docs/dpconv.md has the study.
+HAAS_LIVE_SHARE = 0.9
 
 #: Pruning name -> plan generator class for the simple (non-APCBI) variants.
 PRUNING_STRATEGIES: Dict[str, Type[PlanGeneratorBase]] = {
@@ -133,12 +158,45 @@ _Prepared = Tuple[Any, OptimizationContext, Optional[List[int]], Optional[JoinTr
 
 @dataclass(frozen=True)
 class _Route:
-    """A selection made by predicted work (see :meth:`Optimizer._select`)."""
+    """An automatic selection (see :meth:`Optimizer._select`)."""
 
-    #: Clock reading before the connected-set pass: the run's start.
+    #: Clock reading before the selection's own work: the run's start.
     started: float
-    #: Candidate algorithm -> predicted work, in DPconv split probes.
-    predicted: Dict[str, int]
+    #: What the selection saw, recorded on its ``algorithm_selected``
+    #: event: the candidates and the prediction that chose between them.
+    evidence: Dict[str, Any]
+
+
+def _live_share(
+    context: OptimizationContext, bound: float
+) -> Tuple[float, int]:
+    """Share of the classes nearest the root that ``bound`` leaves live.
+
+    Samples the connected classes of size ``n - 1`` and ``n - 2`` (at most
+    ``n (n + 1) / 2`` sets, no connected-set pass).  A class is live when
+    ``pages(S) <= bound``: under Haas a join reads both inputs, so a plan
+    that joins a class above the bound costs more than the bound.  Returns
+    the share and the number of classes sampled (a share of 1 when there
+    are none).  Pages are priced unmemoized: the run the route picks may
+    never ask for these classes, and usually runs relabeled on a context
+    with its own provider.
+    """
+    graph = context.query.graph
+    pages = context.provider.estimate_pages
+    root = graph.all_vertices
+    n = graph.n_vertices
+    sampled = live = 0
+    for first in range(n):
+        outer = root ^ bitset.singleton(first)
+        nearest = [outer]
+        nearest.extend(
+            outer ^ bitset.singleton(second) for second in range(first + 1, n)
+        )
+        for vertex_set in nearest:
+            if graph.is_connected(vertex_set):
+                sampled += 1
+                live += pages(vertex_set) <= bound
+    return (live / sampled if sampled else 1.0), sampled
 
 
 def algorithm_label(enumerator: str, pruning: str) -> str:
@@ -262,8 +320,7 @@ def _execute(
         if route is not None:
             span.event(
                 "algorithm_selected",
-                candidates=tuple(route.predicted),
-                predicted_work=dict(route.predicted),
+                **route.evidence,
                 choice=pruning,
                 ccps_considered=context.stats.ccps_considered - considered,
             )
@@ -345,19 +402,28 @@ class Optimizer:
         is threaded into every per-query context, so every run records one
         ``enumerate`` span and the cache path emits ``plan_cache_hit``
         events.  Telemetry never influences plan choice.
-    dpconv_auto:
-        When True (the default), unbudgeted single-best runs whose bound
-        cost model is ``C_out``-shaped (and which DPconv's 24-relation
-        layout can hold) are routed by predicted work instead of running
-        the requested top-down algorithm: one connected-set pass predicts
-        DPconv's work exactly and DPccp's as :data:`DPCCP_WORK_PER_CSG`
-        per connected set, and the smaller prediction runs, on the same
-        connected-set list.  Dense graphs go to DPconv, sparse ones to
-        DPccp.  Every algorithm involved is exact, so the optimal *cost*
-        is unchanged; only wall-clock (and, on exact-cost ties, plan
-        shape) can differ.  The result reports ``pruning == "dpconv"`` or
-        ``"dpccp"`` for the algorithm that ran, and an armed trace
+    auto_route:
+        When True (the default), unbudgeted single-best runs are routed
+        automatically where a route applies (:meth:`_select`):
+
+        * a ``C_out``-shaped bound cost model (within DPconv's 24-relation
+          layout) routes any top-down request by predicted work: one
+          connected-set pass predicts DPconv's work exactly and DPccp's
+          as :data:`DPCCP_WORK_PER_CSG` per connected set, and the smaller
+          prediction runs, on the same connected-set list.  Both are
+          exact, so the optimal *cost* is unchanged; on exact-cost ties
+          DPconv's plan shape can differ.
+        * a Haas model routes ``pruning="apcbi"`` by predicted pruning
+          yield: the heuristic (GOO by default) runs once, and DPccp
+          serves when more than :data:`HAAS_LIVE_SHARE` of the classes
+          nearest the root are live under its cost.  DPccp then runs in
+          the numbering APCBI would have used, so the plan is APCBI's
+          bit for bit.
+
+        The result reports the algorithm that ran (``pruning ==
+        "dpconv"``, ``"dpccp"`` or the configured one), and an armed trace
         records an ``algorithm_selected`` event with the prediction.
+        Benchmarks that measure a named algorithm pass False.
     """
 
     def __init__(
@@ -370,7 +436,7 @@ class Optimizer:
         plan_cache: Optional[PlanCache] = None,
         telemetry: Optional["Telemetry"] = None,
         topk: int = 1,
-        dpconv_auto: bool = True,
+        auto_route: bool = True,
     ):
         if topk < 1:
             raise ValueError(f"topk must be >= 1, got {topk}")
@@ -382,7 +448,7 @@ class Optimizer:
         self.plan_cache = plan_cache
         self.telemetry = telemetry
         self.topk = topk
-        self.dpconv_auto = dpconv_auto
+        self.auto_route = auto_route
         self._signature: Optional[str] = None
         # Fail fast on typos.
         get_partitioning(enumerator)
@@ -409,7 +475,9 @@ class Optimizer:
         Two optimizers with the same signature produce the same plan for
         the same fingerprint, so they may share cache entries; anything
         that can change the winning plan (enumerator, pruning, cost model,
-        heuristic, advancement toggles) is included.
+        heuristic, advancement toggles, routing) is included.  Routing
+        adds a marker only when it is off, so the default keys keep their
+        format and persisted entries stay addressable.
         """
         if self._signature is None:
             flags = "".join(
@@ -425,6 +493,8 @@ class Optimizer:
                     flags,
                 )
             )
+            if not self.auto_route:
+                self._signature += "|unrouted"
         return self._signature
 
     def _cache_key(self, fp_key: str, topk: int) -> str:
@@ -527,25 +597,31 @@ class Optimizer:
     ) -> Tuple[str, str, Callable[..., _Prepared], Optional[_Route]]:
         """The algorithm that serves ``context``, and how to build it.
 
-        Returns ``(enumerator, pruning, prepare, route)``.  Unbudgeted
-        runs with ``dpconv_auto`` on and a context DPconv is eligible for
-        (a ``C_out``-shaped bound model, ``topk == 1``) are routed by
-        predicted work: one :func:`enumerate_csg` pass lists the
-        connected sets, DPconv's work over them is exact
-        (:func:`convolution_work`) and DPccp's is estimated as
-        :data:`DPCCP_WORK_PER_CSG` per set; the smaller prediction wins
-        (DPconv on a tie) and is handed the list, so nothing enumerates
-        the sets twice.  A budgeted run wants the top-down generators'
-        anytime best-so-far salvage and keeps the configured algorithm,
-        as does everything else.  Building an APCBI_Opt run starts its
-        oracle pre-pass, so only a cache miss may call this.
+        Returns ``(enumerator, pruning, prepare, route)``.  Two routes
+        apply to unbudgeted runs with ``auto_route`` on:
+
+        * A context DPconv is eligible for (a ``C_out``-shaped bound
+          model, ``topk == 1``) is routed by predicted work: one
+          :func:`enumerate_csg` pass lists the connected sets, DPconv's
+          work over them is exact (:func:`convolution_work`) and DPccp's
+          is estimated as :data:`DPCCP_WORK_PER_CSG` per set; the smaller
+          prediction wins (DPconv on a tie) and is handed the list, so
+          nothing enumerates the sets twice.
+        * A ``pruning="apcbi"`` request under Haas costs at ``topk == 1``
+          is routed by predicted pruning yield (:meth:`_route_haas`).
+
+        A budgeted run wants the top-down generators' anytime best-so-far
+        salvage and keeps the configured algorithm, as does everything
+        else.  Building an APCBI_Opt run starts its oracle pre-pass, so
+        only a cache miss may call this.
         """
         enumerator, pruning = self._configured(context)
         if pruning == "dpconv":
             return enumerator, pruning, _plain(DPconv), None
         if pruning == "dpccp":
             return enumerator, pruning, _prepare_dpconv_fallback, None
-        if self.dpconv_auto and budget is None and dpconv_eligible(context):
+        routed = self.auto_route and budget is None
+        if routed and dpconv_eligible(context):
             started = time.perf_counter()
             csgs = list(enumerate_csg(context.query.graph))
             predicted = {
@@ -555,7 +631,18 @@ class Optimizer:
             choice = min(predicted, key=predicted.__getitem__)
             algorithm = DPconv if choice == "dpconv" else DPccp
             prepare = _plain(partial(algorithm, csgs=csgs))
-            return choice, choice, prepare, _Route(started, predicted)
+            evidence = {
+                "candidates": tuple(predicted),
+                "predicted_work": predicted,
+            }
+            return choice, choice, prepare, _Route(started, evidence)
+        if (
+            routed
+            and pruning == "apcbi"
+            and context.topk == 1
+            and isinstance(context.cost_model, HaasCostModel)
+        ):
+            return self._route_haas(context)
         if pruning in PRUNING_STRATEGIES:
             prepare = _plain(
                 partial(
@@ -566,6 +653,52 @@ class Optimizer:
         else:
             prepare = self._prepare_apcbi(context, budget)
         return enumerator, pruning, prepare, None
+
+    def _route_haas(
+        self, context: OptimizationContext
+    ) -> Tuple[str, str, Callable[..., _Prepared], _Route]:
+        """APCBI or DPccp for an unbudgeted Haas request, by pruning yield.
+
+        The configured heuristic (GOO by default) runs once; when more
+        than :data:`HAAS_LIVE_SHARE` of the classes nearest the root are
+        live under its cost (:func:`_live_share`), pruning has little to
+        cut and DPccp serves.  DPccp runs in the numbering APCBI would
+        have used (advancement 6's renumbering of the same heuristic
+        tree), and both break exact-cost ties by ``(cost, fingerprint)``
+        in it, so the plan is APCBI's bit for bit.  Otherwise APCBI serves
+        and reuses the heuristic run.
+        """
+        started = time.perf_counter()
+        query = context.query
+        built = get_heuristic(self.heuristic).build(query, context.builder)
+        share, sampled = _live_share(context, built.cost)
+        route = _Route(
+            started,
+            {
+                "candidates": ("apcbi", "dpccp"),
+                "live_share": share,
+                "sampled_classes": sampled,
+                "upper_bound": built.cost,
+            },
+        )
+        if share <= HAAS_LIVE_SHARE:
+            prepare = self._prepare_apcbi(context, None, built)
+            return self.enumerator, "apcbi", prepare, route
+        mapping = None
+        if self._renumbers(query):
+            mapping = renumber_mapping(built.tree, query.n_relations)
+
+        def prepare(context, budget):
+            if mapping is not None:
+                context = context.relabeled(mapping)
+            algorithm = DPccp(context=context, budget=budget)
+            return algorithm, context, mapping, None
+
+        return "dpccp", "dpccp", prepare, route
+
+    def _renumbers(self, query: Query) -> bool:
+        """Whether APCBI runs ``query`` renumbered (advancement 6)."""
+        return self.config.renumber_graph and query.n_relations > 2
 
     def _run(
         self, context: OptimizationContext, budget: Optional["Budget"]
@@ -655,9 +788,16 @@ class Optimizer:
     # -- APCBI / APCBI_Opt -------------------------------------------------
 
     def _prepare_apcbi(
-        self, context: OptimizationContext, budget: Optional["Budget"]
+        self,
+        context: OptimizationContext,
+        budget: Optional["Budget"],
+        built: Optional[HeuristicResult] = None,
     ) -> Callable[..., _Prepared]:
         """Run APCBI_Opt's oracle pre-pass; return the timed preparation.
+
+        ``built`` is a heuristic result the router already computed in the
+        caller's numbering; APCBI then seeds and renumbers from it instead
+        of running the heuristic again.
 
         The pre-pass runs here, before :func:`_execute` starts its clock.
         It shares the run's budget: it is excluded from the *measured*
@@ -681,18 +821,23 @@ class Optimizer:
             query = context.query
             upper_bounds = oracle_bounds
             heuristic_tree = mapping = None
-            if config.renumber_graph and query.n_relations > 2:
+            result = built
+            renumbers = self._renumbers(query)
+            if renumbers:
                 # Advancement 6 needs a heuristic join tree before
                 # enumeration.  For APCBI_Opt the oracle's optimal tree
                 # doubles as the heuristic; otherwise the heuristic runs
-                # here (its tree also seeds the uB table, advancement 2).
+                # here, unless the router already ran it.
                 heuristic_tree = oracle_plan
-                if heuristic_tree is None:
-                    built = heuristic.build(query, context.builder)
-                    heuristic_tree = built.tree
-                    upper_bounds = {}
-                    if config.heuristic_upper_bounds:
-                        upper_bounds = dict(built.subtree_costs)
+                if heuristic_tree is None and result is None:
+                    result = heuristic.build(query, context.builder)
+            if result is not None:
+                # Its tree also seeds the uB table (advancement 2).
+                heuristic_tree = result.tree
+                upper_bounds = {}
+                if config.heuristic_upper_bounds:
+                    upper_bounds = dict(result.subtree_costs)
+            if renumbers:
                 mapping = renumber_mapping(heuristic_tree, query.n_relations)
                 # The renumbered query runs on a relabeled context: own
                 # provider and bound model, shared counters and budget.

@@ -136,6 +136,18 @@ class StatisticsProvider:
                 cardinality *= value
         return cardinality
 
+    def estimate_pages(self, vertex_set: int) -> float:
+        """Pages of ``vertex_set``, priced without memoizing stats.
+
+        The same value as ``stats(vertex_set).pages``.  Callers that probe
+        sets the run they serve may never ask for (the Haas router's
+        live-share sample) use this and grow no memo.
+        """
+        cached = self._cache.get(vertex_set)
+        if cached is not None:
+            return cached.pages
+        return self._compute(vertex_set).pages
+
     def _compute(self, vertex_set: int) -> IntermediateStats:
         cardinality = self.estimate_cardinality(vertex_set)
         widths = self._widths

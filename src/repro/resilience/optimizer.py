@@ -181,6 +181,9 @@ class ResilientOptimizer:
         ``rung``), budget exhaustion and degradation become span events,
         and the bundle is threaded into the per-query context so the
         enumerators underneath trace too.
+    auto_route:
+        Handed to the exact optimizer: False keeps an unbudgeted exact
+        rung on the configured algorithm (benchmarks that measure it).
     """
 
     def __init__(
@@ -197,6 +200,7 @@ class ResilientOptimizer:
         plan_cache=None,
         telemetry: Optional[Telemetry] = None,
         topk: int = 1,
+        auto_route: bool = True,
     ):
         if topk < 1:
             raise ValueError(f"topk must be >= 1, got {topk}")
@@ -209,6 +213,7 @@ class ResilientOptimizer:
             plan_cache=plan_cache,
             telemetry=telemetry,
             topk=topk,
+            auto_route=auto_route,
         )
         self._topk = topk
         self._cost_model_factory = cost_model_factory

@@ -203,7 +203,7 @@ class TestFacadeRouting:
         query = QueryGenerator(seed=2).generate("clique", 7)
         auto = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
         exact = Optimizer(
-            cost_model_factory=CoutCostModel, dpconv_auto=False
+            cost_model_factory=CoutCostModel, auto_route=False
         ).optimize(query)
         assert auto.pruning == "dpconv"
         assert auto.cost.hex() == exact.cost.hex()
@@ -211,7 +211,7 @@ class TestFacadeRouting:
     def test_auto_fast_path_respects_opt_out(self, csg_passes):
         query = QueryGenerator(seed=2).generate("clique", 7)
         result = Optimizer(
-            cost_model_factory=CoutCostModel, dpconv_auto=False
+            cost_model_factory=CoutCostModel, auto_route=False
         ).optimize(query)
         assert result.pruning == "apcbi"
         assert csg_passes == []

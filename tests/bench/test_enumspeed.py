@@ -35,7 +35,9 @@ def _report(entries, divergences=()):
 class TestRunBenchmark:
     def test_small_matrix_agrees_bit_for_bit(self):
         report = run_benchmark(
-            rounds=1, workload=(("chain", 5), ("clique", 6))
+            rounds=1,
+            workload=(("chain", 5), ("clique", 6)),
+            haas_workload=(("star", 5), ("acyclic", 6)),
         )
         assert report["cost_divergences"] == []
         assert [e["family"] for e in report["entries"]] == ["chain", "clique"]
@@ -50,6 +52,15 @@ class TestRunBenchmark:
                 "auto",
             }
             assert entry["routed"] in ("dpconv", "dpccp")
+        haas = report["haas_entries"]
+        assert [(e["family"], e["relations"]) for e in haas] == [
+            ("star", 5),
+            ("acyclic", 6),
+        ]
+        for entry in haas:
+            assert entry["normed"]["dpccp"] == pytest.approx(1.0)
+            assert set(entry["seconds"]) == {"dpccp", "topdown_apcbi", "auto"}
+            assert entry["routed"] in ("apcbi", "dpccp")
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
@@ -144,11 +155,11 @@ class TestCheckAgainst:
 
 
 class TestRoutingGate:
-    def _routed(self, auto, scale=1.0):
+    def _routed(self, auto, scale=1.0, routed="dpccp"):
         normed = {"dpccp": 1.0, "dpconv": 1.6, "topdown_apcbi": 0.9, "auto": auto}
         seconds = {name: value * scale for name, value in normed.items()}
         entry = _entry("cycle", 20, normed, seconds=seconds, gated=False)
-        entry["routed"] = "dpccp"
+        entry["routed"] = routed
         return _report([entry])
 
     def test_auto_at_the_faster_algorithm_passes(self):
@@ -159,14 +170,27 @@ class TestRoutingGate:
         # Routed to DPconv where DPccp is faster: auto tracks the 1.6.
         # The entry is not gated (DPccp itself may be fast); a misroute
         # that costs real time fails anyway.
-        report = self._routed(1.6)
+        report = self._routed(1.6, routed="dpconv")
         failures = check_against(report, copy.deepcopy(report))
         assert len(failures) == 1
         assert "cycle-20" in failures[0] and "dpccp" in failures[0]
 
+    def test_noise_on_the_faster_algorithm_is_not_a_misroute(self):
+        # Routed to DPccp, the faster candidate; auto's own run of it
+        # came out 30% slower than the bare DPccp column.  Two runs of
+        # one algorithm differing is timing noise, not a wrong choice.
+        report = self._routed(1.3)
+        assert check_against(report, copy.deepcopy(report)) == []
+
+    def test_a_route_outside_the_candidates_fails(self):
+        report = self._routed(0.9, routed="apcbi")
+        failures = check_against(report, copy.deepcopy(report))
+        assert len(failures) == 1
+        assert "cycle-20" in failures[0] and "'apcbi'" in failures[0]
+
     def test_sub_floor_entries_are_not_routing_checked(self):
-        # Both sides finish in 16 ms or less: the ratio is noise.
-        report = self._routed(1.6, scale=0.01)
+        # Both candidates finish in 16 ms or less: the ratio is noise.
+        report = self._routed(1.6, scale=0.01, routed="dpconv")
         assert check_against(report, copy.deepcopy(report)) == []
 
     def test_a_baseline_with_auto_fails_a_report_without_it(self):
@@ -176,3 +200,47 @@ class TestRoutingGate:
         del report["entries"][0]["normed"]["auto"]
         failures = check_against(report, baseline)
         assert failures == ["cycle-20: auto not measured"]
+
+
+class TestHaasSection:
+    """The Haas rows: candidates DPccp and top-down APCBI."""
+
+    def _report(self, routed, apcbi=0.2, auto=0.21):
+        normed = {"dpccp": 1.0, "topdown_apcbi": apcbi, "auto": auto}
+        entry = _entry("acyclic", 19, normed)
+        entry["routed"] = routed
+        report = _report([])
+        report["haas_entries"] = [entry]
+        return report
+
+    def test_the_faster_route_passes(self):
+        report = self._report("apcbi")
+        assert check_against(report, copy.deepcopy(report)) == []
+
+    def test_routing_to_dpccp_where_apcbi_wins_fails(self):
+        report = self._report("dpccp", auto=1.0)
+        failures = check_against(report, copy.deepcopy(report))
+        assert len(failures) == 1
+        assert failures[0].startswith("acyclic-19 (haas): auto routed to dpccp")
+        assert "topdown_apcbi" in failures[0]
+
+    def test_a_baseline_regression_names_the_section(self):
+        baseline = self._report("apcbi")
+        slow = copy.deepcopy(baseline)
+        slow["haas_entries"][0]["normed"]["topdown_apcbi"] = 0.4
+        slow["haas_entries"][0]["normed"]["auto"] = 0.41
+        failures = check_against(slow, baseline)
+        assert failures == [
+            "acyclic-19 (haas): topdown_apcbi normed time 0.400 exceeds "
+            "baseline 0.200 by more than 15%",
+            "acyclic-19 (haas): auto normed time 0.410 exceeds "
+            "baseline 0.210 by more than 15%",
+        ]
+
+    def test_a_row_missing_from_the_run_fails(self):
+        baseline = self._report("apcbi")
+        report = copy.deepcopy(baseline)
+        report["haas_entries"] = []
+        assert check_against(report, baseline) == [
+            "acyclic-19 (haas): present in baseline but missing from this run"
+        ]

@@ -16,6 +16,7 @@ from repro.baselines import dpccp as dpccp_module
 from repro.baselines import dpconv as dpconv_module
 from repro.core.optimizer import Optimizer, run_dpccp
 from repro.cost.cout import CoutCostModel
+from repro.plans.join_tree import plan_fingerprint
 from repro.plans.validation import validate_plan
 from repro.workload.generator import QueryGenerator
 
@@ -123,6 +124,40 @@ class TestOptimizerIntegration:
         pcb.optimize(query)
         assert cache.hits == 0 and cache.misses == 2
         assert len(cache) == 2
+
+    @pytest.mark.parametrize("first", ["routed", "unrouted"])
+    def test_routing_on_and_off_do_not_share_entries(self, first):
+        # Under C_out the routed optimizer serves DPconv's plan and the
+        # unrouted one APCBI's: equal costs, different tie plans here.
+        query = QueryGenerator(seed=2).generate("clique", 7)
+        cache = PlanCache()
+        optimizers = {
+            "routed": Optimizer(cost_model_factory=CoutCostModel, plan_cache=cache),
+            "unrouted": Optimizer(
+                cost_model_factory=CoutCostModel,
+                plan_cache=cache,
+                auto_route=False,
+            ),
+        }
+        second = "unrouted" if first == "routed" else "routed"
+        served = {
+            name: optimizers[name].optimize(query) for name in (first, second)
+        }
+        assert cache.hits == 0 and cache.misses == 2
+        assert len(cache) == 2
+        assert served["routed"].pruning == "dpconv"
+        assert served["unrouted"].pruning == "apcbi"
+        assert plan_fingerprint(served["routed"].plan) != plan_fingerprint(
+            served["unrouted"].plan
+        )
+
+    def test_routing_on_keeps_the_default_key_format(self):
+        # Persisted entries written before routing had a switch stay
+        # addressable: only the opt-out adds a marker.
+        routed = Optimizer()._config_signature()
+        unrouted = Optimizer(auto_route=False)._config_signature()
+        assert routed == "mincut_conservative|apcbi|haas|goo|111111"
+        assert unrouted == f"{routed}|unrouted"
 
     def test_cacheless_optimizer_is_unchanged(self, query):
         bare = Optimizer().optimize(query)

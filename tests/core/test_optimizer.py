@@ -47,7 +47,7 @@ class TestLabels:
 
 class TestResultEnvelope:
     def test_fields(self, small_query):
-        result = optimize(small_query)
+        result = Optimizer(auto_route=False).optimize(small_query)
         assert result.plan.vertex_set == small_query.graph.all_vertices
         assert result.cost == result.plan.cost
         assert result.elapsed > 0
@@ -96,17 +96,19 @@ class TestApcbiOpt:
     def test_oracle_time_excluded_from_elapsed(self, cyclic_query):
         """APCBI_Opt's elapsed must not include the DPccp pre-pass; as a
         proxy, it should stay within a small factor of plain APCBI."""
-        apcbi = optimize(cyclic_query, pruning="apcbi")
+        apcbi = Optimizer(pruning="apcbi", auto_route=False).optimize(
+            cyclic_query
+        )
         opt = optimize(cyclic_query, pruning="apcbi_opt")
         assert opt.elapsed < 20 * max(apcbi.elapsed, 1e-4)
 
 
 class TestCostModelInjection:
     def test_cout_factory(self, small_query):
-        # dpconv_auto off keeps the run on the top-down generator the
+        # auto_route off keeps the run on the top-down generator the
         # injected model must reach.
         result = Optimizer(
-            cost_model_factory=CoutCostModel, dpconv_auto=False
+            cost_model_factory=CoutCostModel, auto_route=False
         ).optimize(small_query)
         baseline = run_dpccp(small_query, cost_model_factory=CoutCostModel)
         assert result.pruning == "apcbi"
@@ -151,7 +153,7 @@ _SPAN_KEYS = {
 _ALGORITHMS = {
     **{
         pruning: lambda query, telemetry, pruning=pruning: Optimizer(
-            pruning=pruning, telemetry=telemetry
+            pruning=pruning, telemetry=telemetry, auto_route=False
         ).optimize(query)
         for pruning in ("none", "acb", "pcb", "apcb", "apcbi", "apcbi_opt")
     },
@@ -161,6 +163,9 @@ _ALGORITHMS = {
     "dpconv_fallback": lambda query, telemetry: Optimizer(
         pruning="dpconv", telemetry=telemetry
     ).optimize(query),
+    "auto": lambda query, telemetry: Optimizer(telemetry=telemetry).optimize(
+        query
+    ),
     "run_dpccp": lambda query, telemetry: run_dpccp(query, telemetry=telemetry),
     "run_dpconv": lambda query, telemetry: run_dpconv(
         query, telemetry=telemetry

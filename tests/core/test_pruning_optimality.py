@@ -21,14 +21,14 @@ PRUNINGS = ("none", "acb", "pcb", "apcb", "apcbi", "apcbi_opt")
 
 def _assert_optimal(query, enumerator, pruning, config=None, cost_model=HaasCostModel):
     baseline = run_dpccp(query, cost_model)
-    # dpconv_auto off: under C_out the facade would otherwise route to
+    # auto_route off: under C_out the facade would otherwise route to
     # DPconv or DPccp, and the pruning under test would never run.
     result = Optimizer(
         enumerator=enumerator,
         pruning=pruning,
         cost_model_factory=cost_model,
         config=config,
-        dpconv_auto=False,
+        auto_route=False,
     ).optimize(query)
     assert result.pruning == pruning
     assert result.cost == pytest.approx(baseline.cost, rel=1e-9), (

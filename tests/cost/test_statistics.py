@@ -179,6 +179,17 @@ class TestFactorTable:
         assert provider.cache_size() == query.n_relations
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_estimated_pages_build_no_stats_objects(self, family):
+        query = QueryGenerator(seed=2).generate(family, 8)
+        provider = StatisticsProvider(query)
+        reference = StatisticsProvider(query)
+        for vertex_set in enumerate_csg(query.graph):
+            assert provider.estimate_pages(vertex_set) == (
+                reference.stats(vertex_set).pages
+            )
+        assert provider.cache_size() == query.n_relations
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_dpconv_prices_each_class_like_the_provider(self, family, monkeypatch):
         """DPconv's per-class ``c(S)`` is ``provider.cardinality(S)``."""
         query = QueryGenerator(seed=3).generate(family, 9)

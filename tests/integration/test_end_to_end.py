@@ -60,7 +60,9 @@ class TestRobustnessAcrossEnumerators:
         for enumerator in (
             "mincut_lazy", "mincut_branch", "mincut_conservative"
         ):
-            result = optimize(query, enumerator=enumerator, pruning="apcbi")
+            result = Optimizer(
+                enumerator=enumerator, pruning="apcbi", auto_route=False
+            ).optimize(query)
             built[enumerator] = result.stats.plan_classes_built
         values = list(built.values())
         spread = (max(values) - min(values)) / max(1, max(values))

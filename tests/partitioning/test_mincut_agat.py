@@ -72,9 +72,11 @@ class TestGenerateAndTestCharacter:
         assert agat_order != conservative_order
 
     def test_works_as_optimizer_enumerator(self, small_query):
-        from repro.core.optimizer import optimize, run_dpccp
+        from repro.core.optimizer import Optimizer, run_dpccp
 
         baseline = run_dpccp(small_query)
-        result = optimize(small_query, enumerator="mincut_agat", pruning="apcbi")
+        result = Optimizer(
+            enumerator="mincut_agat", pruning="apcbi", auto_route=False
+        ).optimize(small_query)
         assert result.cost == pytest.approx(baseline.cost)
         assert result.label == "TDMcA_APCBI"

@@ -13,7 +13,9 @@ class TestGeneratedQueries:
     def test_text_output(self, capsys):
         assert main(["--family", "chain", "--relations", "5", "--seed", "1"]) == 0
         output = capsys.readouterr().out
-        assert "TDMcC_APCBI" in output
+        # GOO's bound leaves this query nothing to prune: the Haas route
+        # serves it with DPccp, and the label names what ran.
+        assert "DPccp" in output
         assert "cost" in output
         assert "Scan" in output
 
@@ -53,6 +55,18 @@ class TestGeneratedQueries:
                 "--heuristic", heuristic, "--verify",
             ]
         ) == 0
+
+
+class TestRoutingLabels:
+    """The printed algorithm is the one that ran, on every CLI path."""
+
+    ARGV = ["--family", "clique", "--relations", "6", "--seed", "1", "--json"]
+
+    @pytest.mark.parametrize("path", [[], ["--resilient"], ["--via-service"]])
+    def test_a_routed_query_is_labelled_dpccp(self, capsys, path):
+        assert main(self.ARGV + path) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["algorithm"].startswith("DPccp")
 
 
 class TestQueryDocuments:
