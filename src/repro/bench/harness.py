@@ -146,10 +146,10 @@ class NormedSummary:
 class FailureCounts:
     """How many per-query runs ended in each failure class.
 
-    ``retries`` and ``breaker_trips`` extend the taxonomy for service-mode
-    runs (:mod:`repro.bench.service`): they count *recoveries*, not lost
-    queries — a retried request that eventually returned a plan appears in
-    ``retries`` but in none of the failure classes — so neither
+    ``retries`` and ``breaker_trips`` extend the taxonomy for the chaos
+    soak report (:mod:`repro.service.soak`): they count *recoveries*, not
+    lost queries — a retried request that eventually returned a plan
+    appears in ``retries`` but in none of the failure classes — so neither
     contributes to :attr:`total`.
     """
 
@@ -179,7 +179,7 @@ class FailureCounts:
         )
 
     def as_dict(self) -> Dict[str, int]:
-        """JSON-ready counter mapping (service reports, soak output)."""
+        """JSON-ready counter mapping (the soak report's ``failures``)."""
         return {
             "timeouts": self.timeouts,
             "errors": self.errors,

@@ -9,8 +9,13 @@ Three experiments over the durable L2 tier, one JSON report::
     queries, served twice: by a cold process (fresh segment, every first
     occurrence enumerates and persists) and by a warm-started process (a
     brand-new cache over the same segment — empty L1, recovery-warmed
-    L2).  Reports both hit rates and asserts the warm pass is
-    bit-identical to the cold one and never re-enumerates.
+    L2) that receives every pool query with its relation numbering
+    shuffled, the adversarial case for the fingerprint.  Reports the
+    share of requests each pass served from either tier and asserts the
+    warm pass serves every request from cache, never re-enumerates,
+    returns costs bit-identical to the cold pass, and answers the first
+    request of each distinct query at least ``REQUIRED_SPEEDUP`` times
+    faster than the cold pass enumerated it.
 
 ``admission_sweep``
     The same cold workload under increasing ``min_expansions``
@@ -80,6 +85,14 @@ DEFAULT_THRESHOLDS = (0, 50, 500, 5_000, 10**9)
 #: Entry counts for the recovery curve.
 DEFAULT_LOG_SIZES = (16, 64, 256, 1024)
 
+#: The warm pass must answer the first request of each distinct query
+#: (an L2 read) at least this much faster than the cold pass enumerated
+#: it.  Five runs on the default pool on a shared 2-core machine read
+#: 6.5-14.6x.  Only first requests count: Zipf repeats already hit L1 in
+#: the cold pass, so the whole-pass ratio read 1.4-3.0x and a gate there
+#: would flake.
+REQUIRED_SPEEDUP = 2.0
+
 
 def _pool(seed: int, shapes: Sequence[Tuple[str, int]]) -> List[Query]:
     generator = QueryGenerator(seed=seed)
@@ -93,26 +106,46 @@ def _zipf_trace(seed: int, pool_size: int, requests: int) -> List[int]:
     return rng.choices(range(pool_size), weights=weights, k=requests)
 
 
+def _permuted(queries: Sequence[Query], seed: int) -> List[Query]:
+    """The same queries with shuffled relation numbering (isomorphic)."""
+    rng = random.Random(seed)
+    permuted = []
+    for query in queries:
+        mapping = list(range(query.n_relations))
+        rng.shuffle(mapping)
+        permuted.append(query.relabel(mapping))
+    return permuted
+
+
 def _replay(
     cache: TieredPlanCache, pool: Sequence[Query], trace: Sequence[int]
 ) -> Dict[str, object]:
     """Serve ``trace`` through one optimizer over ``cache``."""
     optimizer = Optimizer(plan_cache=cache)
-    started = time.perf_counter()
     costs = []
     enumerated = 0
+    seconds = first_request_seconds = 0.0
+    seen = set()
     for index in trace:
+        started = time.perf_counter()
         result = optimizer.optimize(pool[index])
+        elapsed = time.perf_counter() - started
+        seconds += elapsed
+        if index not in seen:
+            seen.add(index)
+            first_request_seconds += elapsed
         costs.append(result.cost.hex())
         if result.memo_entries:
             enumerated += 1
     return {
-        "seconds": time.perf_counter() - started,
+        "seconds": seconds,
+        "first_request_seconds": first_request_seconds,
         "costs": costs,
         "enumerated": enumerated,
         "l1_hits": cache.hits,
         "l2_hits": cache.l2_hits,
-        "hit_rate": cache.hits / len(trace),
+        # An L2 hit counts as an L1 miss, so the served share adds both.
+        "hit_rate": (cache.hits + cache.l2_hits) / len(trace),
     }
 
 
@@ -122,7 +155,8 @@ def run_zipfian_replay(
     shapes: Sequence[Tuple[str, int]] = DEFAULT_POOL_SHAPES,
     requests: int = DEFAULT_REQUESTS,
 ) -> Dict[str, object]:
-    """Cold replay populating the segment, then a warm-started replay."""
+    """Cold replay populating the segment, then a warm-started replay
+    of the same trace over relabeled queries."""
     os.makedirs(store_dir, exist_ok=True)
     pool = _pool(seed, shapes)
     trace = _zipf_trace(seed + 1, len(pool), requests)
@@ -135,7 +169,7 @@ def run_zipfian_replay(
 
     # "Warm start": a fresh process image — empty L1, recovery-warmed L2.
     warm_cache = TieredPlanCache.open(path)
-    warm = _replay(warm_cache, pool, trace)
+    warm = _replay(warm_cache, _permuted(pool, seed + 2), trace)
     warm_entries = warm_cache.snapshot()["l2"]["warm_entries"]
     warm_cache.close()
 
@@ -148,13 +182,27 @@ def run_zipfian_replay(
             f"warm replay produced {mismatches} cost(s) not bit-identical "
             "to the cold replay"
         )
-    if warm["enumerated"]:
+    if warm["enumerated"] or warm["hit_rate"] != 1.0:
         violations.append(
-            f"warm replay re-enumerated {warm['enumerated']} request(s); "
+            f"warm replay re-enumerated {warm['enumerated']} relabeled "
+            f"request(s) and served {warm['hit_rate']:.0%} from cache; "
             "every lookup should be served from L1 or the warm L2"
         )
     if warm["l2_hits"] == 0:
         violations.append("warm replay never hit L2 — warm start is vacuous")
+    # The cold pass enumerated each distinct query's first request; the
+    # warm pass read it from L2.
+    warm_first = warm["first_request_seconds"]
+    speedup = (
+        cold["first_request_seconds"] / warm_first
+        if warm_first > 0
+        else float("inf")
+    )
+    if speedup < REQUIRED_SPEEDUP:
+        violations.append(
+            f"first-request speedup {speedup:.2f}x < {REQUIRED_SPEEDUP}x: "
+            "the warm L2 read should beat cold enumeration"
+        )
 
     return {
         "pool": [list(pair) for pair in shapes],
@@ -165,7 +213,10 @@ def run_zipfian_replay(
         "warm_entries": warm_entries,
         "cold": {k: v for k, v in cold.items() if k != "costs"},
         "warm": {k: v for k, v in warm.items() if k != "costs"},
+        "first_request_speedup": speedup,
+        "required_speedup": REQUIRED_SPEEDUP,
         "cold_costs": cold["costs"][: len(pool)],
+        "warm_costs": warm["costs"][: len(pool)],
         "violations": violations,
     }
 
@@ -264,9 +315,14 @@ def run_tiered_benchmark(
 ) -> Dict[str, object]:
     """All three experiments in one throwaway store directory."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-tiered-") as tmp:
-        replay = run_zipfian_replay(tmp, seed=seed, requests=requests)
-        admission = run_admission_sweep(tmp, seed=seed)
-        recovery = run_recovery_curve(tmp, seed=seed)
+        # The defaults are read here, at call time, so tests can shrink them.
+        replay = run_zipfian_replay(
+            tmp, seed=seed, shapes=DEFAULT_POOL_SHAPES, requests=requests
+        )
+        admission = run_admission_sweep(
+            tmp, seed=seed, shapes=DEFAULT_POOL_SHAPES
+        )
+        recovery = run_recovery_curve(tmp, seed=seed, sizes=DEFAULT_LOG_SIZES)
     return {
         "benchmark": "plancache_tiered",
         "seed": seed,
@@ -309,8 +365,9 @@ def main(argv=None) -> int:
         f"tiered cache: cold {replay['cold']['seconds']:.3f}s "
         f"(hit rate {replay['cold']['hit_rate']:.0%}), "
         f"warm {replay['warm']['seconds']:.3f}s "
-        f"(hit rate {replay['warm']['hit_rate']:.0%}, "
-        f"{replay['warm']['l2_hits']} L2 hits); "
+        f"(hit rate {replay['warm']['hit_rate']:.0%} on relabeled queries, "
+        f"{replay['warm']['l2_hits']} L2 hits, first-request speedup "
+        f"{replay['first_request_speedup']:.1f}x); "
         f"recovery of {recovery['entries']} entries "
         f"({recovery['bytes']} B) in {recovery['seconds'] * 1e3:.1f}ms"
     )

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.service import service_failure_counts
+from repro.bench.harness import FailureCounts
 from repro.context.plancache import PlanCache
 from repro.context.store import atomic_write_text
 from repro.cost.model import CostModel
@@ -322,7 +322,7 @@ class SoakReport:
         payload: Dict[str, object] = {"passed": self.passed}
         for group, names in self._GROUPS.items():
             payload[group] = {name: getattr(self, name) for name in names}
-        payload["failures"] = service_failure_counts(
+        payload["failures"] = FailureCounts(
             timeouts=self.timeouts,
             errors=self.failed,
             degraded=self.degraded_responses,

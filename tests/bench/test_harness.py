@@ -14,6 +14,7 @@ from repro.bench.harness import (
     run_query_matrix,
     run_workload,
 )
+from repro.context import PlanCache
 from repro.resilience import Budget
 from repro.workload.generator import QueryGenerator
 
@@ -111,6 +112,34 @@ class TestRunWorkload:
     def test_normed_times_series(self, workload):
         measurement = run_workload(workload, FAST)
         assert len(measurement.normed_times("TDMcC")) == 4
+
+
+class TestHarnessPlanCache:
+    def test_matrix_reuses_the_cache_across_repeats(self):
+        query = QueryGenerator(seed=7).generate("cycle", 6)
+        specs = [AlgorithmSpec("mincut_conservative", "apcbi")]
+        cache = PlanCache()
+        first = run_query_matrix(query, specs, plan_cache=cache)
+        second = run_query_matrix(query, specs, plan_cache=cache)
+        assert not first.failures and not second.failures
+        # One DPccp-verified entry per config; the repeat hit it.
+        assert cache.misses == 1
+        assert cache.hits == 1
+
+    def test_workload_passes_the_cache_through(self):
+        generator = QueryGenerator(seed=9)
+        queries = [generator.generate("chain", 5)] * 2
+        specs = [AlgorithmSpec("mincut_conservative", "pcb")]
+        cache = PlanCache()
+        measurement = run_workload(queries, specs, plan_cache=cache)
+        assert len(measurement.measurements) == 2
+        assert cache.hits == 1
+
+    def test_without_a_cache_nothing_changes(self):
+        query = QueryGenerator(seed=7).generate("chain", 5)
+        specs = [AlgorithmSpec("mincut_conservative", "apcbi")]
+        measurement = run_query_matrix(query, specs)
+        assert not measurement.failures
 
 
 class TestFailureCounts:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.plancache_tiered import (
     main,
     run_admission_sweep,
@@ -11,6 +13,13 @@ from repro.bench.plancache_tiered import (
 
 # Small enough for a unit test, varied enough that admission discriminates.
 TINY_SHAPES = (("chain", 5), ("star", 5), ("cycle", 6), ("chain", 8))
+
+
+@pytest.fixture(autouse=True)
+def no_speedup_gate(monkeypatch):
+    # Tiny queries enumerate in microseconds, so the first-request speedup
+    # is noise here; timing stays out of the unit assertions.
+    monkeypatch.setattr("repro.bench.plancache_tiered.REQUIRED_SPEEDUP", 0.0)
 
 
 class TestZipfianReplay:
@@ -25,6 +34,20 @@ class TestZipfianReplay:
         assert report["warm"]["l2_hits"] == len(TINY_SHAPES)
         # Zipf trace: repeats dominate, so the cold half already hits L1.
         assert report["cold"]["hit_rate"] > 0.5
+
+    def test_first_request_speedup_gate_fails_the_replay(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.bench.plancache_tiered.REQUIRED_SPEEDUP", float("inf")
+        )
+        report = run_zipfian_replay(
+            str(tmp_path), shapes=TINY_SHAPES, requests=24
+        )
+        assert report["first_request_speedup"] > 0
+        assert report["required_speedup"] == float("inf")
+        [violation] = report["violations"]
+        assert violation.startswith("first-request speedup")
 
     def test_trace_is_seed_deterministic(self, tmp_path):
         first = run_zipfian_replay(

@@ -1,32 +1,16 @@
-"""Service-mode bench harness: percentiles, throughput, failure taxonomy."""
+"""Latency percentiles as the service benchmarks (perfbench, the soak)
+summarize their samples."""
 
-import json
 import math
 
 import pytest
 
-from repro.bench.harness import FailureCounts
-from repro.bench.service import (
-    ServiceBenchReport,
-    percentile,
-    run_service_bench,
-    service_failure_counts,
-)
-from repro.workload.generator import QueryGenerator
-
-
-@pytest.fixture
-def queries():
-    generator = QueryGenerator(seed=17)
-    return [
-        ("chain-5", generator.generate("chain", 5)),
-        ("star-5", generator.generate("star", 5)),
-    ]
+from repro.telemetry.summary import percentile
 
 
 class TestPercentile:
     def test_empty_is_nan(self):
-        # Regression: the old implementation returned 0.0 for an empty
+        # Regression: an old implementation returned 0.0 for an empty
         # sample set, which read as "impossibly fast", not "no data".
         assert math.isnan(percentile([], 95.0))
 
@@ -45,65 +29,3 @@ class TestPercentile:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101.0)
-
-
-class TestServiceFailureCounts:
-    def test_builds_the_shared_taxonomy(self):
-        counts = service_failure_counts(
-            timeouts=1, errors=2, retries=3, breaker_trips=4
-        )
-        assert isinstance(counts, FailureCounts)
-        assert counts.total == 3  # recovery counters excluded
-        assert counts.as_dict()["retries"] == 3
-        assert counts.as_dict()["breaker_trips"] == 4
-
-
-class TestRunServiceBench:
-    def test_bench_completes_and_reports(self, queries):
-        report = run_service_bench(queries, repeats=2, workers=2)
-        assert report.completed == 4
-        assert report.failed == 0
-        assert report.rejected == 0
-        assert report.throughput > 0
-        assert report.elapsed_seconds > 0
-        assert report.rung_histogram.get("exact") == 4
-        assert report.service_time["p95"] >= report.service_time["p50"]
-        assert report.failures.total == 0
-
-    def test_report_serializes_to_json(self, queries):
-        report = run_service_bench(queries, repeats=1, workers=2)
-        payload = json.loads(report.to_json())
-        assert payload["completed"] == 2
-        assert "retries" in payload["failures"]
-        assert "breaker_trips" in payload["failures"]
-        assert "p99" in payload["service_seconds"]
-
-    def test_describe_is_human_readable(self, queries):
-        report = run_service_bench(queries, repeats=1, workers=1)
-        text = report.describe()
-        assert "throughput" in text
-        assert "rungs" in text
-
-    def test_repeats_must_be_positive(self, queries):
-        with pytest.raises(ValueError):
-            run_service_bench(queries, repeats=0)
-
-    def test_empty_report_defaults(self):
-        report = ServiceBenchReport(
-            requests=0, completed=0, failed=0, timeouts=0, rejected=0,
-            elapsed_seconds=0.0, throughput=0.0,
-        )
-        assert report.as_dict()["failures"]["total_failed"] == 0
-
-    def test_empty_percentiles_render_as_null_and_na(self):
-        # NaN percentiles must not leak into JSON (no NaN literal there)
-        # or into the human-readable rendering.
-        report = ServiceBenchReport(
-            requests=0, completed=0, failed=0, timeouts=0, rejected=0,
-            elapsed_seconds=0.0, throughput=0.0,
-            queue_wait={"p50": float("nan"), "p95": float("nan"),
-                        "p99": float("nan"), "max": float("nan")},
-        )
-        payload = json.loads(report.to_json())
-        assert payload["queue_wait_seconds"]["p95"] is None
-        assert "p50=n/a" in report.describe()
