@@ -20,22 +20,29 @@ shape together with **quantized** statistics:
 
 Canonicalization runs Weisfeiler–Lehman color refinement seeded with the
 quantized vertex statistics, then places vertices greedily by (refined
-color, adjacency-to-placed signature).  Vertices the refinement cannot
-distinguish are interchangeable under every statistic the cost model sees,
-so any tie choice yields the same canonical payload; for pathological
-regular graphs where that is not the case the failure mode is a cache
-*miss* (two isomorphic queries get different keys), never a false hit —
-the key hashes the full canonical payload, so equal keys imply genuinely
-isomorphic queries with bucket-identical statistics.
+color, adjacency-to-placed signature), breaking ties by vertex id.  The
+statistics are quantized once per call, and each vertex's signature grows
+as its neighbors are placed, so placement never rescans the graph.
+
+The key hashes the full canonical payload, so equal keys imply isomorphic
+queries with *bucket*-identical statistics, not identical ones, and a hit
+is not always an optimal plan.  Vertices that tie on every bucket are
+placed by vertex id, so an exact isomorph numbered differently can be
+mapped onto the cached entry with two near-identical relations swapped:
+the replayed plan is valid but can cost more than a cold run (a
+suboptimal hit).  ``perfbench/README.md`` ("Known defect: suboptimal
+cache hits") has a repro on ``acyclic`` n=12, seed 25.  On pathological
+regular graphs, where the refinement cannot separate vertices that are
+not interchangeable, the failure mode is a cache *miss*: two isomorphic
+queries get different keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.graph import bitset
 from repro.query import Query
 
 __all__ = [
@@ -75,52 +82,93 @@ class QueryFingerprint:
         return f"QueryFingerprint({self.key[:12]}…, n={len(self.mapping)})"
 
 
-def _vertex_seeds(query: Query, steps: int) -> List[Tuple[int, int]]:
-    """Initial WL colors: (quantized cardinality, tuple width) per vertex."""
-    return [
+def _quantized(
+    query: Query, steps: int
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int, int]]]:
+    """The query's statistics, quantized once per fingerprint.
+
+    Returns the initial WL colors, ``(quantized cardinality, tuple width)``
+    per vertex, and the edges as ``(u, v, quantized selectivity)``.
+    """
+    catalog = query.catalog
+    seeds = [
         (
-            quantize(query.catalog.cardinality(index), steps),
-            query.catalog.relation(index).tuple_width,
+            quantize(catalog.cardinality(index), steps),
+            catalog.relation(index).tuple_width,
         )
         for index in range(query.n_relations)
     ]
+    edges = [
+        (u, v, quantize(catalog.selectivity(u, v), steps))
+        for u, v in query.graph.edges
+    ]
+    return seeds, edges
 
 
-def _refine(query: Query, steps: int) -> List[int]:
+def _ranked(raw: Sequence) -> List[int]:
+    # Rank colors by their *sorted structural value*, never by first
+    # occurrence: first-seen ids would depend on the original vertex
+    # numbering, which is exactly what the fingerprint must ignore.
+    order = {value: rank for rank, value in enumerate(sorted(set(raw)))}
+    return [order[value] for value in raw]
+
+
+def _refine(
+    seeds: List[Tuple[int, int]], neighbors: List[List[Tuple[int, int]]]
+) -> List[int]:
     """Weisfeiler–Lehman refinement; returns a stable color per vertex."""
-    graph = query.graph
-    n = query.n_relations
-    qsel: Dict[Tuple[int, int], int] = {
-        (u, v): quantize(query.catalog.selectivity(u, v), steps)
-        for u, v in graph.edges
-    }
-
-    def edge_bucket(u: int, v: int) -> int:
-        return qsel[(u, v) if u < v else (v, u)]
-
-    def ranked(raw: Sequence) -> List[int]:
-        # Rank colors by their *sorted structural value*, never by first
-        # occurrence: first-seen ids would depend on the original vertex
-        # numbering, which is exactly what the fingerprint must ignore.
-        order = {value: rank for rank, value in enumerate(sorted(set(raw)))}
-        return [order[value] for value in raw]
-
-    colors = ranked(_vertex_seeds(query, steps))
+    n = len(seeds)
+    colors = _ranked(seeds)
     for _ in range(n):
-        raw = []
-        for vertex in range(n):
-            signature = tuple(
-                sorted(
-                    (colors[neighbor], edge_bucket(vertex, neighbor))
-                    for neighbor in bitset.iter_bits(graph.adjacency(vertex))
+        refined = _ranked(
+            [
+                (
+                    colors[vertex],
+                    tuple(sorted((colors[u], bucket) for u, bucket in adjacent)),
                 )
-            )
-            raw.append((colors[vertex], signature))
-        refined = ranked(raw)
+                for vertex, adjacent in enumerate(neighbors)
+            ]
+        )
         if refined == colors:
             break
         colors = refined
     return colors
+
+
+def _canonical(
+    seeds: List[Tuple[int, int]], edges: List[Tuple[int, int, int]]
+) -> List[int]:
+    """``mapping[original] = canonical`` from quantized statistics."""
+    n = len(seeds)
+    neighbors: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, bucket in edges:
+        neighbors[u].append((v, bucket))
+        neighbors[v].append((u, bucket))
+    colors = _refine(seeds, neighbors)
+
+    # Greedy placement.  attached[v] lists (position, bucket) for v's
+    # placed neighbors; positions are handed out in increasing order, so
+    # appending keeps it sorted.  Vertices already attached to the placed
+    # prefix come first (keeps the prefix connected); among those, lowest
+    # refined color, then lexicographically smallest attachment, then
+    # lowest vertex id — the numbering must not depend on hash-table
+    # layout.
+    attached: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    placed = [False] * n
+    remaining = list(range(n))
+    mapping = [0] * n
+    for position in range(n):
+        chosen = min(
+            remaining,
+            key=lambda v: (0 if attached[v] else 1, colors[v], attached[v], v),
+        )
+        remaining.remove(chosen)
+        placed[chosen] = True
+        mapping[chosen] = position
+        for neighbor, bucket in neighbors[chosen]:
+            if not placed[neighbor]:
+                attached[neighbor].append((position, bucket))
+    return mapping
 
 
 def canonical_mapping(query: Query, steps: int = QUANT_STEPS) -> List[int]:
@@ -131,46 +179,7 @@ def canonical_mapping(query: Query, steps: int = QUANT_STEPS) -> List[int]:
     ``query.relabel(canonical_mapping(query))`` is the canonical form and
     :func:`~repro.graph.renumber.invert_mapping` translates back.
     """
-    graph = query.graph
-    n = query.n_relations
-    colors = _refine(query, steps)
-    qsel: Dict[Tuple[int, int], int] = {
-        (u, v): quantize(query.catalog.selectivity(u, v), steps)
-        for u, v in graph.edges
-    }
-
-    def edge_bucket(u: int, v: int) -> int:
-        return qsel[(u, v) if u < v else (v, u)]
-
-    position: Dict[int, int] = {}
-    remaining = set(range(n))
-    while remaining:
-        best_vertex = -1
-        best_key: Tuple = ()
-        # Sorted so equal-key ties break on the lowest vertex id rather
-        # than set iteration order — the canonical numbering must not
-        # depend on hash-table layout.
-        for vertex in sorted(remaining):
-            placed_adjacency = tuple(
-                sorted(
-                    (position[neighbor], edge_bucket(vertex, neighbor))
-                    for neighbor in bitset.iter_bits(graph.adjacency(vertex))
-                    if neighbor in position
-                )
-            )
-            # Vertices already attached to the placed prefix come first
-            # (keeps the prefix connected); among those, lowest refined
-            # color, then lexicographically smallest attachment.
-            key = (0 if placed_adjacency else 1, colors[vertex], placed_adjacency)
-            if best_vertex < 0 or key < best_key:
-                best_vertex, best_key = vertex, key
-        position[best_vertex] = len(position)
-        remaining.remove(best_vertex)
-
-    mapping = [0] * n
-    for original, canonical in position.items():
-        mapping[original] = canonical
-    return mapping
+    return _canonical(*_quantized(query, steps))
 
 
 def fingerprint(query: Query, steps: int = QUANT_STEPS) -> QueryFingerprint:
@@ -181,22 +190,18 @@ def fingerprint(query: Query, steps: int = QUANT_STEPS) -> QueryFingerprint:
     queries share a key iff their canonical forms coincide bucket for
     bucket.
     """
-    mapping = canonical_mapping(query, steps)
-    seeds = _vertex_seeds(query, steps)
+    seeds, edges = _quantized(query, steps)
+    mapping = _canonical(seeds, edges)
     vertices = [None] * query.n_relations  # type: List
     for original, canonical in enumerate(mapping):
         vertices[canonical] = seeds[original]
-    edges = sorted(
-        (
-            min(mapping[u], mapping[v]),
-            max(mapping[u], mapping[v]),
-            quantize(query.catalog.selectivity(u, v), steps),
-        )
-        for u, v in query.graph.edges
+    relabeled = sorted(
+        (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]), bucket)
+        for u, v, bucket in edges
     )
     payload = (
         f"n={query.n_relations};steps={steps};"
-        f"V={vertices!r};E={edges!r}"
+        f"V={vertices!r};E={relabeled!r}"
     )
     key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return QueryFingerprint(key, tuple(mapping), payload)

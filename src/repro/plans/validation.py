@@ -5,6 +5,12 @@ and its query, :func:`validate_plan` checks every invariant an optimal
 bushy cross-product-free join tree must satisfy and recomputes the
 accumulated costs from scratch with the given cost model.  Violations
 raise :class:`PlanValidationError` with a precise description.
+
+The optimizers run :func:`check_finite` and :func:`validate_plan` on every
+plan they serve, cache hits included, so both sit on the hot path.  Each
+check therefore tests its condition first and formats its message only
+when the condition fails: a valid plan costs the comparisons and nothing
+else.
 """
 
 from __future__ import annotations
@@ -31,11 +37,6 @@ class PlanValidationError(ReproError):
     """Raised when a join tree violates a structural or cost invariant."""
 
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise PlanValidationError(message)
-
-
 def validate_plan(
     plan: JoinTree,
     query: Query,
@@ -53,18 +54,18 @@ def validate_plan(
     * when a ``cost_model`` is given, every node's accumulated cost equals
       a from-scratch recomputation.
     """
-    _check(
-        plan.vertex_set == query.graph.all_vertices,
-        "plan does not cover exactly the query's relations: "
-        f"{bitset.format_set(plan.vertex_set)} != "
-        f"{bitset.format_set(query.graph.all_vertices)}",
-    )
+    if plan.vertex_set != query.graph.all_vertices:
+        raise PlanValidationError(
+            "plan does not cover exactly the query's relations: "
+            f"{bitset.format_set(plan.vertex_set)} != "
+            f"{bitset.format_set(query.graph.all_vertices)}"
+        )
     seen = set()
     for leaf in plan.leaves():
-        _check(
-            leaf.relation not in seen,
-            f"relation R{leaf.relation} appears more than once in the plan",
-        )
+        if leaf.relation in seen:
+            raise PlanValidationError(
+                f"relation R{leaf.relation} appears more than once in the plan"
+            )
         seen.add(leaf.relation)
     # Imported lazily: repro.context builds on repro.plans, so a module-level
     # import here would close a package cycle during interpreter start-up.
@@ -74,11 +75,11 @@ def validate_plan(
     _validate_node(plan, query, provider)
     if cost_model is not None:
         recomputed = recompute_cost(plan, provider, cost_model)
-        _check(
-            costs_close(plan.cost, recomputed, rel=_COST_TOLERANCE),
-            f"plan cost {plan.cost!r} does not match recomputation "
-            f"{recomputed!r}",
-        )
+        if not costs_close(plan.cost, recomputed, rel=_COST_TOLERANCE):
+            raise PlanValidationError(
+                f"plan cost {plan.cost!r} does not match recomputation "
+                f"{recomputed!r}"
+            )
 
 
 def check_finite(plan: JoinTree) -> None:
@@ -95,26 +96,26 @@ def check_finite(plan: JoinTree) -> None:
     stack = [plan]
     while stack:
         node = stack.pop()
-        _check(
-            math.isfinite(node.cost),
-            f"non-finite cost {node.cost!r} at "
-            f"{bitset.format_set(node.vertex_set)}",
-        )
-        _check(
-            node.cost >= -COST_ABS_TOLERANCE,
-            f"negative cost {node.cost!r} at "
-            f"{bitset.format_set(node.vertex_set)}",
-        )
-        _check(
-            math.isfinite(node.cardinality),
-            f"non-finite cardinality {node.cardinality!r} at "
-            f"{bitset.format_set(node.vertex_set)}",
-        )
-        _check(
-            node.cardinality >= 0,
-            f"negative cardinality {node.cardinality!r} at "
-            f"{bitset.format_set(node.vertex_set)}",
-        )
+        if not math.isfinite(node.cost):
+            raise PlanValidationError(
+                f"non-finite cost {node.cost!r} at "
+                f"{bitset.format_set(node.vertex_set)}"
+            )
+        if not node.cost >= -COST_ABS_TOLERANCE:
+            raise PlanValidationError(
+                f"negative cost {node.cost!r} at "
+                f"{bitset.format_set(node.vertex_set)}"
+            )
+        if not math.isfinite(node.cardinality):
+            raise PlanValidationError(
+                f"non-finite cardinality {node.cardinality!r} at "
+                f"{bitset.format_set(node.vertex_set)}"
+            )
+        if not node.cardinality >= 0:
+            raise PlanValidationError(
+                f"negative cardinality {node.cardinality!r} at "
+                f"{bitset.format_set(node.vertex_set)}"
+            )
         if isinstance(node, JoinNode):
             stack.append(node.left)
             stack.append(node.right)
@@ -125,44 +126,47 @@ def _validate_node(
 ) -> None:
     graph = query.graph
     if isinstance(node, LeafNode):
-        _check(
-            node.cardinality == query.catalog.cardinality(node.relation),
-            f"leaf R{node.relation} carries cardinality {node.cardinality}, "
-            f"catalog says {query.catalog.cardinality(node.relation)}",
-        )
-        _check(cost_is_zero(node.cost), "leaf nodes must have zero cost")
+        if node.cardinality != query.catalog.cardinality(node.relation):
+            raise PlanValidationError(
+                f"leaf R{node.relation} carries cardinality {node.cardinality}, "
+                f"catalog says {query.catalog.cardinality(node.relation)}"
+            )
+        if not cost_is_zero(node.cost):
+            raise PlanValidationError("leaf nodes must have zero cost")
         return
     assert isinstance(node, JoinNode)
     left, right = node.left, node.right
-    _check(
-        left.vertex_set & right.vertex_set == 0,
-        f"join inputs overlap at {bitset.format_set(node.vertex_set)}",
-    )
-    _check(
-        left.vertex_set | right.vertex_set == node.vertex_set,
-        f"join vertex set is not the union of its inputs at "
-        f"{bitset.format_set(node.vertex_set)}",
-    )
-    _check(
-        graph.is_connected(left.vertex_set),
-        f"left input {bitset.format_set(left.vertex_set)} is disconnected",
-    )
-    _check(
-        graph.is_connected(right.vertex_set),
-        f"right input {bitset.format_set(right.vertex_set)} is disconnected",
-    )
-    _check(
-        graph.are_connected(left.vertex_set, right.vertex_set),
-        f"cross product at {bitset.format_set(node.vertex_set)}: no join "
-        "edge between the inputs",
-    )
+    if left.vertex_set & right.vertex_set != 0:
+        raise PlanValidationError(
+            f"join inputs overlap at {bitset.format_set(node.vertex_set)}"
+        )
+    if left.vertex_set | right.vertex_set != node.vertex_set:
+        raise PlanValidationError(
+            f"join vertex set is not the union of its inputs at "
+            f"{bitset.format_set(node.vertex_set)}"
+        )
+    if not graph.is_connected(left.vertex_set):
+        raise PlanValidationError(
+            f"left input {bitset.format_set(left.vertex_set)} is disconnected"
+        )
+    if not graph.is_connected(right.vertex_set):
+        raise PlanValidationError(
+            f"right input {bitset.format_set(right.vertex_set)} is disconnected"
+        )
+    if not graph.are_connected(left.vertex_set, right.vertex_set):
+        raise PlanValidationError(
+            f"cross product at {bitset.format_set(node.vertex_set)}: no join "
+            "edge between the inputs"
+        )
     expected_cardinality = provider.cardinality(node.vertex_set)
-    _check(
+    if not (
         abs(node.cardinality - expected_cardinality)
-        <= 1e-9 * max(1.0, expected_cardinality),
-        f"cardinality mismatch at {bitset.format_set(node.vertex_set)}: "
-        f"plan says {node.cardinality}, estimator says {expected_cardinality}",
-    )
+        <= 1e-9 * max(1.0, expected_cardinality)
+    ):
+        raise PlanValidationError(
+            f"cardinality mismatch at {bitset.format_set(node.vertex_set)}: "
+            f"plan says {node.cardinality}, estimator says {expected_cardinality}"
+        )
     _validate_node(left, query, provider)
     _validate_node(right, query, provider)
 

@@ -237,6 +237,12 @@ class SoakRecord:
     error: Optional[str] = None
 
 
+#: Breaker transitions :meth:`SoakReport.describe` prints: the most recent
+#: ones.  A chaos soak trips and re-closes breakers hundreds of times; the
+#: full trace stays in the JSON report.
+BREAKER_TRACE_TAIL = 5
+
+
 @dataclass
 class SoakReport:
     """Everything one soak run observed, JSON-ready.
@@ -374,13 +380,17 @@ class SoakReport:
             f"(pid {kill['pid']})"
             for kill in self.kills or ()
         )
-        for title, entries in (
-            ("breaker trace", self.breaker_trace),
-            ("violations", self.violations),
-        ):
-            if entries:
-                lines.append(f"{title}:")
-                lines.extend(f"  {entry}" for entry in entries)
+        trace = self.breaker_trace
+        if trace:
+            tail = trace[-BREAKER_TRACE_TAIL:]
+            lines.append(
+                f"breaker trace: {len(trace)} transition(s), last {len(tail)} "
+                "shown (the JSON report has all):"
+            )
+            lines.extend(f"  {entry}" for entry in tail)
+        if self.violations:
+            lines.append("violations:")
+            lines.extend(f"  {entry}" for entry in self.violations)
         return "\n".join(lines)
 
 

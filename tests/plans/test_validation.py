@@ -5,9 +5,11 @@ from hypothesis import given
 
 from repro.cost.haas import HaasCostModel
 from repro.core.optimizer import optimize
+from repro.graph import bitset
 from repro.plans.join_tree import JoinNode, LeafNode
 from repro.plans.validation import (
     PlanValidationError,
+    _validate_node,
     check_finite,
     recompute_cost,
     validate_plan,
@@ -138,3 +140,156 @@ class TestRecomputeCost:
         provider = StatisticsProvider(small_query)
         leaf = LeafNode(0, small_query.catalog.cardinality(0))
         assert recompute_cost(leaf, provider, HaasCostModel()) == 0.0
+
+
+def _leaf(query, relation):
+    return LeafNode(relation, query.catalog.cardinality(relation))
+
+
+def _join(provider, left, right, operator_cost=1.0):
+    return JoinNode(
+        left,
+        right,
+        provider.cardinality(left.vertex_set | right.vertex_set),
+        operator_cost,
+    )
+
+
+def _message(call, *args):
+    with pytest.raises(PlanValidationError) as raised:
+        call(*args)
+    return str(raised.value)
+
+
+class TestExactMessages:
+    """Every check, broken on its own, raises its message verbatim.
+
+    Each test breaks one node of the valid plan ``((R0 R1) R2)`` over a
+    3-chain, so the check under test is the first to fire and the
+    assertion pins both its text and the order of the checks before it.
+    """
+
+    @pytest.fixture
+    def query(self, generator):
+        return generator.generate("chain", 3)
+
+    @pytest.fixture
+    def provider(self, query):
+        return StatisticsProvider(query)
+
+    @pytest.fixture
+    def plan(self, query, provider):
+        inner = _join(provider, _leaf(query, 0), _leaf(query, 1))
+        return _join(provider, inner, _leaf(query, 2))
+
+    def test_cover(self, query, plan):
+        assert _message(validate_plan, plan.left, query) == (
+            "plan does not cover exactly the query's relations: "
+            "{R0, R1} != {R0, R1, R2}"
+        )
+
+    def test_duplicate_relation(self, query, plan):
+        plan.left.right = _leaf(query, 0)
+        assert _message(validate_plan, plan, query) == (
+            "relation R0 appears more than once in the plan"
+        )
+
+    def test_leaf_cardinality(self, query, plan):
+        catalog = query.catalog.cardinality(0)
+        plan.left.left = LeafNode(0, catalog + 1)
+        assert _message(validate_plan, plan, query) == (
+            f"leaf R0 carries cardinality {catalog + 1}, catalog says {catalog}"
+        )
+
+    def test_leaf_cost(self, query, plan):
+        plan.left.left.cost = 5.0
+        assert _message(validate_plan, plan, query) == (
+            "leaf nodes must have zero cost"
+        )
+
+    def test_overlap(self, query, plan):
+        plan.left.vertex_set = 0b111
+        assert _message(validate_plan, plan, query) == (
+            "join inputs overlap at {R0, R1, R2}"
+        )
+
+    def test_union(self, query, plan):
+        plan.left.vertex_set = 0b001
+        assert _message(validate_plan, plan, query) == (
+            "join vertex set is not the union of its inputs at {R0, R1, R2}"
+        )
+
+    def test_left_disconnected(self, query, provider):
+        outer = _join(provider, _leaf(query, 0), _leaf(query, 2))
+        plan = _join(provider, outer, _leaf(query, 1))
+        assert _message(validate_plan, plan, query) == (
+            "left input {R0, R2} is disconnected"
+        )
+
+    def test_right_disconnected(self, query, provider):
+        inner = _join(provider, _leaf(query, 0), _leaf(query, 2))
+        plan = _join(provider, _leaf(query, 1), inner)
+        assert _message(validate_plan, plan, query) == (
+            "right input {R0, R2} is disconnected"
+        )
+
+    def test_cross_product(self, query, provider):
+        # A parent's connectivity check always fires before a cross
+        # product below it can be seen, so the check is driven on the
+        # offending subtree itself.
+        cross = _join(provider, _leaf(query, 0), _leaf(query, 2))
+        assert _message(_validate_node, cross, query, provider) == (
+            "cross product at {R0, R2}: no join edge between the inputs"
+        )
+
+    def test_cardinality_mismatch(self, query, provider, plan):
+        expected = provider.cardinality(0b011)
+        plan.left.cardinality = expected * 2
+        assert _message(validate_plan, plan, query) == (
+            f"cardinality mismatch at {{R0, R1}}: plan says {expected * 2}, "
+            f"estimator says {expected}"
+        )
+
+    def test_cost_mismatch(self, query, provider):
+        inner = _join(provider, _leaf(query, 0), _leaf(query, 1))
+        plan = _join(provider, inner, _leaf(query, 2), operator_cost=123456.0)
+        recomputed = recompute_cost(plan, provider, HaasCostModel())
+        assert _message(validate_plan, plan, query, HaasCostModel()) == (
+            f"plan cost {plan.cost!r} does not match recomputation "
+            f"{recomputed!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "attribute, value, expected",
+        [
+            ("cost", float("nan"), "non-finite cost nan at {R0, R1}"),
+            ("cost", float("inf"), "non-finite cost inf at {R0, R1}"),
+            ("cost", -5.0, "negative cost -5.0 at {R0, R1}"),
+            ("cardinality", float("nan"), "non-finite cardinality nan at {R0, R1}"),
+            ("cardinality", -2.0, "negative cardinality -2.0 at {R0, R1}"),
+        ],
+    )
+    def test_check_finite(self, plan, attribute, value, expected):
+        setattr(plan.left, attribute, value)
+        assert _message(check_finite, plan) == expected
+
+
+class TestValidPlansFormatNothing:
+    """A plan that passes builds no message: ``format_set`` never runs."""
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [("chain", 9), ("cycle", 8), ("star", 7), ("clique", 6),
+         ("acyclic", 9), ("cyclic", 8)],
+    )
+    def test_valid_plan_of_every_family(self, generator, monkeypatch, family, n):
+        query = generator.generate(family, n)
+        plan = optimize(query).plan
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("format_set called while validating a valid plan")
+
+        monkeypatch.setattr(bitset, "format_set", refuse)
+        check_finite(plan)
+        validate_plan(plan, query)
+        validate_plan(plan, query, HaasCostModel())

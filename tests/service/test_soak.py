@@ -179,6 +179,18 @@ class TestRunSoak:
         assert not report.passed
         assert report.as_dict()["passed"] is False
 
+    def test_describe_prints_the_count_and_last_five_transitions(self):
+        trace = [f"shard-{i % 2}: closed -> open @{i}" for i in range(200)]
+        report = SoakReport(
+            seconds=1.0, seed=0, rate=0.0, workers=1, breaker_trace=trace
+        )
+        described = report.describe()
+        assert "breaker trace: 200 transition(s), last 5 shown" in described
+        shown = [line.strip() for line in described.splitlines() if "->" in line]
+        assert shown == trace[-5:]
+        # The JSON report keeps every transition.
+        assert report.as_dict()["breaker_trace"] == trace
+
     def test_traced_soak_replays_with_zero_mismatches(self, tmp_path):
         # Telemetry determinism under chaos + concurrency: an armed soak
         # must still replay bit-identically against the disarmed
