@@ -7,11 +7,22 @@ same role as in the paper: the state-of-the-art baseline whose runtime is
 the denominator of every *normed time*, and the oracle that supplies
 optimal per-class costs for APCBI_Opt.
 
-Implementation note: the published emission order is compatible with
-dynamic programming; we nevertheless bucket pairs by the size of their
-union before the DP sweep, which makes the correctness argument local at
-the price of materializing the pair list (fine at the sizes pure Python can
-enumerate; the overhead is charged to DPccp's measured runtime).
+Implementation note: EnumerateCsg, EnumerateCsgRec and EnumerateCmp are
+recursive functions that hand each set to a callback (a list's
+``append``), not generators — a ``yield from`` chain costs a frame
+resumption per level for every set it passes up.  They keep the
+published emission order.  That order is compatible with dynamic
+programming; :meth:`DPccp.run` nevertheless files each pair into a
+bucket by the size of its union as it is listed, and the sweep reads the
+buckets in size order, which makes the correctness argument local at the
+price of holding the pairs once (fine at the sizes pure Python can
+enumerate; the overhead is charged to DPccp's measured runtime).  The run
+takes each connected set as EnumerateCsg emits it, lists its complements
+and charges the budget once per pair, in emission order, before the next
+set is listed; the sweep charges again per pair.  Each ccp is priced in one
+:meth:`~repro.plans.builder.PlanBuilder.price` call, which asks the cost
+model for both join orders at once
+(:meth:`~repro.cost.model.CostModel.join_costs`).
 
 At ``k = 1`` the sweep keeps flat per-class cost and split tables, as
 DPconv does, and builds only the winning tree (``n - 1`` joins) at the
@@ -22,8 +33,18 @@ either way.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isnan
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.context.context import OptimizationContext
 from repro.cost.model import CostModel
@@ -42,62 +63,82 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
 __all__ = ["DPccp", "enumerate_csg_cmp_pairs", "enumerate_csg"]
 
 
-def _neighborhood(graph: QueryGraph, subset: int, exclude: int) -> int:
-    """``N(subset) \\ exclude`` within the full graph."""
-    return graph.neighborhood(subset) & ~exclude
-
-
 def _enumerate_csg_rec(
-    graph: QueryGraph, subset: int, exclude: int
-) -> Iterator[int]:
-    """EnumerateCsgRec: emit ``subset`` enlarged by neighborhood subsets."""
-    neighbors = _neighborhood(graph, subset, exclude)
+    neighborhood: Callable[[int], int],
+    subset: int,
+    exclude: int,
+    emit: Callable[[int], object],
+) -> None:
+    """EnumerateCsgRec: emit ``subset`` enlarged by neighborhood subsets.
+
+    ``neighborhood`` is the graph's memoized ``N(.)``.  Every enlargement
+    is emitted first, then each one recurses, in the published order.
+    """
+    neighbors = neighborhood(subset) & ~exclude
     if not neighbors:
         return
-    for extension in bitset.iter_subsets(neighbors):
-        yield subset | extension
+    # Descending subsets of the neighborhood (bitset.iter_subsets' order),
+    # walked twice rather than through a generator or a held list.
+    extension = neighbors
+    while extension:
+        emit(subset | extension)
+        extension = (extension - 1) & neighbors
     blocked = exclude | neighbors
-    for extension in bitset.iter_subsets(neighbors):
-        yield from _enumerate_csg_rec(graph, subset | extension, blocked)
+    extension = neighbors
+    while extension:
+        _enumerate_csg_rec(neighborhood, subset | extension, blocked, emit)
+        extension = (extension - 1) & neighbors
 
 
-def enumerate_csg(graph: QueryGraph) -> Iterator[int]:
-    """EnumerateCsg: every connected subset, each exactly once."""
-    n = graph.n_vertices
-    for index in range(n - 1, -1, -1):
+def _emit_csgs(graph: QueryGraph, emit: Callable[[int], object]) -> None:
+    """EnumerateCsg: hand every connected subset to ``emit``, in order."""
+    neighborhood = graph.neighborhood
+    for index in range(graph.n_vertices - 1, -1, -1):
         start = bitset.singleton(index)
-        yield start
+        emit(start)
         forbidden = bitset.full_set(index + 1)  # B_i: all vertices <= index
-        yield from _enumerate_csg_rec(graph, start, forbidden)
+        _enumerate_csg_rec(neighborhood, start, forbidden, emit)
 
 
-def _enumerate_cmp(graph: QueryGraph, subset: int) -> Iterator[int]:
-    """EnumerateCmp: connected complements pairing with ``subset``."""
-    min_index = bitset.lowest_index(subset)
-    forbidden = subset | bitset.full_set(min_index + 1)  # B_min(S1) u S1
-    neighbors = _neighborhood(graph, subset, forbidden)
+def enumerate_csg(graph: QueryGraph) -> List[int]:
+    """EnumerateCsg: every connected subset, each exactly once, in order."""
+    out: List[int] = []
+    _emit_csgs(graph, out.append)
+    return out
+
+
+def _enumerate_cmp(neighborhood: Callable[[int], int], subset: int) -> List[int]:
+    """EnumerateCmp: the connected complements pairing with ``subset``."""
+    out: List[int] = []
+    append = out.append
+    forbidden = subset | bitset.full_set(bitset.lowest_index(subset) + 1)
+    neighbors = neighborhood(subset) & ~forbidden  # B_min(S1) u S1 excluded
     remaining = neighbors
     # Hot per-csg loop: highest-bit extraction stays inlined.
     while remaining:
         high = 1 << (remaining.bit_length() - 1)  # repro: disable=bitset-discipline
         remaining ^= high
-        yield high
+        append(high)
         below = (high - 1) & neighbors  # B_i n N
-        yield from _enumerate_csg_rec(graph, high, forbidden | below)
+        _enumerate_csg_rec(neighborhood, high, forbidden | below, append)
+    return out
 
 
 def enumerate_csg_cmp_pairs(
     graph: QueryGraph, csgs: Optional[Iterable[int]] = None
-) -> Iterator[Tuple[int, int]]:
-    """Every csg-cmp pair of the graph, each symmetric pair once.
+) -> List[Tuple[int, int]]:
+    """Every csg-cmp pair of the graph, each symmetric pair once, in order.
 
     ``csgs`` is the graph's connected-set list in :func:`enumerate_csg`
     order, for a caller that already listed it; by default it is
     enumerated here.
     """
-    for left in enumerate_csg(graph) if csgs is None else csgs:
-        for right in _enumerate_cmp(graph, left):
-            yield (left, right)
+    neighborhood = graph.neighborhood
+    return [
+        (left, right)
+        for left in (enumerate_csg(graph) if csgs is None else csgs)
+        for right in _enumerate_cmp(neighborhood, left)
+    ]
 
 
 class DPccp:
@@ -164,30 +205,51 @@ class DPccp:
             return self._memo.best(self._graph.all_vertices)
 
         # Bucket ccps by result size so every sub-plan exists when needed.
+        # Each connected set is handled as the enumeration emits it, so
+        # the budget is charged per pair while the pairs are listed.
         budget = self._budget
-        buckets: Dict[int, List[Tuple[int, int]]] = {}
-        for left, right in enumerate_csg_cmp_pairs(self._graph, self._csgs):
-            if budget is not None:
-                budget.check(len(self._memo))
-            self.stats.ccps_enumerated += 1
-            buckets.setdefault(bitset.bit_count(left | right), []).append(
-                (left, right)
-            )
-        pairs = [pair for size in sorted(buckets) for pair in buckets[size]]
-        if self._memo.k == 1:
-            plan = self._run_flat(pairs)
+        memo_size = len(self._memo)
+        stats = self.stats
+        neighborhood = self._graph.neighborhood
+        bit_count = bitset.bit_count
+        buckets: List[List[Tuple[int, int]]] = [
+            [] for _ in range(query.n_relations + 1)
+        ]
+
+        def file_pairs(left: int) -> None:
+            """List ``left``'s complements, charge them, bucket the pairs."""
+            rights = _enumerate_cmp(neighborhood, left)
+            if budget is None:
+                stats.ccps_enumerated += len(rights)
+            else:
+                for _ in rights:
+                    budget.check(memo_size)
+                    stats.ccps_enumerated += 1
+            size = bit_count(left)
+            for right in rights:
+                buckets[size + bit_count(right)].append((left, right))
+
+        if self._csgs is None:
+            _emit_csgs(self._graph, file_pairs)
         else:
-            plan = self._run_ranked(pairs)
+            for left in self._csgs:
+                file_pairs(left)
+        if self._memo.k == 1:
+            plan = self._run_flat(buckets)
+        else:
+            plan = self._run_ranked(buckets)
         if plan is None:
             raise OptimizationError("DPccp produced no plan for the full query")
         return plan
 
-    def _run_ranked(self, pairs: List[Tuple[int, int]]) -> Optional[JoinTree]:
+    def _run_ranked(
+        self, buckets: List[List[Tuple[int, int]]]
+    ) -> Optional[JoinTree]:
         """``k > 1``: every ccp goes through BUILDTREE's ranked cross product."""
         budget = self._budget
         memo = self._memo
         builder = self._builder
-        for left, right in pairs:
+        for left, right in chain.from_iterable(buckets):
             if budget is not None:
                 budget.check(len(memo))
             self.stats.ccps_considered += 1
@@ -199,7 +261,9 @@ class DPccp:
         self.stats.plan_classes_built = memo.n_plan_classes()
         return memo.best(self._graph.all_vertices)
 
-    def _run_flat(self, pairs: List[Tuple[int, int]]) -> Optional[JoinTree]:
+    def _run_flat(
+        self, buckets: List[List[Tuple[int, int]]]
+    ) -> Optional[JoinTree]:
         """``k = 1``: flat cost/split tables, then only the winning tree.
 
         Per ccp, both orders are priced (:meth:`PlanBuilder.price`) and
@@ -240,7 +304,7 @@ class DPccp:
         self._dp = dp
         root = self._graph.all_vertices
         try:
-            for left, right in pairs:
+            for left, right in chain.from_iterable(buckets):
                 if budget is not None:
                     budget.check(len(dp))
                 stats.ccps_considered += 1

@@ -102,15 +102,16 @@ __all__ = [
 #: DPccp's predicted work per connected set, in DPconv split probes.
 #: The router counts DPconv's work exactly (``convolution_work``: the
 #: splits its sweep will probe) and predicts DPccp's as this constant
-#: times the number of connected sets.  Against the flat DPccp the two
-#: cross lower than this (``BENCH_enumspeed.json`` and the ``cold_cout``
-#: pool): cycle-12 has 199 split probes per connected set and DPconv
-#: takes 0.89x DPccp's time (a near tie); acyclic-14 has 295 and DPconv
-#: takes 1.2-1.3x, so this constant misroutes it; chain-14 (311, DPconv
-#: 1.6-1.7x) and cycle-13 (364, 1.4-1.5x) go to DPccp.  It stays at 300
-#: because DPconv and DPccp break exact cost ties differently, so moving
-#: it would change the plan (not the cost) some queries get.
-#: docs/dpconv.md tabulates the rows.
+#: times the number of connected sets.  Against the list-building DPccp
+#: with one-call pricing the two cross well below this
+#: (``BENCH_enumspeed.json`` and the ``cold_cout`` pool): chain-12 has
+#: 104 split probes per connected set and DPconv takes 0.8-0.9x DPccp's
+#: time; cycle-12 (199) takes 1.2x, chain-13 (179) 1.3x, acyclic-13
+#: (212) 1.3x and acyclic-14 (295) 1.4x, so this constant misroutes all
+#: four to DPconv; chain-14 (311, DPconv 1.9-2.6x) and cycle-13 (364,
+#: 1.8-2.0x) go to DPccp.  It stays at 300 because DPconv and DPccp
+#: break exact cost ties differently, so moving it would change the plan
+#: (not the cost) some queries get.  docs/dpconv.md tabulates the rows.
 DPCCP_WORK_PER_CSG = 300
 
 #: Live share above which DPccp serves a Haas APCBI request.  Under Haas
@@ -623,7 +624,7 @@ class Optimizer:
         routed = self.auto_route and budget is None
         if routed and dpconv_eligible(context):
             started = time.perf_counter()
-            csgs = list(enumerate_csg(context.query.graph))
+            csgs = enumerate_csg(context.query.graph)
             predicted = {
                 "dpconv": convolution_work(csgs),
                 "dpccp": DPCCP_WORK_PER_CSG * len(csgs),

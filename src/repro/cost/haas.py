@@ -23,7 +23,7 @@ that are the input for the next join").
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.cost.model import CostModel
 from repro.cost.statistics import IntermediateStats
@@ -143,7 +143,9 @@ class HaasCostModel(CostModel):
 
     def join_cost(self, outer: IntermediateStats, inner: IntermediateStats) -> float:
         # The formulas are called directly, not through the per-algorithm
-        # methods: this runs twice per priced ccp.
+        # methods: the greedy heuristics (GOO runs on every routed Haas
+        # request), cache replay and plan validation price one order at a
+        # time through this.
         buffer = self._buffer
         left = outer.pages
         right = inner.pages
@@ -159,6 +161,63 @@ class HaasCostModel(CostModel):
             sort_left + sort_right,
             _hybrid_hash(buffer, left, right),
         )
+
+    def join_costs(
+        self, left: IntermediateStats, right: IntermediateStats
+    ) -> Tuple[float, float]:
+        """Both orders of a ccp in one call; runs once per priced ccp.
+
+        Each order's value equals :meth:`join_cost`'s bit for bit: the
+        same formulas, the same operations in the same order, and the
+        ``min`` over the three algorithms in the same order (a later term
+        replaces an earlier one only when strictly smaller).  The orders
+        share what is symmetric: each input's sort cost is looked up once,
+        and the sort-merge sum and the in-memory hash join's ``L + R`` are
+        the same for both (floating-point addition commutes).  The nested
+        loop and the in-memory hash join are spelled out here rather than
+        called through :func:`_nested_loop` and :func:`_hybrid_hash`: the
+        four calls cost 8-10% of a DPccp pass over the ``cold_haas`` pool
+        and 6-9% of the optimizer's (in-process A/B, best of 7 and 9, on a
+        2-vCPU Xeon VM).  A formula changed there must change
+        here too; ``TestJoinCosts`` in ``tests/cost/test_haas.py`` checks
+        both against :meth:`join_cost` by ``float.hex``.
+        """
+        buffer = self._buffer
+        left_pages = left.pages
+        right_pages = right.pages
+        sorted_ = self._sorted
+        sort_left = sorted_.get(left_pages)
+        if sort_left is None:
+            sort_left = self._sort_pages(left_pages)
+        sort_right = sorted_.get(right_pages)
+        if sort_right is None:
+            sort_right = self._sort_pages(right_pages)
+        sort_merge = sort_left + sort_right
+        both = left_pages + right_pages
+        chunk = buffer - 2
+        # Blocked nested loop (_nested_loop), each input as the outer.
+        cost_lr = left_pages + math.ceil(left_pages / chunk) * right_pages
+        cost_rl = right_pages + math.ceil(right_pages / chunk) * left_pages
+        if sort_merge < cost_lr:
+            cost_lr = sort_merge
+        if sort_merge < cost_rl:
+            cost_rl = sort_merge
+        # Hybrid hash (_hybrid_hash), each input as the build side.
+        hash_lr = (
+            both
+            if left_pages <= buffer
+            else _hybrid_hash(buffer, left_pages, right_pages)
+        )
+        hash_rl = (
+            both
+            if right_pages <= buffer
+            else _hybrid_hash(buffer, right_pages, left_pages)
+        )
+        if hash_lr < cost_lr:
+            cost_lr = hash_lr
+        if hash_rl < cost_rl:
+            cost_rl = hash_rl
+        return cost_lr, cost_rl
 
     def lower_bound(
         self, left: IntermediateStats, right: IntermediateStats

@@ -11,7 +11,7 @@ covered by property tests:
 
 * **commute rule** (Appendix A): if ``card(x) <= card(y)`` then
   ``join_cost(x, y) <= join_cost(y, x)``.  BUILDTREE relies on this when it
-  prices both orders of a ccp together.
+  prices both orders of a ccp together (:meth:`CostModel.join_costs`).
 * **LBE admissibility** (§IV-B): :meth:`lower_bound` must never exceed the
   true minimal operator cost, otherwise predicted-cost bounding would prune
   optimal plans.
@@ -20,6 +20,7 @@ covered by property tests:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Tuple
 
 from repro.cost.statistics import IntermediateStats, StatisticsProvider
 
@@ -63,6 +64,19 @@ class CostModel(ABC):
         Implementations should return the cheapest cost over the join
         algorithms they model for this fixed argument order.
         """
+
+    def join_costs(
+        self, left: IntermediateStats, right: IntermediateStats
+    ) -> Tuple[float, float]:
+        """``(join_cost(left, right), join_cost(right, left))`` in one call.
+
+        Pricing a ccp needs both orders.  The default makes the two
+        ``join_cost`` calls, so a wrapping model (fault injection, a
+        tracer) sees each order; a model that can share work between the
+        orders overrides this and must return the same two values, bit
+        for bit.
+        """
+        return self.join_cost(left, right), self.join_cost(right, left)
 
     def min_join_cost(
         self, left: IntermediateStats, right: IntermediateStats

@@ -151,7 +151,16 @@ class StatisticsProvider:
     def _compute(self, vertex_set: int) -> IntermediateStats:
         cardinality = self.estimate_cardinality(vertex_set)
         widths = self._widths
-        width = sum(widths[index] for index in bitset.iter_bits(vertex_set))
+        width = 0
+        remaining = vertex_set
+        # Runs once per new plan class: the lowest-bit trick stays inlined
+        # rather than paying a bitset.iter_bits() generator per class
+        # (QueryGraph.neighborhood does the same).  Widths are integers,
+        # so the sum is exact in any order.
+        while remaining:
+            low = remaining & -remaining  # repro: disable=bitset-discipline
+            width += widths[low.bit_length() - 1]  # repro: disable=bitset-discipline
+            remaining ^= low
         tuples_per_page = max(1, self._page_size // max(1, width))
         pages = max(1.0, math.ceil(cardinality / tuples_per_page))
         return IntermediateStats(

@@ -71,15 +71,14 @@ class PlanBuilder:
 
         Known before any subtree exists, so the budget arithmetic of
         TDPG_ACB (line 3) and TDPG_APCBI (line 17) takes ``min`` of it and
-        hands the pair on to :meth:`build_ccp`.  Each order goes through
-        the cost model's ``join_cost`` exactly once.
+        hands the pair on to :meth:`build_ccp`.  One call of the cost
+        model's :meth:`~repro.cost.model.CostModel.join_costs` prices both.
         """
         self.stats.operator_pricings += 1
         provider = self._provider
-        left = provider.stats(left_set)
-        right = provider.stats(right_set)
-        join_cost = self._cost_model.join_cost
-        return join_cost(left, right), join_cost(right, left)
+        return self._cost_model.join_costs(
+            provider.stats(left_set), provider.stats(right_set)
+        )
 
     def operator_cost(self, left_set: int, right_set: int) -> float:
         """``c_join``: the minimal operator cost for joining the two sets."""

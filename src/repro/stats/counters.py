@@ -33,7 +33,7 @@ class OptimizationStats:
         plan's joins.
     operator_pricings:
         ccps priced in both orders (:meth:`~repro.plans.PlanBuilder.price`:
-        two ``join_cost`` calls each).
+        one :meth:`~repro.cost.model.CostModel.join_costs` call each).
     plan_classes_built:
         Distinct vertex sets (|S| >= 2) for which a best tree was
         registered — the *s* numerator of Table III.

@@ -75,3 +75,13 @@ class TestSemantics:
         model = CoutCostModel().bind(provider)
         left, right = provider.stats(0b01), provider.stats(0b10)
         assert model.lower_bound(left, right) == model.join_cost(left, right)
+
+    def test_join_costs_price_both_orders(self, small_query):
+        provider = statistics_for(small_query)
+        model = CoutCostModel().bind(provider)
+        left, right = provider.stats(0b01), provider.stats(0b10)
+        pair = model.join_costs(left, right)
+        assert [cost.hex() for cost in pair] == [
+            model.join_cost(left, right).hex(),
+            model.join_cost(right, left).hex(),
+        ]

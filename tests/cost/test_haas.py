@@ -133,3 +133,62 @@ class TestLowerBound:
 
     def test_equals_sum_of_input_pages(self, model):
         assert model.lower_bound(_stats(7, 1), _stats(9, 2)) == 16
+
+
+def _boundary_pages(buffer: int):
+    """Page counts on both sides of the buffer and of sort-run boundaries.
+
+    An input fits in memory up to ``buffer`` pages (in-memory sort, hash
+    build without spill); above, its run count ``ceil(p / B)`` steps at
+    every multiple of ``B`` and its merge-pass count at ``B * (B - 1)^k``
+    pages.
+    """
+    points = {1, buffer - 2, buffer - 1, buffer, buffer + 1, 2 * buffer}
+    for passes in range(1, 4):
+        edge = buffer * (buffer - 1) ** passes
+        points.update((edge - 1, edge, edge + 1))
+    return sorted(float(p) for p in points if p >= 1)
+
+
+class TestJoinCosts:
+    """The one-call pricing equals two ``join_cost`` calls, bit for bit."""
+
+    @staticmethod
+    def _assert_exact(model, left_pages, right_pages):
+        left, right = _stats(left_pages, 1), _stats(right_pages, 2)
+        fused = model.join_costs(left, right)
+        assert [cost.hex() for cost in fused] == [
+            model.join_cost(left, right).hex(),
+            model.join_cost(right, left).hex(),
+        ]
+
+    @pytest.mark.parametrize("buffer", [3, 4, 8, 64, 128])
+    def test_exact_at_boundaries(self, buffer):
+        model = HaasCostModel(buffer_pages=buffer)
+        pages = _boundary_pages(buffer)
+        for left_pages in pages:
+            for right_pages in pages:
+                self._assert_exact(model, left_pages, right_pages)
+
+    @given(
+        st.sampled_from([3, 4, 8, 64, 128]),
+        st.data(),
+    )
+    def test_exact_near_boundaries(self, buffer, data):
+        model = HaasCostModel(buffer_pages=buffer)
+        near = st.sampled_from(_boundary_pages(buffer)).flatmap(
+            lambda p: st.floats(
+                min_value=max(1.0, p - 2.0), max_value=p + 2.0, allow_nan=False
+            )
+        )
+        sides = st.one_of(near, page_counts)
+        self._assert_exact(model, data.draw(sides), data.draw(sides))
+
+    @given(page_counts, page_counts)
+    def test_exact_anywhere(self, left_pages, right_pages):
+        self._assert_exact(HaasCostModel(buffer_pages=64), left_pages, right_pages)
+
+    def test_sort_costs_memoized_once_per_input(self):
+        model = HaasCostModel(buffer_pages=8)
+        model.join_costs(_stats(100.0, 1), _stats(1000.0, 2))
+        assert sorted(model._sorted) == [100.0, 1000.0]

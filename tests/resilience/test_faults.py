@@ -110,6 +110,44 @@ class TestCostModelFaults:
     def test_all_modes_are_exposed(self):
         assert set(COST_FAULT_MODES) == {"raise", "nan", "inf", "latency"}
 
+    @pytest.mark.parametrize("mode,check", [
+        ("nan", math.isnan),
+        ("inf", math.isinf),
+    ])
+    def test_join_costs_fire_per_order(self, small_query, mode, check):
+        """The base-class join_costs calls the wrapped join_cost twice."""
+        left, right = self._stats(small_query)
+        injector = FaultInjector(seed=0, after=1)
+        model = injector.cost_model(HaasCostModel(), mode=mode)
+        with injector:
+            first, second = model.join_costs(left, right)
+        assert first == HaasCostModel().join_cost(left, right)
+        assert check(second)
+        assert injector.injected == {"cost_model": 1}
+
+    def test_ccp_pricing_stays_fault_eligible(self, small_query):
+        """Every order DPccp prices passes the injector, the last one too."""
+        from repro.baselines.dpccp import DPccp
+        from repro.context.context import OptimizationContext
+
+        def run(injector):
+            model = injector.cost_model(HaasCostModel(), mode="raise")
+            algorithm = DPccp(
+                context=OptimizationContext.for_query(small_query, cost_model=model)
+            )
+            with injector:
+                algorithm.run()
+            return algorithm
+
+        counting = FaultInjector(seed=0, after=10**9)
+        pricings = run(counting).stats.operator_pricings
+        assert pricings > 0
+        assert counting._eligible_calls == 2 * pricings
+        last = FaultInjector(seed=0, after=2 * pricings - 1)
+        with pytest.raises(InjectedFaultError):
+            run(last)
+        assert last.injected == {"cost_model": 1}
+
 
 class TestPartitioningFaults:
     def test_bogus_cut_is_overlapping(self, small_query):
