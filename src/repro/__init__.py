@@ -28,7 +28,7 @@ from repro.core import (
     run_dpccp,
     run_goo,
 )
-from repro.baselines import DPccp, DPsize, DPsub
+from repro.baselines import DPccp
 from repro.context import (
     OptimizationContext,
     PlanCache,
@@ -121,8 +121,6 @@ __all__ = [
     "OptimizationResult",
     "AdvancementConfig",
     "DPccp",
-    "DPsize",
-    "DPsub",
     "run_dpccp",
     "run_goo",
     "algorithm_label",

@@ -1,20 +1,15 @@
-"""Bottom-up baselines: DPccp (paper baseline), DPconv, DPsize, DPsub.
+"""Bottom-up baselines: DPccp (paper baseline) and DPconv.
 
 DPconv (arXiv 2409.08013) is the subset-convolution fast path for
-``C_out``-shaped cost models; DPsize and DPsub are the classic
-Moerkotte & Neumann extras.
+``C_out``-shaped cost models.
 """
 
 from repro.baselines.dpccp import DPccp, enumerate_csg, enumerate_csg_cmp_pairs
 from repro.baselines.dpconv import DPconv
-from repro.baselines.dpsize import DPsize
-from repro.baselines.dpsub import DPsub
 
 __all__ = [
     "DPccp",
     "DPconv",
-    "DPsize",
-    "DPsub",
     "enumerate_csg",
     "enumerate_csg_cmp_pairs",
 ]

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given
 
+from repro.baselines.dpccp import DPccp
 from repro.core.plangen import TopDownPlanGenerator
 from repro.cost.haas import HaasCostModel
 from repro.cost.statistics import StatisticsProvider
@@ -55,8 +56,10 @@ class TestOptimality:
             query, get_partitioning("mincut_conservative")
         )
         plan = generator.run()
+        bottom_up = DPccp(query, HaasCostModel()).run()
         expected = _brute_force_optimum(query)
         assert plan.cost == pytest.approx(expected, rel=1e-9)
+        assert bottom_up.cost == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize(
         "enumerator", ["naive", "mincut_lazy", "mincut_branch", "mincut_conservative"]

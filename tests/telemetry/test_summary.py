@@ -24,6 +24,8 @@ class CountingClock:
 
 class TestPercentile:
     def test_empty_is_nan(self):
+        # Regression: an old implementation returned 0.0 for an empty
+        # sample set, which read as "impossibly fast", not "no data".
         assert math.isnan(percentile([], 50.0))
 
     def test_interpolation(self):
@@ -32,9 +34,19 @@ class TestPercentile:
         assert percentile(values, 0.0) == 10.0
         assert percentile(values, 100.0) == 40.0
 
+    def test_single_value(self):
+        assert percentile([3.0], 50.0) == 3.0
+
+    def test_order_independent(self):
+        assert percentile([4.0, 1.0, 3.0, 2.0], 50.0) == pytest.approx(2.5)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             percentile([1.0], -1.0)
+
+    def test_above_100_rejected(self):
+        with pytest.raises(ValueError):
+            percentile([1.0], 101.0)
 
 
 class TestSummarizeSamples:
