@@ -13,8 +13,8 @@ The rule fires on ``open()``/``.open()`` calls whose mode constant
 contains any of ``w``/``a``/``x``/``+`` and on any ``.write_text`` /
 ``.write_bytes`` call, in non-test modules under ``src/repro``.  The
 store module itself is exempt (it *is* the helper), and intentionally
-non-durable writers — e.g. the benchmark checkpoint writer, where a torn
-checkpoint merely restarts one grid cell — opt out per line with
+non-durable writers — e.g. the trace sink, whose JSONL lines are
+diagnostics, not state — opt out per line with
 ``# repro: disable=durable-write``.
 """
 

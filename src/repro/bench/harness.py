@@ -10,22 +10,17 @@ Besides times, the harness collects the Table III counters: the number of
 plan classes successfully built (*s*) and the number of failed build passes
 (*f*), both normalized by the number of plan classes DPccp builds.
 
-The harness is *crash-proof*: per-query budgets (``budget_factory``) bound
-every optimizer run, failures are recorded in each measurement's
-``failures`` section (timeout / error / degraded) instead of propagating,
-and ``run_workload`` can checkpoint completed queries to a JSONL file so an
-interrupted run resumes without redoing finished work.
+Per-query budgets (``budget_factory``) bound every optimizer run, and
+failures are recorded in each measurement's ``failures`` section (timeout /
+error / skipped) instead of propagating.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.context import PlanCache
 from repro.core.advancements import AdvancementConfig
 from repro.core.optimizer import Optimizer, algorithm_label, run_dpccp
 from repro.cost.compare import costs_close
@@ -34,7 +29,6 @@ from repro.cost.model import CostModel
 from repro.errors import BudgetExceeded, ReproError
 from repro.query import Query
 from repro.resilience.budget import Budget
-from repro.resilience.optimizer import ResilientOptimizer
 
 __all__ = [
     "AlgorithmSpec",
@@ -46,7 +40,6 @@ __all__ = [
     "CHART_ALGORITHMS",
     "run_query_matrix",
     "run_workload",
-    "load_checkpoint",
 ]
 
 #: Failures a single optimizer run may produce that must not take down a
@@ -109,8 +102,8 @@ class QueryMeasurement:
     normed_success: Dict[str, float] = field(default_factory=dict)
     #: label -> normed failed build passes (Table III "f").
     normed_failed: Dict[str, float] = field(default_factory=dict)
-    #: label -> failure reason ("timeout", "error: ...", "degraded: <rung>",
-    #: "skipped: ...").  Labels absent here completed normally.
+    #: label -> failure reason ("timeout", "error: ...", "skipped: ...").
+    #: Labels absent here completed normally.
     failures: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -274,35 +267,23 @@ def run_query_matrix(
     query: Query,
     algorithms: Sequence[AlgorithmSpec],
     cost_model_factory: Callable[[], CostModel] = HaasCostModel,
-    check_costs: bool = True,
     budget_factory: Optional[Callable[[], Budget]] = None,
-    resilient: bool = False,
-    plan_cache: Optional[PlanCache] = None,
 ) -> QueryMeasurement:
     """Measure DPccp plus every algorithm on one query.
 
-    With ``check_costs`` every algorithm's plan cost is verified against
-    DPccp's (pruning must preserve optimality); a mismatch raises, because a
-    benchmark of an incorrect optimizer is meaningless.
+    Every algorithm's plan cost is verified against DPccp's (pruning must
+    preserve optimality); a mismatch raises, because a benchmark of an
+    incorrect optimizer is meaningless.
 
     ``budget_factory`` supplies one fresh :class:`~repro.resilience.Budget`
     per optimizer run (the DPccp baseline included).  A run that exhausts
     its budget or raises a typed library error is recorded under
-    ``measurement.failures`` instead of aborting the matrix.  With
-    ``resilient`` every algorithm runs through
-    :class:`~repro.resilience.ResilientOptimizer`, so budget exhaustion
-    yields a degraded-but-valid plan recorded as ``degraded: <rung>``
-    (degraded plans are *not* cost-checked — they are not claimed optimal).
-    If the baseline itself fails, the algorithms are skipped (normed values
-    would be meaningless without the denominator).
+    ``measurement.failures`` instead of aborting the matrix.  If the
+    baseline itself fails, the algorithms are skipped (normed values would
+    be meaningless without the denominator).
 
     Automatic routing is pinned off (``auto_route=False``), so every spec
     measures the algorithm it names.
-
-    ``plan_cache`` shares one cross-query :class:`~repro.context.PlanCache`
-    across the matrix (non-resilient runs only).  Entries are keyed per
-    optimizer configuration, so the specs never see each other's plans —
-    only repeats of the *same* (config, isomorphic query) pair hit.
     """
     try:
         baseline = run_dpccp(
@@ -331,33 +312,14 @@ def run_query_matrix(
     for spec in algorithms:
         budget = _fresh_budget(budget_factory)
         try:
-            if resilient:
-                wrapped = ResilientOptimizer(
-                    enumerator=spec.enumerator,
-                    pruning=spec.pruning,
-                    cost_model_factory=cost_model_factory,
-                    config=spec.config,
-                    auto_route=False,
-                )
-                outcome = wrapped.optimize(query, budget=budget)
-                if outcome.degraded:
-                    measurement.failures[spec.label] = f"degraded: {outcome.rung}"
-                    measurement.normed_times[spec.label] = (
-                        outcome.elapsed / denominator
-                    )
-                    continue
-                cost, elapsed, stats = outcome.cost, outcome.elapsed, outcome.stats
-            else:
-                optimizer = Optimizer(
-                    enumerator=spec.enumerator,
-                    pruning=spec.pruning,
-                    cost_model_factory=cost_model_factory,
-                    config=spec.config,
-                    plan_cache=plan_cache,
-                    auto_route=False,
-                )
-                result = optimizer.optimize(query, budget=budget)
-                cost, elapsed, stats = result.cost, result.elapsed, result.stats
+            optimizer = Optimizer(
+                enumerator=spec.enumerator,
+                pruning=spec.pruning,
+                cost_model_factory=cost_model_factory,
+                config=spec.config,
+                auto_route=False,
+            )
+            result = optimizer.optimize(query, budget=budget)
         except BudgetExceeded:
             measurement.failures[spec.label] = "timeout"
             continue
@@ -366,12 +328,13 @@ def run_query_matrix(
                 f"error: {type(error).__name__}: {error}"
             )
             continue
-        if check_costs and not costs_close(cost, baseline.cost, rel=1e-6):
+        if not costs_close(result.cost, baseline.cost, rel=1e-6):
             raise AssertionError(
-                f"{spec.label} returned cost {cost!r} but DPccp found "
+                f"{spec.label} returned cost {result.cost!r} but DPccp found "
                 f"{baseline.cost!r} on {query.describe()}"
             )
-        measurement.normed_times[spec.label] = elapsed / denominator
+        stats = result.stats
+        measurement.normed_times[spec.label] = result.elapsed / denominator
         measurement.normed_success[spec.label] = (
             stats.plan_classes_built / measurement.dpccp_classes
         )
@@ -381,131 +344,19 @@ def run_query_matrix(
     return measurement
 
 
-# -- checkpointing --------------------------------------------------------
-
-
-def _measurement_to_record(
-    index: int, measurement: QueryMeasurement
-) -> Dict[str, object]:
-    return {
-        "index": index,
-        "query": measurement.query.describe(),
-        "dpccp_seconds": measurement.dpccp_seconds,
-        "dpccp_classes": measurement.dpccp_classes,
-        "normed_times": measurement.normed_times,
-        "normed_success": measurement.normed_success,
-        "normed_failed": measurement.normed_failed,
-        "failures": measurement.failures,
-    }
-
-
-def _measurement_from_record(
-    record: Dict[str, object], query: Query
-) -> QueryMeasurement:
-    return QueryMeasurement(
-        query=query,
-        dpccp_seconds=float(record["dpccp_seconds"]),  # type: ignore[arg-type]
-        dpccp_classes=int(record["dpccp_classes"]),  # type: ignore[arg-type]
-        normed_times=dict(record.get("normed_times", {})),  # type: ignore[arg-type]
-        normed_success=dict(record.get("normed_success", {})),  # type: ignore[arg-type]
-        normed_failed=dict(record.get("normed_failed", {})),  # type: ignore[arg-type]
-        failures=dict(record.get("failures", {})),  # type: ignore[arg-type]
-    )
-
-
-def _read_checkpoint(
-    path: Union[str, Path]
-) -> Tuple[Dict[int, Dict[str, object]], int]:
-    """Parse a JSONL checkpoint; returns ``({index: record}, n_malformed)``.
-
-    A run killed mid-write leaves a truncated line; it is counted (not
-    silently dropped) so the caller can repair the file, and its query is
-    simply recomputed on resume.
-    """
-    records: Dict[int, Dict[str, object]] = {}
-    n_malformed = 0
-    checkpoint = Path(path)
-    if not checkpoint.exists():
-        return records, n_malformed
-    with checkpoint.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                n_malformed += 1
-                continue
-            records[int(record["index"])] = record
-    return records, n_malformed
-
-
-def load_checkpoint(path: Union[str, Path]) -> Dict[int, Dict[str, object]]:
-    """Read a JSONL workload checkpoint; returns ``{index: record}``."""
-    return _read_checkpoint(path)[0]
-
-
 def run_workload(
     queries: Sequence[Query],
     algorithms: Sequence[AlgorithmSpec],
     cost_model_factory: Callable[[], CostModel] = HaasCostModel,
-    check_costs: bool = True,
-    progress: Optional[Callable[[int, int], None]] = None,
     budget_factory: Optional[Callable[[], Budget]] = None,
-    resilient: bool = False,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    plan_cache: Optional[PlanCache] = None,
 ) -> WorkloadMeasurement:
-    """Measure a whole workload; see :func:`run_query_matrix`.
-
-    With ``checkpoint_path`` every completed query measurement is appended
-    to a JSONL file as it finishes; re-running with the same path skips
-    queries whose checkpointed record matches (same position and same
-    ``query.describe()``), so an interrupted workload resumes instead of
-    starting over.  Stale records — a different workload reusing the file —
-    are ignored and recomputed.
-    """
-    checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
-    cached: Dict[int, Dict[str, object]] = {}
-    if checkpoint is not None:
-        cached, n_malformed = _read_checkpoint(checkpoint)
-        if n_malformed:
-            # A run killed mid-write leaves a truncated line; appending
-            # after it would corrupt the next record too.  Rewrite the
-            # file from the intact records before continuing.  The
-            # checkpoint is deliberately non-durable (a torn record costs
-            # one recomputed query, and recovery above already handles
-            # it), so it opts out of the durable-write discipline.
-            with checkpoint.open("w", encoding="utf-8") as handle:  # repro: disable=durable-write
-                for index in sorted(cached):
-                    handle.write(json.dumps(cached[index]) + "\n")
-    measurements = []
-    for index, query in enumerate(queries):
-        record = cached.get(index)
-        if record is not None and record.get("query") == query.describe():
-            measurements.append(_measurement_from_record(record, query))
-        else:
-            measurement = run_query_matrix(
-                query,
-                algorithms,
-                cost_model_factory,
-                check_costs,
-                budget_factory=budget_factory,
-                resilient=resilient,
-                plan_cache=plan_cache,
-            )
-            measurements.append(measurement)
-            if checkpoint is not None:
-                # Same escape hatch as above: incremental appends trade
-                # durability for not rewriting the file per query.
-                with checkpoint.open("a", encoding="utf-8") as handle:  # repro: disable=durable-write
-                    handle.write(
-                        json.dumps(_measurement_to_record(index, measurement))
-                        + "\n"
-                    )
-        if progress is not None:
-            progress(index + 1, len(queries))
+    """Measure a whole workload; see :func:`run_query_matrix`."""
     return WorkloadMeasurement(
-        measurements=measurements, labels=[spec.label for spec in algorithms]
+        measurements=[
+            run_query_matrix(
+                query, algorithms, cost_model_factory, budget_factory=budget_factory
+            )
+            for query in queries
+        ],
+        labels=[spec.label for spec in algorithms],
     )

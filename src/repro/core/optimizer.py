@@ -34,16 +34,18 @@ interval covers everything the algorithm does at query time — including
 the GOO heuristic and the graph renumbering of APCBI — but *excludes* the
 DPccp pre-pass that supplies APCBI_Opt's oracle upper bounds ("we do not
 include the pre-computation time", §V-C), which runs before the clock
-starts.  Building the per-query context is never timed.  A routed run is
-timed from before its connected-set pass or heuristic, work the served
-algorithm would otherwise do itself.  A plan-cache hit is timed from
-before the fingerprint to the replayed plan.
+starts.  Building the per-query context is never timed.  Routing is timed
+and runs inside the ``enumerate`` span: :func:`_execute` calls
+:meth:`Optimizer._select`, so a routed run's connected-set pass, heuristic
+run and live-share sample count like the work the served algorithm would
+otherwise do itself.  A plan-cache hit is timed from before the
+fingerprint to the replayed plan.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -149,23 +151,29 @@ PRUNING_SUFFIXES: Dict[str, str] = {
     "apcbi_opt": "_APCBI_Opt",
 }
 
-#: What a ``prepare`` callable hands :func:`_execute`: the algorithm
-#: (anything with ``run()`` and ``memo``), the context it runs on (a
-#: relabeled one under renumbering), the renumbering its run uses
-#: (``None`` for the caller's numbering) and a complete heuristic tree in
-#: the caller's numbering, the last-resort salvage (or ``None``).
-_Prepared = Tuple[Any, OptimizationContext, Optional[List[int]], Optional[JoinTree]]
+#: APCBI_Opt's oracle: DPccp's optimal plan and its optimal class costs.
+_Oracle = Tuple[JoinTree, Dict[int, float]]
 
 
 @dataclass(frozen=True)
-class _Route:
-    """An automatic selection (see :meth:`Optimizer._select`)."""
+class _Selection:
+    """The algorithm that serves a request, built and ready to run."""
 
-    #: Clock reading before the selection's own work: the run's start.
-    started: float
-    #: What the selection saw, recorded on its ``algorithm_selected``
+    enumerator: str
+    pruning: str
+    #: Anything with ``run()`` and ``memo``.
+    algorithm: Any
+    #: The context it runs on (a relabeled one under renumbering).
+    context: OptimizationContext
+    #: The renumbering its run uses (``None``: the caller's numbering).
+    mapping: Optional[List[int]] = None
+    #: A complete heuristic tree in the caller's numbering, the
+    #: last-resort salvage (or ``None``).
+    salvage: Optional[JoinTree] = None
+    #: What an automatic route saw, recorded on its ``algorithm_selected``
     #: event: the candidates and the prediction that chose between them.
-    evidence: Dict[str, Any]
+    #: ``None`` when nothing was routed.
+    evidence: Optional[Dict[str, Any]] = None
 
 
 def _live_share(
@@ -250,20 +258,14 @@ class OptimizationResult:
 
 
 def _execute(
-    context: OptimizationContext,
-    budget: Optional["Budget"],
-    enumerator: str,
-    pruning: str,
-    prepare: Callable[..., _Prepared],
-    route: Optional[_Route] = None,
+    context: OptimizationContext, select: Callable[[], _Selection]
 ) -> OptimizationResult:
     """Run one algorithm on ``context``: the single execution path.
 
-    ``prepare(context=, budget=)`` builds the algorithm inside the measured
-    interval (GOO and renumbering are timed, §V-C).  A ``route`` moves the
-    start of that interval back to its connected-set pass, and its
-    prediction lands on the ``enumerate`` span as an
-    ``algorithm_selected`` event beside the run's actual
+    ``select()`` picks and builds the algorithm inside the measured
+    interval and the ``enumerate`` span (routing, GOO and renumbering are
+    timed, §V-C).  A routed selection's prediction lands on the span as
+    an ``algorithm_selected`` event beside the run's actual
     ``ccps_considered``.  A
     :class:`~repro.errors.BudgetExceeded` leaves enriched with the best
     complete plans registered so far (``partial_plan`` /
@@ -275,31 +277,26 @@ def _execute(
     query = context.query
     root = query.graph.all_vertices
     telemetry = context.telemetry
-    started = route.started if route is not None else time.perf_counter()
+    started = time.perf_counter()
     span = NULL_SPAN
     if telemetry is not None:
-        span = telemetry.span(
-            "enumerate",
-            enumerator=enumerator,
-            pruning=pruning,
-            relations=query.n_relations,
-        )
+        span = telemetry.span("enumerate", relations=query.n_relations)
     with span:
-        algorithm, run_context, mapping, heuristic_tree = prepare(
-            context=context, budget=budget
-        )
+        selection = select()
+        span.set(enumerator=selection.enumerator, pruning=selection.pruning)
+        mapping = selection.mapping
         inverse = invert_mapping(mapping) if mapping is not None else None
-        memo = algorithm.memo
+        memo = selection.algorithm.memo
         considered = context.stats.ccps_considered
         try:
-            plan = algorithm.run()
+            plan = selection.algorithm.run()
         except BudgetExceeded as error:
             salvage = [
                 tree if inverse is None else tree.relabel(inverse)
                 for tree in memo.best_k(root)
             ]
-            if not salvage and heuristic_tree is not None:
-                salvage = [heuristic_tree]
+            if not salvage and selection.salvage is not None:
+                salvage = [selection.salvage]
             error.partial_plan = salvage[0] if salvage else None
             error.partial_ranked = tuple(salvage)
             error.memo_entries = len(memo)
@@ -308,8 +305,8 @@ def _execute(
         # relabeled context's provider after the heuristic priced on the
         # caller's, so both count.
         stats_classes = context.provider.cache_size()
-        if run_context is not context:
-            stats_classes += run_context.provider.cache_size()
+        if selection.context is not context:
+            stats_classes += selection.context.provider.cache_size()
         # Counts come from the run's counters, not its memotable: DPconv
         # and DPccp register only the winning plan's classes there.
         span.set(
@@ -318,11 +315,11 @@ def _execute(
             plan_classes_built=context.stats.plan_classes_built,
             stats_classes=stats_classes,
         )
-        if route is not None:
+        if selection.evidence is not None:
             span.event(
                 "algorithm_selected",
-                **route.evidence,
-                choice=pruning,
+                **selection.evidence,
+                choice=selection.pruning,
                 ccps_considered=context.stats.ccps_considered - considered,
             )
     ranked = tuple(memo.best_k(root)) if context.topk > 1 else ()
@@ -335,40 +332,12 @@ def _execute(
         cost=plan.cost,
         stats=context.stats,
         elapsed=elapsed,
-        enumerator=enumerator,
-        pruning=pruning,
+        enumerator=selection.enumerator,
+        pruning=selection.pruning,
         memo_entries=len(memo),
         query=query,
         ranked_plans=ranked,
     )
-
-
-def _plain(factory: Callable[..., Any]) -> Callable[..., _Prepared]:
-    """``prepare`` for an algorithm run in the caller's numbering."""
-
-    def prepare(context: OptimizationContext, budget: Optional["Budget"]):
-        return factory(context=context, budget=budget), context, None, None
-
-    return prepare
-
-
-def _prepare_dpconv_fallback(
-    context: OptimizationContext, budget: Optional["Budget"]
-) -> _Prepared:
-    """DPccp serving an ineligible ``pruning="dpconv"`` request.
-
-    DPccp covers the same plan space under any cost model and with ranked
-    retention; a ``dpconv_fallback`` event on the ``enumerate`` span
-    records why it ran.
-    """
-    if context.telemetry is not None:
-        context.telemetry.event(
-            "dpconv_fallback",
-            cost_model=context.cost_model.name,
-            topk=context.topk,
-            relations=context.query.n_relations,
-        )
-    return DPccp(context=context, budget=budget), context, None, None
 
 
 class Optimizer:
@@ -403,6 +372,12 @@ class Optimizer:
         is threaded into every per-query context, so every run records one
         ``enumerate`` span and the cache path emits ``plan_cache_hit``
         events.  Telemetry never influences plan choice.
+    topk:
+        How many plans each class retains (default 1, the single best).
+        With ``k > 1`` every run keeps the ``k`` cheapest plans per class
+        and the result's ``ranked`` stream holds up to ``k`` complete
+        plans, rank 1 first; :meth:`optimize_topk` overrides it per call.
+        Ranked runs are never routed.
     auto_route:
         When True (the default), unbudgeted single-best runs are routed
         automatically where a route applies (:meth:`_select`):
@@ -593,13 +568,22 @@ class Optimizer:
             return "dpconv", "dpconv"
         return "dpccp", "dpccp"
 
-    def _select(
+    def _routes_by_work(
         self, context: OptimizationContext, budget: Optional["Budget"]
-    ) -> Tuple[str, str, Callable[..., _Prepared], Optional[_Route]]:
-        """The algorithm that serves ``context``, and how to build it.
+    ) -> bool:
+        """Whether the ``C_out`` route (DPconv or DPccp) serves ``context``."""
+        return self.auto_route and budget is None and dpconv_eligible(context)
 
-        Returns ``(enumerator, pruning, prepare, route)``.  Two routes
-        apply to unbudgeted runs with ``auto_route`` on:
+    def _select(
+        self,
+        context: OptimizationContext,
+        budget: Optional["Budget"],
+        oracle: Optional[_Oracle] = None,
+    ) -> _Selection:
+        """The algorithm that serves ``context``, built and ready to run.
+
+        :func:`_execute` calls this inside its measured interval.  Two
+        routes apply to unbudgeted runs with ``auto_route`` on:
 
         * A context DPconv is eligible for (a ``C_out``-shaped bound
           model, ``topk == 1``) is routed by predicted work: one
@@ -613,17 +597,29 @@ class Optimizer:
 
         A budgeted run wants the top-down generators' anytime best-so-far
         salvage and keeps the configured algorithm, as does everything
-        else.  Building an APCBI_Opt run starts its oracle pre-pass, so
-        only a cache miss may call this.
+        else.  ``oracle`` is APCBI_Opt's pre-pass (:meth:`_oracle`), run
+        before the clock starts.
         """
         enumerator, pruning = self._configured(context)
         if pruning == "dpconv":
-            return enumerator, pruning, _plain(DPconv), None
+            return _Selection(
+                enumerator, pruning, DPconv(context=context, budget=budget), context
+            )
         if pruning == "dpccp":
-            return enumerator, pruning, _prepare_dpconv_fallback, None
-        routed = self.auto_route and budget is None
-        if routed and dpconv_eligible(context):
-            started = time.perf_counter()
+            # DPccp serves an ineligible ``pruning="dpconv"`` request: it
+            # covers the same plan space under any cost model and with
+            # ranked retention.
+            if context.telemetry is not None:
+                context.telemetry.event(
+                    "dpconv_fallback",
+                    cost_model=context.cost_model.name,
+                    topk=context.topk,
+                    relations=context.query.n_relations,
+                )
+            return _Selection(
+                enumerator, pruning, DPccp(context=context, budget=budget), context
+            )
+        if self._routes_by_work(context, budget):
             csgs = enumerate_csg(context.query.graph)
             predicted = {
                 "dpconv": convolution_work(csgs),
@@ -631,33 +627,34 @@ class Optimizer:
             }
             choice = min(predicted, key=predicted.__getitem__)
             algorithm = DPconv if choice == "dpconv" else DPccp
-            prepare = _plain(partial(algorithm, csgs=csgs))
-            evidence = {
-                "candidates": tuple(predicted),
-                "predicted_work": predicted,
-            }
-            return choice, choice, prepare, _Route(started, evidence)
+            return _Selection(
+                choice,
+                choice,
+                algorithm(context=context, budget=budget, csgs=csgs),
+                context,
+                evidence={
+                    "candidates": tuple(predicted),
+                    "predicted_work": predicted,
+                },
+            )
         if (
-            routed
+            self.auto_route
+            and budget is None
             and pruning == "apcbi"
             and context.topk == 1
             and isinstance(context.cost_model, HaasCostModel)
         ):
             return self._route_haas(context)
         if pruning in PRUNING_STRATEGIES:
-            prepare = _plain(
-                partial(
-                    PRUNING_STRATEGIES[pruning],
-                    partitioning=get_partitioning(enumerator),
-                )
+            generator = PRUNING_STRATEGIES[pruning](
+                context=context,
+                budget=budget,
+                partitioning=get_partitioning(enumerator),
             )
-        else:
-            prepare = self._prepare_apcbi(context, budget)
-        return enumerator, pruning, prepare, None
+            return _Selection(enumerator, pruning, generator, context)
+        return self._apcbi(context, budget, oracle)
 
-    def _route_haas(
-        self, context: OptimizationContext
-    ) -> Tuple[str, str, Callable[..., _Prepared], _Route]:
+    def _route_haas(self, context: OptimizationContext) -> _Selection:
         """APCBI or DPccp for an unbudgeted Haas request, by pruning yield.
 
         The configured heuristic (GOO by default) runs once; when more
@@ -669,33 +666,30 @@ class Optimizer:
         in it, so the plan is APCBI's bit for bit.  Otherwise APCBI serves
         and reuses the heuristic run.
         """
-        started = time.perf_counter()
         query = context.query
         built = get_heuristic(self.heuristic).build(query, context.builder)
         share, sampled = _live_share(context, built.cost)
-        route = _Route(
-            started,
-            {
-                "candidates": ("apcbi", "dpccp"),
-                "live_share": share,
-                "sampled_classes": sampled,
-                "upper_bound": built.cost,
-            },
-        )
+        evidence = {
+            "candidates": ("apcbi", "dpccp"),
+            "live_share": share,
+            "sampled_classes": sampled,
+            "upper_bound": built.cost,
+        }
         if share <= HAAS_LIVE_SHARE:
-            prepare = self._prepare_apcbi(context, None, built)
-            return self.enumerator, "apcbi", prepare, route
+            selection = self._apcbi(context, budget=None, oracle=None, built=built)
+            return replace(selection, evidence=evidence)
         mapping = None
         if self._renumbers(query):
             mapping = renumber_mapping(built.tree, query.n_relations)
-
-        def prepare(context, budget):
-            if mapping is not None:
-                context = context.relabeled(mapping)
-            algorithm = DPccp(context=context, budget=budget)
-            return algorithm, context, mapping, None
-
-        return "dpccp", "dpccp", prepare, route
+            context = context.relabeled(mapping)
+        return _Selection(
+            "dpccp",
+            "dpccp",
+            DPccp(context=context, budget=None),
+            context,
+            mapping,
+            evidence=evidence,
+        )
 
     def _renumbers(self, query: Query) -> bool:
         """Whether APCBI runs ``query`` renumbered (advancement 6)."""
@@ -705,8 +699,8 @@ class Optimizer:
         self, context: OptimizationContext, budget: Optional["Budget"]
     ) -> OptimizationResult:
         """Enumerate with the selected algorithm (no cache involved)."""
-        enumerator, pruning, prepare, route = self._select(context, budget)
-        return _execute(context, budget, enumerator, pruning, prepare, route)
+        oracle = self._oracle(context, budget)
+        return _execute(context, partial(self._select, context, budget, oracle))
 
     # -- plan cache --------------------------------------------------------
 
@@ -788,78 +782,84 @@ class Optimizer:
 
     # -- APCBI / APCBI_Opt -------------------------------------------------
 
-    def _prepare_apcbi(
+    def _oracle(
+        self, context: OptimizationContext, budget: Optional["Budget"]
+    ) -> Optional[_Oracle]:
+        """APCBI_Opt's oracle pre-pass, when APCBI_Opt will serve.
+
+        It runs before :func:`_execute` starts its clock.  It shares the
+        run's budget: it is excluded from the *measured* time (§V-C) but
+        not from the caller's wall-clock allowance — an anytime contract
+        that ignored the most expensive phase would be useless.  It runs
+        on a fork of the query's context — same provider (its memoized
+        statistics carry over into enumeration), fresh counters (its work
+        stays untimed/uncounted).  Only a cache miss may call this.
+        """
+        if self.pruning != "apcbi_opt" or self._routes_by_work(context, budget):
+            return None
+        oracle = DPccp(context=context.fork(), budget=budget)
+        plan = oracle.run()
+        return plan, oracle.optimal_class_costs()
+
+    def _apcbi(
         self,
         context: OptimizationContext,
         budget: Optional["Budget"],
+        oracle: Optional[_Oracle],
         built: Optional[HeuristicResult] = None,
-    ) -> Callable[..., _Prepared]:
-        """Run APCBI_Opt's oracle pre-pass; return the timed preparation.
+    ) -> _Selection:
+        """Build APCBI (or APCBI_Opt, given its ``oracle``) for ``context``.
 
         ``built`` is a heuristic result the router already computed in the
         caller's numbering; APCBI then seeds and renumbers from it instead
         of running the heuristic again.
-
-        The pre-pass runs here, before :func:`_execute` starts its clock.
-        It shares the run's budget: it is excluded from the *measured*
-        time (§V-C) but not from the caller's wall-clock allowance — an
-        anytime contract that ignored the most expensive phase would be
-        useless.  It runs on a fork of the query's context — same provider
-        (its memoized statistics carry over into enumeration), fresh
-        counters (its work stays untimed/uncounted).
         """
-        config = self.config
+        query = context.query
         heuristic = get_heuristic(self.heuristic)
-        partitioning = get_partitioning(self.enumerator)
-        oracle_plan: Optional[JoinTree] = None
-        oracle_bounds: Optional[Dict[int, float]] = None
-        if self.pruning == "apcbi_opt":
-            oracle = DPccp(context=context.fork(), budget=budget)
-            oracle_plan = oracle.run()
-            oracle_bounds = oracle.optimal_class_costs()
-
-        def prepare(context, budget):
-            query = context.query
-            upper_bounds = oracle_bounds
-            heuristic_tree = mapping = None
-            result = built
-            renumbers = self._renumbers(query)
+        upper_bounds = heuristic_tree = mapping = None
+        renumbers = self._renumbers(query)
+        if oracle is not None:
+            # APCBI_Opt: the oracle's costs are the bounds, and its
+            # optimal tree doubles as advancement 6's heuristic tree.
+            upper_bounds = oracle[1]
             if renumbers:
-                # Advancement 6 needs a heuristic join tree before
-                # enumeration.  For APCBI_Opt the oracle's optimal tree
-                # doubles as the heuristic; otherwise the heuristic runs
-                # here, unless the router already ran it.
-                heuristic_tree = oracle_plan
-                if heuristic_tree is None and result is None:
-                    result = heuristic.build(query, context.builder)
-            if result is not None:
-                # Its tree also seeds the uB table (advancement 2).
-                heuristic_tree = result.tree
-                upper_bounds = {}
-                if config.heuristic_upper_bounds:
-                    upper_bounds = dict(result.subtree_costs)
-            if renumbers:
-                mapping = renumber_mapping(heuristic_tree, query.n_relations)
-                # The renumbered query runs on a relabeled context: own
-                # provider and bound model, shared counters and budget.
-                context = context.relabeled(mapping)
-                if upper_bounds:
-                    upper_bounds = {
-                        remap_bitset(vertex_set, mapping): cost
-                        for vertex_set, cost in upper_bounds.items()
-                    }
-            generator = ApcbiPlanGenerator(
-                partitioning=partitioning,
-                context=context,
-                config=config,
-                upper_bounds=upper_bounds,
-                heuristic=heuristic,
-                budget=budget,
-            )
-            salvage = heuristic_tree or generator.heuristic_tree
-            return generator, context, mapping, salvage
-
-        return prepare
+                heuristic_tree = oracle[0]
+        elif renumbers and built is None:
+            # Advancement 6 needs a heuristic join tree before enumeration;
+            # the heuristic runs here unless the router already ran it.
+            built = heuristic.build(query, context.builder)
+        if built is not None:
+            # Its tree also seeds the uB table (advancement 2).
+            heuristic_tree = built.tree
+            upper_bounds = {}
+            if self.config.heuristic_upper_bounds:
+                upper_bounds = dict(built.subtree_costs)
+        if renumbers:
+            mapping = renumber_mapping(heuristic_tree, query.n_relations)
+            # The renumbered query runs on a relabeled context: own
+            # provider and bound model, shared counters and budget.
+            context = context.relabeled(mapping)
+            if upper_bounds:
+                upper_bounds = {
+                    remap_bitset(vertex_set, mapping): cost
+                    for vertex_set, cost in upper_bounds.items()
+                }
+        generator = ApcbiPlanGenerator(
+            partitioning=get_partitioning(self.enumerator),
+            context=context,
+            config=self.config,
+            upper_bounds=upper_bounds,
+            heuristic=heuristic,
+            budget=budget,
+        )
+        return _Selection(
+            self.enumerator,
+            self.pruning,
+            generator,
+            context,
+            mapping,
+            heuristic_tree or generator.heuristic_tree,
+        )
 
 
 def optimize(
@@ -933,7 +933,12 @@ def _run_baseline(
         topk=topk,
     )
     name = algorithm_cls.name
-    return _execute(context, budget, name, name, _plain(algorithm_cls))
+    return _execute(
+        context,
+        lambda: _Selection(
+            name, name, algorithm_cls(context=context, budget=budget), context
+        ),
+    )
 
 
 def run_dpconv(

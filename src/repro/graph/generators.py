@@ -14,7 +14,7 @@ attaching statistics is the workload generator's job.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.errors import GraphError
 from repro.graph.query_graph import QueryGraph
@@ -123,10 +123,6 @@ def random_cyclic_graph(
             continue
         edges.add((min(u, v), max(u, v)))
     return QueryGraph(n, edges)
-
-
-def _normalize_edges(graph: QueryGraph) -> List[Tuple[int, int]]:
-    return sorted(graph.edges)
 
 
 #: Family name -> generator callable taking ``(n, rng)``.

@@ -80,10 +80,6 @@ class PlanBuilder:
             provider.stats(left_set), provider.stats(right_set)
         )
 
-    def operator_cost(self, left_set: int, right_set: int) -> float:
-        """``c_join``: the minimal operator cost for joining the two sets."""
-        return min(self.price(left_set, right_set))
-
     def create_tree(
         self,
         outer: JoinTree,

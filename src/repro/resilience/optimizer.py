@@ -9,8 +9,9 @@ cheaper strategies until one produces a **validated** plan:
 1. ``exact`` — budgeted top-down enumeration (optimal when it completes);
 2. ``best_so_far`` — the best complete plan the interrupted run registered
    (the memotable root entry, or APCBI's pre-enumeration heuristic tree);
-3. the **heuristic ladder** — IKKBZ, then GOO, then QuickPick by default,
-   each priced with a fresh cost model and validated;
+3. the **heuristic ladder** — IKKBZ, then GOO, then QuickPick
+   (:data:`DEFAULT_HEURISTIC_LADDER`), each priced on a fork of the shared
+   context and validated;
 4. ``structural`` — a cost-model-free greedy tree
    (:func:`~repro.resilience.fallback.structural_fallback_plan`), the last
    resort that survives even a cost model returning ``NaN`` everywhere.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.context.context import OptimizationContext
 from repro.core.advancements import AdvancementConfig
@@ -77,43 +78,22 @@ class RungAttempt:
 
 @dataclass
 class DegradationReport:
-    """Which rung produced the returned plan, and why the others did not.
-
-    ``cost_gap`` relates the returned plan to the cheapest *heuristic*
-    plan observed during the descent (``fallback_cost``): a value below 1
-    means the returned plan beat the fallback, 1.0 means the fallback
-    itself was returned.  It is ``None`` when no finite fallback cost was
-    available (e.g. the cost model was faulty).
-    """
+    """Which rung produced the returned plan, and why the others did not."""
 
     rung: str
     attempts: List[RungAttempt] = field(default_factory=list)
     budget: Optional[dict] = None
     budget_exceeded: Optional[str] = None
     chosen_cost: Optional[float] = None
-    fallback_cost: Optional[float] = None
 
     @property
     def degraded(self) -> bool:
         return self.rung != "exact"
 
-    @property
-    def cost_gap(self) -> Optional[float]:
-        if (
-            self.chosen_cost is None
-            or self.fallback_cost is None
-            or not self.fallback_cost > 0
-        ):
-            return None
-        return self.chosen_cost / self.fallback_cost
-
     def describe(self) -> str:
         lines = [f"returned by rung: {self.rung}"]
         if self.budget_exceeded:
             lines.append(f"budget exceeded: {self.budget_exceeded}")
-        gap = self.cost_gap
-        if gap is not None:
-            lines.append(f"cost gap vs. fallback: {gap:.4g}")
         for attempt in self.attempts:
             lines.append(f"  {attempt.format()}")
         return "\n".join(lines)
@@ -158,19 +138,10 @@ class ResilientResult:
 class ResilientOptimizer:
     """Budgeted, fault-tolerant facade over the exact optimizer.
 
-    Parameters mirror :class:`~repro.core.optimizer.Optimizer`, plus:
+    Parameters mirror :class:`~repro.core.optimizer.Optimizer`; the
+    heuristic rungs are :data:`DEFAULT_HEURISTIC_LADDER`, followed by the
+    cost-model-free structural rung.
 
-    heuristic_ladder:
-        Heuristic registry names to fall through, in order.
-    structural_fallback:
-        Whether the cost-model-free last rung is enabled.
-    compare_fallback:
-        When the exact rung succeeds, additionally price the first ladder
-        heuristic so :attr:`DegradationReport.cost_gap` is populated
-        (costs one extra heuristic run per query; off by default).
-    budget_factory:
-        Zero-argument callable producing a fresh :class:`Budget` per
-        :meth:`optimize` call when the caller passes none.
     plan_cache:
         Optional cross-query :class:`~repro.context.PlanCache` handed to
         the exact optimizer (the heuristic rungs never consult it — a
@@ -193,10 +164,6 @@ class ResilientOptimizer:
         cost_model_factory: Callable[[], CostModel] = HaasCostModel,
         config: Optional[AdvancementConfig] = None,
         heuristic: str = "goo",
-        heuristic_ladder: Sequence[str] = DEFAULT_HEURISTIC_LADDER,
-        structural_fallback: bool = True,
-        compare_fallback: bool = False,
-        budget_factory: Optional[Callable[[], Budget]] = None,
         plan_cache=None,
         telemetry: Optional[Telemetry] = None,
         topk: int = 1,
@@ -217,12 +184,6 @@ class ResilientOptimizer:
         )
         self._topk = topk
         self._cost_model_factory = cost_model_factory
-        self._heuristic_ladder = tuple(heuristic_ladder)
-        for name in self._heuristic_ladder:
-            get_heuristic(name)  # fail fast on typos
-        self._structural_fallback = structural_fallback
-        self._compare_fallback = compare_fallback
-        self._budget_factory = budget_factory
         self._telemetry = telemetry
 
     @property
@@ -256,8 +217,6 @@ class ResilientOptimizer:
         threads, a test pinning the substrate — hand it in; by default a
         fresh context is built per call.
         """
-        if budget is None and self._budget_factory is not None:
-            budget = self._budget_factory()
         started = time.perf_counter()
         report = DegradationReport(rung="exact")
         if context is not None and budget is None:
@@ -363,12 +322,6 @@ class ResilientOptimizer:
             report.rung = "exact"
             report.attempts.append(RungAttempt("exact", "ok"))
             report.chosen_cost = result.cost
-            if self._compare_fallback and self._heuristic_ladder:
-                fallback = self._try_heuristic(
-                    self._heuristic_ladder[0], query, context.fork()
-                )
-                if fallback is not None:
-                    report.fallback_cost = fallback.cost
             return result.plan, result.stats, result, result.ranked_plans
 
         # Rung 2: best-so-far plans salvaged from the interrupted run,
@@ -413,54 +366,48 @@ class ResilientOptimizer:
         # Rungs 3..n: the heuristic ladder.  Each rung runs on a fork of
         # the shared context: same provider (statistics memoized by the
         # failed exact rung are reused) and bound model, fresh counters.
-        for name in self._heuristic_ladder:
+        for name in DEFAULT_HEURISTIC_LADDER:
             rung_context = context.fork()
             with self._span("ladder_rung", rung=name):
                 plan = self._try_heuristic(name, query, rung_context, report)
             if plan is not None:
                 report.rung = name
                 report.chosen_cost = plan.cost
-                if report.fallback_cost is None:
-                    report.fallback_cost = plan.cost
                 return plan, rung_context.stats, None, ()
 
         # Final rung: structure without costs.
-        if self._structural_fallback:
-            try:
-                with self._span("ladder_rung", rung="structural"):
-                    plan = structural_fallback_plan(query)
-                    validate_plan(plan, query)
-            except _RECOVERABLE as error:
-                report.attempts.append(
-                    RungAttempt(
-                        "structural", "failed", f"{type(error).__name__}: {error}"
-                    )
+        try:
+            with self._span("ladder_rung", rung="structural"):
+                plan = structural_fallback_plan(query)
+                validate_plan(plan, query)
+        except _RECOVERABLE as error:
+            report.attempts.append(
+                RungAttempt(
+                    "structural", "failed", f"{type(error).__name__}: {error}"
                 )
-            else:
-                report.rung = "structural"
-                report.attempts.append(RungAttempt("structural", "ok"))
-                return plan, OptimizationStats(), None, ()
-        return None
+            )
+            return None
+        report.rung = "structural"
+        report.attempts.append(RungAttempt("structural", "ok"))
+        return plan, OptimizationStats(), None, ()
 
     def _try_heuristic(
         self,
         name: str,
         query: Query,
         context: OptimizationContext,
-        report: Optional[DegradationReport] = None,
+        report: DegradationReport,
     ) -> Optional[JoinTree]:
         """Run one heuristic rung; returns a validated plan or ``None``."""
         try:
             result = get_heuristic(name).build(query, context.builder)
             self._validate(result.tree, query)
         except _RECOVERABLE as error:
-            if report is not None:
-                report.attempts.append(
-                    RungAttempt(name, "failed", f"{type(error).__name__}: {error}")
-                )
+            report.attempts.append(
+                RungAttempt(name, "failed", f"{type(error).__name__}: {error}")
+            )
             return None
-        if report is not None:
-            report.attempts.append(RungAttempt(name, "ok"))
+        report.attempts.append(RungAttempt(name, "ok"))
         return result.tree
 
     @staticmethod

@@ -41,7 +41,7 @@ import time
 from concurrent.futures import Future
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.context.plancache import PlanCache
 from repro.core.advancements import AdvancementConfig
@@ -214,16 +214,14 @@ class OptimizationService:
         The per-component breaker board; defaults to one with stock
         settings on ``clock``.
     plan_cache:
-        Shared cross-query cache (thread-safe); chaos-armed attempts
-        bypass it so injected faults can never poison it.  Pass ``None``
-        inside ``plan_cache=PlanCache(0)`` semantics to disable.
-    store_path / store_snapshot_paths / store_admission:
-        Durable-tier convenience: when ``store_path`` is given (and no
-        explicit ``plan_cache``), the service warms on start from a
-        :class:`~repro.context.store.TieredPlanCache` opened on that
-        segment (plus any read-only snapshots) and persists admitted
-        entries to it.  Store faults fail open to L1-only serving; the
-        store state shows up under ``plan_cache.l2`` in :meth:`healthz`.
+        Shared cross-query cache (thread-safe), or ``None`` (the default)
+        for no caching.  Chaos-armed attempts bypass it so injected faults
+        can never poison it.  For a durable tier, pass a
+        :class:`~repro.context.store.TieredPlanCache` from
+        ``TieredPlanCache.open(path)``: it recovers its entries when it
+        opens, so the first request already sees them; its store state
+        shows up under ``plan_cache.l2`` in :meth:`healthz`.  The caller
+        that opened it closes it.
     budget_factory:
         Default per-attempt budget for requests without a deadline.
     chaos:
@@ -260,9 +258,6 @@ class OptimizationService:
         retry_policy: Optional[RetryPolicy] = None,
         breakers: Optional[BreakerBoard] = None,
         plan_cache: Optional[PlanCache] = None,
-        store_path: Optional[str] = None,
-        store_snapshot_paths: Sequence[str] = (),
-        store_admission=None,
         budget_factory: Optional[Callable[[], Budget]] = None,
         chaos: Optional[
             Callable[[OptimizeRequest, int], Optional[AttemptChaos]]
@@ -293,21 +288,6 @@ class OptimizationService:
         self._breakers = (
             breakers if breakers is not None else BreakerBoard(clock=clock)
         )
-        self._owns_store = False
-        if plan_cache is None and store_path is not None:
-            # Warm-on-start: recovery happens here, before any worker
-            # serves, so the first request already sees every entry the
-            # previous incarnation persisted.  Opening fails open — a
-            # damaged or unwritable store degrades to a plain L1 cache.
-            from repro.context.store import TieredPlanCache
-
-            plan_cache = TieredPlanCache.open(
-                store_path,
-                snapshot_paths=store_snapshot_paths,
-                admission=store_admission,
-                telemetry=telemetry,
-            )
-            self._owns_store = True
         self._plan_cache = plan_cache
         self._budget_factory = budget_factory
         self._chaos = chaos
@@ -397,10 +377,6 @@ class OptimizationService:
         stopped = not any(thread.is_alive() for thread in self._threads)
         with self._lock:
             self._state = "stopped" if stopped else "draining"
-        if stopped and self._owns_store and self._plan_cache is not None:
-            close = getattr(self._plan_cache, "close", None)
-            if close is not None:
-                close()
         return stopped
 
     def __enter__(self) -> "OptimizationService":

@@ -62,10 +62,7 @@ from repro.service.server import (
     _Ticket,
 )
 from repro.service.sharded.health import ClusterHealth, ShardStatus
-from repro.service.sharded.router import (
-    DEFAULT_VIRTUAL_NODES,
-    ConsistentHashRouter,
-)
+from repro.service.sharded.router import ConsistentHashRouter
 from repro.service.sharded.shard import ShardConfig
 from repro.service.sharded.supervisor import (
     RespawnBackoff,
@@ -86,6 +83,10 @@ from repro.telemetry import Telemetry
 from repro.telemetry.adapters import publish_cluster_health
 
 __all__ = ["ShardedService", "DEFAULT_RESPAWN_POLICY"]
+
+#: How long a freshly spawned shard may go without its first heartbeat
+#: before it is declared wedged.
+SPAWN_GRACE_SECONDS = 10.0
 
 
 def DEFAULT_RESPAWN_POLICY() -> RetryPolicy:
@@ -124,16 +125,16 @@ class ShardedService:
     seed:
         Cluster seed; per-request seeds derive from it exactly as the
         single-process service derives them.
-    store_dir / store_min_expansions:
+    store_dir:
         Durable plan-store directory for the cluster (``None`` disables
-        the L2 tier).  Each shard appends to its own
+        the L2 tier).  Each shard appends every plan it caches to its own
         ``shard-<id>.rpl`` segment (single-writer) and warms on (re)spawn
         from the shared read-only ``snapshot.rpl`` plus its own segment,
         so a killed shard's respawn starts with the state it died with;
         ``repro-cache compact`` merges segments offline.
-    heartbeat_interval / heartbeat_miss_limit / spawn_grace_seconds:
+    heartbeat_interval / heartbeat_miss_limit:
         A shard is declared wedged after ``miss_limit`` intervals without
-        a heartbeat (or ``spawn_grace_seconds`` without its first one).
+        a heartbeat (or :data:`SPAWN_GRACE_SECONDS` without its first one).
     respawn_policy:
         Backoff schedule between respawns of a crashing shard.
     max_outstanding:
@@ -158,14 +159,10 @@ class ShardedService:
         seed: int = 0,
         chaos_rate: float = 0.0,
         store_dir: Optional[str] = None,
-        store_min_expansions: int = 0,
         heartbeat_interval: float = 0.05,
         heartbeat_miss_limit: int = 8,
-        spawn_grace_seconds: float = 10.0,
         respawn_policy: Optional[RetryPolicy] = None,
         max_outstanding: Optional[int] = None,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        mp_start_method: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -180,7 +177,6 @@ class ShardedService:
         self._telemetry = telemetry
         self._heartbeat_interval = heartbeat_interval
         self._miss_limit = heartbeat_miss_limit
-        self._spawn_grace = spawn_grace_seconds
         self._respawn_policy = (
             respawn_policy if respawn_policy is not None else DEFAULT_RESPAWN_POLICY()
         )
@@ -191,10 +187,8 @@ class ShardedService:
         )
         # A ticket that bounced off every shard twice goes to fallback.
         self._max_dispatches = 2 * shards + 1
-        self._ctx = pick_mp_context(mp_start_method)
-        self._router = ConsistentHashRouter(
-            range(shards), virtual_nodes=virtual_nodes
-        )
+        self._ctx = pick_mp_context()
+        self._router = ConsistentHashRouter(range(shards))
         self._handles: Dict[int, ShardHandle] = {}
         for shard_id in range(shards):
             config = ShardConfig(
@@ -208,7 +202,6 @@ class ShardedService:
                 seed=seed,
                 chaos_rate=chaos_rate,
                 store_dir=store_dir,
-                store_min_expansions=store_min_expansions,
                 heartbeat_interval=heartbeat_interval,
             )
             backoff = RespawnBackoff(
@@ -625,7 +618,7 @@ class ShardedService:
                         to_declare.append((handle, "pipe"))
                     elif handle.state == "spawning":
                         started = handle.spawned_at or now
-                        if now - started > self._spawn_grace:
+                        if now - started > SPAWN_GRACE_SECONDS:
                             to_declare.append((handle, "spawn-timeout"))
                     else:
                         age = handle.heartbeat_age(now)

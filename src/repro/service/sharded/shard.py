@@ -103,8 +103,6 @@ class ShardConfig:
     #: SIGKILLed shard's respawn re-opens the same segment, repairs any
     #: torn tail, and starts warm.
     store_dir: Optional[str] = None
-    #: L2 admission floor on cold ccp expansions (0 persists everything).
-    store_min_expansions: int = 0
 
 
 class _ShardBridge:
@@ -168,13 +166,12 @@ class _ShardBridge:
 def _make_plan_cache(config: ShardConfig) -> PlanCache:
     if config.store_dir is None:
         return PlanCache(config.plan_cache_capacity)
-    from repro.context.store import AdmissionPolicy, TieredPlanCache
+    from repro.context.store import TieredPlanCache
 
     return TieredPlanCache.open(
         os.path.join(config.store_dir, f"shard-{config.shard_id}.rpl"),
         capacity=config.plan_cache_capacity,
         snapshot_paths=(os.path.join(config.store_dir, "snapshot.rpl"),),
-        admission=AdmissionPolicy(min_expansions=config.store_min_expansions),
     )
 
 

@@ -49,19 +49,14 @@ __all__ = [
 ]
 
 
-def pick_mp_context(method: Optional[str] = None):
+def pick_mp_context():
     """The multiprocessing context for shard processes.
 
     Prefers ``fork`` (sub-millisecond shard start on Linux — respawn
     after a SIGKILL is cheap) and falls back to ``spawn`` where fork is
     unavailable; ``shard_main`` is a module-level entry point either way.
     """
-    if method is None:
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     return multiprocessing.get_context(method)
 
 

@@ -77,6 +77,11 @@ __all__ = [
 #: modes, catalog statistics loss, and injected latency.
 CHAOS_KINDS = ("raise", "nan", "inf", "catalog", "latency")
 
+#: A ``latency`` attempt delays each call site it fires on by this long,
+#: and fires on this share of call sites.
+CHAOS_LATENCY_SECONDS = 0.002
+CHAOS_LATENCY_RATE = 0.05
+
 
 class ChaosAttempt:
     """One poisoned attempt: a seeded injector plus the chosen fault kind.
@@ -125,8 +130,8 @@ class ChaosPlant:
     number — never on wall time or thread identity — so a fixed service
     seed yields an identical fault schedule on every run.
 
-    ``latency`` attempts fire sparsely (``latency_rate`` per call site)
-    and delay rather than corrupt; the other kinds fire on every eligible
+    ``latency`` attempts fire sparsely (:data:`CHAOS_LATENCY_RATE` per
+    call site) and delay rather than corrupt; the other kinds fire on every eligible
     call after a seeded warm-up, guaranteeing the attempt actually
     exercises the failure path.
     """
@@ -136,8 +141,6 @@ class ChaosPlant:
         seed: int = 0,
         rate: float = 0.3,
         kinds: Sequence[str] = CHAOS_KINDS,
-        latency_seconds: float = 0.002,
-        latency_rate: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if not 0.0 <= rate <= 1.0:
@@ -148,8 +151,6 @@ class ChaosPlant:
         self.seed = seed
         self.rate = rate
         self.kinds = tuple(kinds)
-        self.latency_seconds = latency_seconds
-        self.latency_rate = latency_rate
         self._sleep = sleep
         #: kind -> number of poisoned attempts scheduled (diagnostics).
         #: Updated from every worker thread, hence the lock.
@@ -169,9 +170,9 @@ class ChaosPlant:
             self.scheduled[kind] = self.scheduled.get(kind, 0) + 1
         injector = FaultInjector(
             seed=rng.randrange(2**31),
-            rate=self.latency_rate if kind == "latency" else 1.0,
+            rate=CHAOS_LATENCY_RATE if kind == "latency" else 1.0,
             after=rng.randrange(16),
-            latency_seconds=self.latency_seconds,
+            latency_seconds=CHAOS_LATENCY_SECONDS,
             sleep=self._sleep,
         )
         return ChaosAttempt(injector, kind)

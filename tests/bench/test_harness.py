@@ -1,7 +1,5 @@
 """Tests for the measurement harness."""
 
-import json
-
 import pytest
 
 from repro.bench.harness import (
@@ -10,11 +8,9 @@ from repro.bench.harness import (
     AlgorithmSpec,
     FailureCounts,
     NormedSummary,
-    load_checkpoint,
     run_query_matrix,
     run_workload,
 )
-from repro.context import PlanCache
 from repro.resilience import Budget
 from repro.workload.generator import QueryGenerator
 
@@ -66,10 +62,6 @@ class TestRunQueryMatrix:
         assert measurement.normed_success["TDMcC"] == pytest.approx(1.0)
         assert measurement.normed_success["TDMcC_APCBI"] <= 1.0 + 1e-9
 
-    def test_check_costs_can_be_disabled(self, small_query):
-        measurement = run_query_matrix(small_query, FAST, check_costs=False)
-        assert set(measurement.normed_times) == {spec.label for spec in FAST}
-
     def test_config_override_flows_through(self, small_query):
         from repro.core.advancements import AdvancementConfig
 
@@ -104,42 +96,9 @@ class TestRunWorkload:
         measurement = run_workload(workload, FAST)
         assert set(measurement.dpccp_by_size()) == {5, 6}
 
-    def test_progress_callback(self, workload):
-        seen = []
-        run_workload(workload, FAST, progress=lambda i, n: seen.append((i, n)))
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
-
     def test_normed_times_series(self, workload):
         measurement = run_workload(workload, FAST)
         assert len(measurement.normed_times("TDMcC")) == 4
-
-
-class TestHarnessPlanCache:
-    def test_matrix_reuses_the_cache_across_repeats(self):
-        query = QueryGenerator(seed=7).generate("cycle", 6)
-        specs = [AlgorithmSpec("mincut_conservative", "apcbi")]
-        cache = PlanCache()
-        first = run_query_matrix(query, specs, plan_cache=cache)
-        second = run_query_matrix(query, specs, plan_cache=cache)
-        assert not first.failures and not second.failures
-        # One DPccp-verified entry per config; the repeat hit it.
-        assert cache.misses == 1
-        assert cache.hits == 1
-
-    def test_workload_passes_the_cache_through(self):
-        generator = QueryGenerator(seed=9)
-        queries = [generator.generate("chain", 5)] * 2
-        specs = [AlgorithmSpec("mincut_conservative", "pcb")]
-        cache = PlanCache()
-        measurement = run_workload(queries, specs, plan_cache=cache)
-        assert len(measurement.measurements) == 2
-        assert cache.hits == 1
-
-    def test_without_a_cache_nothing_changes(self):
-        query = QueryGenerator(seed=7).generate("chain", 5)
-        specs = [AlgorithmSpec("mincut_conservative", "apcbi")]
-        measurement = run_query_matrix(query, specs)
-        assert not measurement.failures
 
 
 class TestFailureCounts:
@@ -190,96 +149,6 @@ class TestBudgetedMatrix:
         assert "DPccp" not in measurement.failures
         assert measurement.failures[spec.label] == "timeout"
         assert spec.label not in measurement.normed_times
-
-    def test_resilient_mode_records_degradation_with_a_time(self):
-        query = QueryGenerator(seed=11).generate("clique", 9)
-        spec = AlgorithmSpec("mincut_lazy", "none")
-        measurement = run_query_matrix(
-            query,
-            [spec],
-            budget_factory=lambda: Budget(max_expansions=23_000),
-            resilient=True,
-        )
-        assert measurement.failures[spec.label].startswith("degraded: ")
-        assert measurement.normed_times[spec.label] > 0
-
-    def test_resilient_exact_path_matches_plain(self, small_query):
-        plain = run_query_matrix(small_query, FAST)
-        resilient = run_query_matrix(small_query, FAST, resilient=True)
-        assert resilient.ok
-        assert set(resilient.normed_times) == set(plain.normed_times)
-
-
-class TestCheckpointing:
-    @pytest.fixture
-    def workload(self):
-        generator = QueryGenerator(seed=3)
-        return [generator.generate("acyclic", n) for n in (5, 5, 6)]
-
-    def test_checkpoint_written_one_line_per_query(self, workload, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        run_workload(workload, FAST, checkpoint_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        records = [json.loads(line) for line in lines]
-        assert [record["index"] for record in records] == [0, 1, 2]
-        assert records[0]["query"] == workload[0].describe()
-
-    def test_resume_reuses_completed_measurements(self, workload, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        first = run_workload(workload, FAST, checkpoint_path=path)
-        second = run_workload(workload, FAST, checkpoint_path=path)
-        # Wall-clock timings are never bit-identical across runs, so equal
-        # floats prove the measurement was loaded, not recomputed.
-        for a, b in zip(first.measurements, second.measurements):
-            assert a.dpccp_seconds == b.dpccp_seconds
-            assert a.normed_times == b.normed_times
-
-    def test_truncated_tail_is_recomputed(self, workload, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        first = run_workload(workload, FAST, checkpoint_path=path)
-        content = path.read_text()
-        path.write_text(content[: content.rfind("{")])  # kill mid-write
-        assert len(load_checkpoint(path)) == 2
-        second = run_workload(workload, FAST, checkpoint_path=path)
-        assert len(second.measurements) == 3
-        # Intact prefix reused, final measurement freshly computed.
-        assert (
-            second.measurements[0].dpccp_seconds
-            == first.measurements[0].dpccp_seconds
-        )
-        summary = second.normed_time_summary("TDMcC_APCBI")
-        assert summary.count == 3
-
-    def test_stale_records_are_ignored(self, workload, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        path.write_text(
-            json.dumps(
-                {
-                    "index": 0,
-                    "query": "someone-else's query",
-                    "dpccp_seconds": 123.0,
-                    "dpccp_classes": 1,
-                }
-            )
-            + "\n"
-        )
-        measurement = run_workload(workload, FAST, checkpoint_path=path)
-        assert measurement.measurements[0].dpccp_seconds != 123.0
-
-    def test_resume_repairs_the_truncated_checkpoint(self, workload, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        run_workload(workload, FAST, checkpoint_path=path)
-        content = path.read_text()
-        path.write_text(content[: content.rfind("{")])
-        run_workload(workload, FAST, checkpoint_path=path)
-        # The recomputed record must not concatenate onto the broken tail:
-        # a third run loads every record.
-        assert len(load_checkpoint(path)) == 3
-
-    def test_missing_checkpoint_file_is_fine(self, tmp_path):
-        assert load_checkpoint(tmp_path / "absent.jsonl") == {}
-
 
 class TestFailureCountsServiceTaxonomy:
     """retries / breaker_trips are recovery counters (ISSUE satellite)."""

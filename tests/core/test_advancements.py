@@ -1,5 +1,7 @@
 """Tests for the advancement toggle set."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.advancements import ADVANCEMENT_NAMES, AdvancementConfig
@@ -56,5 +58,5 @@ class TestNamesMatchPaperOrder:
 
     def test_frozen(self):
         config = AdvancementConfig()
-        with pytest.raises(Exception):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             config.rising_budget = False

@@ -64,6 +64,11 @@ def _queries():
         for family in FAMILIES:
             for n in (7, 9):
                 queries.append((f"{family}-{n}@{seed}", generator.generate(family, n)))
+        # Sparse shapes at n >= 16, where routing has the most to gain.
+        generator = QueryGenerator(seed=seed)
+        for family in ("chain", "cycle", "acyclic"):
+            for n in (16, 18):
+                queries.append((f"{family}-{n}@{seed}", generator.generate(family, n)))
     for seed in (1, 2, 3):
         for n in (7, 9):
             queries.append(
@@ -193,6 +198,47 @@ class TestDecision:
             event["live_share"] > HAAS_LIVE_SHARE
         )
         assert event["ccps_considered"] == result.stats.ccps_considered
+
+
+class TestRoutingIsTraced:
+    """The router's work runs inside the ``enumerate`` span it is timed in."""
+
+    QUERY = QueryGenerator(seed=4).generate("clique", 7)
+
+    @staticmethod
+    def _spans_seen(monkeypatch, owner, attribute, tracer):
+        seen = []
+        original = getattr(owner, attribute)
+
+        def wrapper(*args, **kwargs):
+            current = tracer.current()
+            seen.append(None if current is None else current.name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, wrapper)
+        return seen
+
+    def test_haas_route_heuristic_and_sampling(self, monkeypatch):
+        telemetry = _traced()
+        goo = self._spans_seen(
+            monkeypatch, GreedyOperatorOrdering, "build", telemetry.tracer
+        )
+        sampled = self._spans_seen(
+            monkeypatch, optimizer_module, "_live_share", telemetry.tracer
+        )
+        Optimizer(telemetry=telemetry).optimize(self.QUERY)
+        assert goo == ["enumerate"]
+        assert sampled == ["enumerate"]
+
+    def test_cout_route_connected_set_pass(self, monkeypatch):
+        telemetry = _traced()
+        csgs = self._spans_seen(
+            monkeypatch, optimizer_module, "enumerate_csg", telemetry.tracer
+        )
+        Optimizer(cost_model_factory=CoutCostModel, telemetry=telemetry).optimize(
+            self.QUERY
+        )
+        assert csgs == ["enumerate"]
 
 
 class TestLiveShare:

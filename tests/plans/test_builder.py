@@ -90,11 +90,20 @@ class TestBuildTree:
 
 class TestOperatorCost:
     def test_min_over_both_orders(self, builder, small_query, leaves):
+        """``price`` returns both orders' costs bit for bit; callers take
+        the operator cost as their ``min``."""
         left, right = _joinable_pair(small_query, leaves)
         provider = builder.provider
         model = builder.cost_model
-        expected = min(
-            model.join_cost(provider.stats(left.vertex_set), provider.stats(right.vertex_set)),
-            model.join_cost(provider.stats(right.vertex_set), provider.stats(left.vertex_set)),
+        left_stats = provider.stats(left.vertex_set)
+        right_stats = provider.stats(right.vertex_set)
+        expected = (
+            model.join_cost(left_stats, right_stats),
+            model.join_cost(right_stats, left_stats),
         )
-        assert builder.operator_cost(left.vertex_set, right.vertex_set) == expected
+        before = builder.stats.operator_pricings
+        prices = builder.price(left.vertex_set, right.vertex_set)
+        assert [float(price).hex() for price in prices] == [
+            float(price).hex() for price in expected
+        ]
+        assert builder.stats.operator_pricings == before + 1

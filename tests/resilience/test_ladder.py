@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.optimizer import Optimizer
 from repro.cost.haas import HaasCostModel
-from repro.errors import ResilienceError
+from repro.errors import ReproError, ResilienceError
 from repro.plans.validation import check_finite, validate_plan
 from repro.resilience import Budget, FaultInjector, ResilientOptimizer
 from repro.workload.generator import QueryGenerator
@@ -39,14 +39,6 @@ class TestExactRung:
         assert budgeted.rung == "exact"
         assert budgeted.cost == unbudgeted.cost
         assert budgeted.plan.sexpr() == unbudgeted.plan.sexpr()
-
-    def test_compare_fallback_populates_cost_gap(self):
-        query = _query("chain", n=6)
-        result = ResilientOptimizer(compare_fallback=True).optimize(query)
-        assert result.report.fallback_cost is not None
-        gap = result.report.cost_gap
-        assert gap is not None
-        assert gap <= 1.0 + 1e-9  # exact can never be worse than a heuristic
 
 
 class TestBestSoFarRung:
@@ -131,18 +123,6 @@ class TestHeuristicRungs:
         attempted = [attempt.rung for attempt in result.report.attempts]
         assert attempted[:3] == ["exact", "best_so_far", "ikkbz"]
 
-    def test_ladder_order_is_configurable(self):
-        query = _query("chain", n=6)
-        result = ResilientOptimizer(
-            pruning="none", heuristic_ladder=("goo",)
-        ).optimize(query, budget=Budget(max_expansions=5))
-        assert result.rung == "goo"
-
-    def test_unknown_heuristic_fails_fast(self):
-        with pytest.raises(Exception):
-            ResilientOptimizer(heuristic_ladder=("nonesuch",))
-
-
 class TestStructuralRung:
     @pytest.mark.parametrize("mode", ("raise", "nan", "inf"))
     def test_cost_faults_fall_through_to_structural(self, mode):
@@ -203,8 +183,11 @@ class TestFullCoverage:
         from repro.stats.counters import OptimizationStats
 
         strategy = injector.partitioning(get_partitioning("mincut_conservative"))
+        # A bogus cut surfaces as a typed library error or as the
+        # ValueError of join-tree construction; the AssertionError below
+        # is neither, so a valid plan fails the test.
         with injector:
-            with pytest.raises(Exception):
+            with pytest.raises((ReproError, ValueError)):
                 generator = ApcbiPlanGenerator(
                     query, strategy, HaasCostModel(), OptimizationStats()
                 )

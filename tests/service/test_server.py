@@ -591,40 +591,31 @@ class TestTopK:
 
 
 class TestDurableWarmStart:
-    """``store_path=`` gives the service an L2 tier it owns end to end."""
+    """A ``TieredPlanCache`` handed in as ``plan_cache=`` gives the service
+    an L2 tier that survives a restart."""
 
     def test_restarted_service_serves_warm_from_the_store(
         self, tmp_path, query
     ):
+        from repro.context.store import TieredPlanCache
+
         path = str(tmp_path / "service.rpl")
-        with make_service(store_path=path) as service:
-            cold = service.optimize(query)
+        cache = TieredPlanCache.open(path)
+        try:
+            with make_service(plan_cache=cache) as service:
+                cold = service.optimize(query)
+        finally:
+            cache.close()
         assert cold.ok
 
-        # "Restart": a fresh service over the same segment file.
-        with make_service(store_path=path) as service:
-            cache = service._plan_cache
-            warm = service.optimize(query)
+        # "Restart": a fresh service over a cache reopened on the segment.
+        cache = TieredPlanCache.open(path)
+        try:
+            with make_service(plan_cache=cache) as service:
+                warm = service.optimize(query)
+        finally:
+            cache.close()
         assert warm.ok
         assert cache.l2_hits == 1
         assert warm.plan.sexpr() == cold.plan.sexpr()
         assert repr(warm.cost) == repr(cold.cost)
-
-    def test_explicit_plan_cache_wins_over_store_path(self, tmp_path, query):
-        cache = PlanCache(16)
-        with make_service(
-            plan_cache=cache, store_path=str(tmp_path / "ignored.rpl")
-        ) as service:
-            assert service.optimize(query).ok
-        assert not (tmp_path / "ignored.rpl").exists()
-
-    def test_shutdown_closes_the_store_the_service_owns(
-        self, tmp_path, query
-    ):
-        path = str(tmp_path / "service.rpl")
-        service = make_service(store_path=path).start()
-        assert service.optimize(query).ok
-        store = service._plan_cache.store
-        assert store is not None and store._handle is not None
-        assert service.shutdown(drain=True)
-        assert store._handle is None

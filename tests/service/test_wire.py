@@ -133,7 +133,6 @@ class TestResponseSide:
             budget={"cost_evaluations": 100, "used": 40},
             budget_exceeded="cost_evaluations",
             chosen_cost=123.5,
-            fallback_cost=130.0,
         )
         response = OptimizeResponse(
             request_id=41,
