@@ -18,10 +18,10 @@ lattice with a *flat per-size memo layout*: one dense ``dp`` cost array
 indexed by bitset plus one ``split`` argmin array, no tree objects, no
 dictionary lookups and no cost-model calls inside the innermost loop.  The
 win over DPccp is the constant factor of the inner loop (three list
-indexings, one add, one compare per split vs. per-ccp pair enumeration,
-two ``join_cost`` calls with their statistics lookups and a dict-table
-update in DPccp's flat sweep), which is what an order-of-magnitude
-wall-clock target on clique-12+ needs before resorting to anything
+indexings, one add, one compare per split vs. csg-cmp pair enumeration,
+filing and four dictionary lookups per pair in DPccp's ``C_out`` sweep,
+which prices each class once as this sweep does), which is what dense
+graphs such as clique-12 need before resorting to anything
 non-pure-Python.
 
 Plan-space equivalence: the sweep visits exactly DPccp's plan space.  A

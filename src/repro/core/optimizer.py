@@ -104,17 +104,17 @@ __all__ = [
 #: DPccp's predicted work per connected set, in DPconv split probes.
 #: The router counts DPconv's work exactly (``convolution_work``: the
 #: splits its sweep will probe) and predicts DPccp's as this constant
-#: times the number of connected sets.  Against the list-building DPccp
-#: with one-call pricing the two cross well below this
-#: (``BENCH_enumspeed.json`` and the ``cold_cout`` pool): chain-12 has
-#: 104 split probes per connected set and DPconv takes 0.8-0.9x DPccp's
-#: time; cycle-12 (199) takes 1.2x, chain-13 (179) 1.3x, acyclic-13
-#: (212) 1.3x and acyclic-14 (295) 1.4x, so this constant misroutes all
-#: four to DPconv; chain-14 (311, DPconv 1.9-2.6x) and cycle-13 (364,
-#: 1.8-2.0x) go to DPccp.  It stays at 300 because DPconv and DPccp
-#: break exact cost ties differently, so moving it would change the plan
-#: (not the cost) some queries get.  docs/dpconv.md tabulates the rows.
-DPCCP_WORK_PER_CSG = 300
+#: times the number of connected sets.  Against DPccp's ``C_out`` sweep,
+#: which prices each class once, the two cross near 100 split probes per
+#: connected set (``cold_cout`` pool, best of 5): star-12 (85) takes
+#: DPconv 0.6-1.0x DPccp's time and stays on DPconv; chain-12 (104) takes
+#: it 1.3-1.6x, cyclic-12 (109-111) 0.9-1.0x, acyclic-12 (118) 1.1-1.4x,
+#: cycle-12 (199) 2.0-2.8x and acyclic-14 (295) 2.9x, and all go to
+#: DPccp.  Dense shapes cross later than sparse ones (drawn cyclic-12 at
+#: 112-119 takes DPconv 0.8-0.9x DPccp's time, acyclic-11 at 69-78
+#: 1.0-1.5x), which one constant per set cannot separate.
+#: docs/dpconv.md tabulates the rows.
+DPCCP_WORK_PER_CSG = 100
 
 #: Live share above which DPccp serves a Haas APCBI request.  Under Haas
 #: every join reads both inputs, so a connected class ``S`` other than the

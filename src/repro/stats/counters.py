@@ -34,6 +34,8 @@ class OptimizationStats:
     operator_pricings:
         ccps priced in both orders (:meth:`~repro.plans.PlanBuilder.price`:
         one :meth:`~repro.cost.model.CostModel.join_costs` call each).
+        DPccp under a ``cout_shaped`` model at ``k = 1`` prices classes,
+        not ccps: its count is the classes it priced, one each.
     plan_classes_built:
         Distinct vertex sets (|S| >= 2) for which a best tree was
         registered — the *s* numerator of Table III.

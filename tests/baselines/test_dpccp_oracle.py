@@ -10,7 +10,8 @@ old code lives on here, and only here, as the oracle:
   every graph family at n = 1..14 (clique up to 10) and for drawn graphs;
 * a DPccp run is compared with the old one under Haas and ``C_out`` at
   ``k = 1`` and ``k = 3``: cost by ``float.hex``, plan by
-  ``plan_fingerprint``, the ranked list, and every counter;
+  ``plan_fingerprint``, the ranked list, and every counter (under
+  ``C_out`` at ``k = 1``, ``operator_pricings`` counts classes priced);
 * budgets trip where they tripped, with the same reason, and a deadline
   stops the enumeration before every pair is listed.
 """
@@ -153,10 +154,17 @@ class _OldDPccp(DPccp):
             buckets.setdefault(bitset.bit_count(left | right), []).append(
                 (left, right)
             )
-        pairs = [pair for size in sorted(buckets) for pair in buckets[size]]
+        # The sweeps read pairs packed as DPccp.run files them: ``left``
+        # above the low ``n`` bits, ``right`` in them.
+        shift = query.n_relations
+        words = [
+            (left << shift) | right
+            for size in sorted(buckets)
+            for left, right in buckets[size]
+        ]
         if self._memo.k == 1:
-            return self._run_flat([pairs])
-        return self._run_ranked([pairs])
+            return self._run_flat([words])
+        return self._run_ranked([words])
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +201,23 @@ def _outcome(algorithm: DPccp, plan) -> tuple:
         [(tree.cost.hex(), plan_fingerprint(tree)) for tree in algorithm.ranked_plans()],
         {name: getattr(algorithm.stats, name) for name in COUNTERS},
     )
+
+
+def _assert_runs_match(new: DPccp, old: DPccp, model: str, topk: int) -> None:
+    """Run both; everything matches, ``operator_pricings`` as restated.
+
+    ``old`` runs the generic flat sweep, which prices every ccp.  Under
+    ``C_out`` at ``k = 1`` the new run takes the class-priced sweep, so
+    there the counter is the number of classes, one pricing each.
+    """
+    new_outcome = _outcome(new, new.run())
+    old_outcome = _outcome(old, old.run())
+    if model == "cout" and topk == 1:
+        new_pricings = new_outcome[3].pop("operator_pricings")
+        old_pricings = old_outcome[3].pop("operator_pricings")
+        assert new_pricings == new.stats.plan_classes_built
+        assert old_pricings == old.stats.ccps_considered
+    assert new_outcome == old_outcome
 
 
 def _queries():
@@ -249,7 +274,7 @@ class TestRunsMatchOracle:
     def test_cost_plan_ranking_and_counters(self, query, model, topk):
         old = _OldDPccp(context=_context(query, model, topk, old=True))
         new = DPccp(context=_context(query, model, topk, old=False))
-        assert _outcome(new, new.run()) == _outcome(old, old.run())
+        _assert_runs_match(new, old, model, topk)
         assert {s: c.hex() for s, c in new.optimal_class_costs().items()} == {
             s: c.hex() for s, c in old.optimal_class_costs().items()
         }
@@ -260,7 +285,7 @@ class TestRunsMatchOracle:
         csgs = enumerate_csg(query.graph)
         old = _OldDPccp(context=_context(query, model, 1, old=True), csgs=csgs)
         new = DPccp(context=_context(query, model, 1, old=False), csgs=csgs)
-        assert _outcome(new, new.run()) == _outcome(old, old.run())
+        _assert_runs_match(new, old, model, 1)
 
 
 # ----------------------------------------------------------------------

@@ -236,7 +236,17 @@ class TestFacadeRouting:
         assert csg_passes == [query.graph]
 
     @pytest.mark.parametrize(
-        "family, n, choice", [("clique", 8, "dpconv"), ("chain", 16, "dpccp")]
+        "family, n, choice",
+        [
+            ("clique", 8, "dpconv"),
+            ("chain", 16, "dpccp"),
+            # cold_cout pool shapes on either side of DPCCP_WORK_PER_CSG
+            # (split probes per connected set: 199, 330, 114 and 85).
+            ("cycle", 12, "dpccp"),
+            ("acyclic", 14, "dpccp"),
+            ("cyclic", 12, "dpccp"),
+            ("star", 12, "dpconv"),
+        ],
     )
     def test_algorithm_selected_event_records_the_prediction(
         self, family, n, choice
@@ -281,6 +291,21 @@ class TestFacadeRouting:
         reference = run_dpccp(query, cost_model_factory=CoutCostModel)
         assert routed.pruning in ("dpconv", "dpccp")
         assert routed.cost.hex() == reference.cost.hex()
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(3, 13),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_route_to_dpccp_returns_dpccps_plan(self, family, n, seed):
+        if family in ("clique", "cyclic", "star"):
+            n = min(n, 10)  # keep the DPccp reference run cheap
+        query = QueryGenerator(seed=seed).generate(family, n)
+        routed = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
+        if routed.pruning == "dpccp":
+            reference = run_dpccp(query, cost_model_factory=CoutCostModel)
+            assert routed.plan.sexpr() == reference.plan.sexpr()
 
     @given(
         st.sampled_from(["chain", "star", "cycle"]),
