@@ -10,10 +10,12 @@ optimal per-class costs for APCBI_Opt.
 Implementation note: EnumerateCsg, EnumerateCsgRec and EnumerateCmp are
 recursive functions that hand each set to a callback (a list's
 ``append``), not generators — a ``yield from`` chain costs a frame
-resumption per level for every set it passes up.  They keep the
-published emission order.  That order is compatible with dynamic
-programming; :meth:`DPccp.run` nevertheless files each pair into a
-bucket by the size of its union as it is listed, and the sweep reads the
+resumption per level for every set it passes up.  They read the graph's
+neighborhood memo directly, call EnumerateCsgRec only for a set that
+still has an unblocked neighbour, and keep the published emission
+order.  That order is compatible with dynamic programming;
+:meth:`DPccp.run` nevertheless files each pair into a bucket by the
+size of its union as it is listed, and the sweep reads the
 buckets in size order, which makes the correctness argument local at the
 price of holding the pairs once, packed into one 64-bit word each (the
 overhead is charged to DPccp's measured runtime).  The run takes each
@@ -27,9 +29,17 @@ end.  Under a ``cout_shaped`` model (``C_out``) both join orders of
 every ccp of a class cost the class's cardinality, so the sweep prices
 each class once, from the provider's factor table as DPconv does, and
 fixes join orders on the winning tree only; the plan, its cost and every
-class cost are those the generic sweep gives.  Under any other model
-each ccp is priced in one :meth:`~repro.plans.builder.PlanBuilder.price`
-call, which asks the cost model for both join orders at once
+class cost are those the generic sweep gives.  Under a ``page_priced``
+model (Haas) every ccp is priced in one call on its inputs' page counts,
+read from a flat pages table filled once per class, and a ccp whose I/O
+lower bound ``(dp[L] + dp[R]) + (pages(L) + pages(R))`` is strictly
+above its class's incumbent is skipped unpriced; ``operator_pricings``
+counts the ccps priced.  Both sweeps rebuild the winning tree through
+the model's real ``join_cost`` and check its cost, and both leave
+statistics objects to the winning tree's classes.  Under any other
+model (wrappers such as fault injection included) each ccp is priced in
+one :meth:`~repro.plans.builder.PlanBuilder.price` call, which asks the
+cost model for both join orders at once
 (:meth:`~repro.cost.model.CostModel.join_costs`).  Ranked runs
 (``k > 1``) register trees through BUILDTREE's ranked cross product.
 :meth:`DPccp.optimal_class_costs` covers every class either way.
@@ -69,20 +79,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
 __all__ = ["DPccp", "enumerate_csg_cmp_pairs", "enumerate_csg"]
 
 
-def _enumerate_csg_rec(
+def _grow(
+    memo: Dict[int, int],
     neighborhood: Callable[[int], int],
     subset: int,
+    neighbors: int,
     exclude: int,
     emit: Callable[[int], object],
 ) -> None:
-    """EnumerateCsgRec: emit ``subset`` enlarged by neighborhood subsets.
+    """EnumerateCsgRec: emit ``subset`` enlarged by subsets of ``neighbors``.
 
-    ``neighborhood`` is the graph's memoized ``N(.)``.  Every enlargement
-    is emitted first, then each one recurses, in the published order.
+    ``neighbors`` is ``N(subset)`` minus ``exclude``, and not empty.  Every
+    enlargement is emitted first, then each one recurses, in the published
+    order; an enlargement with no unblocked neighbour would emit nothing,
+    so its call is skipped.  ``memo`` is the graph's ``N(.)`` memo, read
+    directly; ``neighborhood`` fills it on a miss.
     """
-    neighbors = neighborhood(subset) & ~exclude
-    if not neighbors:
-        return
     # Descending subsets of the neighborhood (bitset.iter_subsets' order),
     # walked twice rather than through a generator or a held list.
     extension = neighbors
@@ -90,20 +102,30 @@ def _enumerate_csg_rec(
         emit(subset | extension)
         extension = (extension - 1) & neighbors
     blocked = exclude | neighbors
+    allowed = ~blocked
     extension = neighbors
     while extension:
-        _enumerate_csg_rec(neighborhood, subset | extension, blocked, emit)
+        grown = subset | extension
+        reach = memo.get(grown)
+        if reach is None:
+            reach = neighborhood(grown)
+        reach &= allowed
+        if reach:
+            _grow(memo, neighborhood, grown, reach, blocked, emit)
         extension = (extension - 1) & neighbors
 
 
 def _emit_csgs(graph: QueryGraph, emit: Callable[[int], object]) -> None:
     """EnumerateCsg: hand every connected subset to ``emit``, in order."""
+    memo = graph.neighborhood_memo
     neighborhood = graph.neighborhood
     for index in range(graph.n_vertices - 1, -1, -1):
         start = bitset.singleton(index)
         emit(start)
         forbidden = bitset.full_set(index + 1)  # B_i: all vertices <= index
-        _enumerate_csg_rec(neighborhood, start, forbidden, emit)
+        reach = neighborhood(start) & ~forbidden
+        if reach:
+            _grow(memo, neighborhood, start, reach, forbidden, emit)
 
 
 def enumerate_csg(graph: QueryGraph) -> List[int]:
@@ -113,21 +135,66 @@ def enumerate_csg(graph: QueryGraph) -> List[int]:
     return out
 
 
-def _enumerate_cmp(neighborhood: Callable[[int], int], subset: int) -> List[int]:
-    """EnumerateCmp: the connected complements pairing with ``subset``."""
-    out: List[int] = []
-    append = out.append
-    forbidden = subset | bitset.full_set(bitset.lowest_index(subset) + 1)
-    neighbors = neighborhood(subset) & ~forbidden  # B_min(S1) u S1 excluded
-    remaining = neighbors
-    # Hot per-csg loop: highest-bit extraction stays inlined.
-    while remaining:
-        high = 1 << (remaining.bit_length() - 1)  # repro: disable=bitset-discipline
-        remaining ^= high
-        append(high)
-        below = (high - 1) & neighbors  # B_i n N
-        _enumerate_csg_rec(neighborhood, high, forbidden | below, append)
-    return out
+def _list_pairs(
+    graph: QueryGraph,
+    csgs: Optional[Iterable[int]],
+    buckets: Sequence[MutableSequence[int]],
+    stats: OptimizationStats,
+    budget: Optional["Budget"] = None,
+    memo_size: int = 0,
+) -> None:
+    """List every csg-cmp pair, filing each connected set's as it is listed.
+
+    Each connected set (from ``csgs``, in :func:`enumerate_csg` order, or
+    as EnumerateCsg emits it) has its complements listed (EnumerateCmp),
+    then the budget is charged once per pair and each pair is appended,
+    packed into one word (``left`` above the low ``n`` bits, ``right`` in
+    them), to ``buckets[|left| + |right|]`` — all before the next set is
+    listed, so a budget trips while the pairs are listed.
+    """
+    memo = graph.neighborhood_memo
+    neighborhood = graph.neighborhood
+    bit_count = bitset.bit_count
+    shift = graph.n_vertices
+
+    def file_pairs(left: int) -> None:
+        rights: List[int] = []
+        append = rights.append
+        reach = memo.get(left)
+        if reach is None:
+            reach = neighborhood(left)
+        # Hot per-csg code: the lowest- and highest-bit tricks stay inlined.
+        low = left & -left  # repro: disable=bitset-discipline
+        forbidden = left | ((low << 1) - 1)  # S1 and B_min(S1)
+        neighbors = reach & ~forbidden
+        remaining = neighbors
+        while remaining:
+            high = 1 << (remaining.bit_length() - 1)  # repro: disable=bitset-discipline
+            remaining ^= high
+            append(high)
+            blocked = forbidden | ((high - 1) & neighbors)  # B_i n N
+            reach = memo.get(high)
+            if reach is None:
+                reach = neighborhood(high)
+            reach &= ~blocked
+            if reach:
+                _grow(memo, neighborhood, high, reach, blocked, append)
+        if budget is None:
+            stats.ccps_enumerated += len(rights)
+        else:
+            for _ in rights:
+                budget.check(memo_size)
+                stats.ccps_enumerated += 1
+        size = bit_count(left)
+        packed = left << shift
+        for right in rights:
+            buckets[size + bit_count(right)].append(packed | right)
+
+    if csgs is None:
+        _emit_csgs(graph, file_pairs)
+    else:
+        for left in csgs:
+            file_pairs(left)
 
 
 def enumerate_csg_cmp_pairs(
@@ -139,12 +206,12 @@ def enumerate_csg_cmp_pairs(
     order, for a caller that already listed it; by default it is
     enumerated here.
     """
-    neighborhood = graph.neighborhood
-    return [
-        (left, right)
-        for left in (enumerate_csg(graph) if csgs is None else csgs)
-        for right in _enumerate_cmp(neighborhood, left)
-    ]
+    # One list under every size files the pairs in emission order.
+    words: List[int] = []
+    shift = graph.n_vertices
+    _list_pairs(graph, csgs, [words] * (shift + 1), OptimizationStats())
+    mask = bitset.full_set(shift)
+    return [(word >> shift, word & mask) for word in words]
 
 
 #: Up to this many relations a packed csg-cmp pair fits in an unsigned
@@ -244,47 +311,24 @@ class DPccp:
             return self._memo.best(self._graph.all_vertices)
 
         # Bucket ccps by result size so every sub-plan exists when needed.
-        # Each connected set is handled as the enumeration emits it, so
-        # the budget is charged per pair while the pairs are listed.
-        budget = self._budget
-        memo_size = len(self._memo)
-        stats = self.stats
-        neighborhood = self._graph.neighborhood
-        bit_count = bitset.bit_count
-        # One word per pair, ``left`` above the low ``n`` bits and
-        # ``right`` in them: 8 bytes in an array('Q') where a tuple of
-        # two ints holds about 90.
-        shift = query.n_relations
+        # One word per pair: 8 bytes in an array('Q') where a tuple of two
+        # ints holds about 90.
         new_bucket = (
-            (lambda: array("Q")) if shift <= _PACKED_RELATIONS else list
+            (lambda: array("Q")) if query.n_relations <= _PACKED_RELATIONS else list
         )
         buckets: List[MutableSequence[int]] = [
             new_bucket() for _ in range(query.n_relations + 1)
         ]
-
-        def file_pairs(left: int) -> None:
-            """List ``left``'s complements, charge them, bucket the pairs."""
-            rights = _enumerate_cmp(neighborhood, left)
-            if budget is None:
-                stats.ccps_enumerated += len(rights)
-            else:
-                for _ in rights:
-                    budget.check(memo_size)
-                    stats.ccps_enumerated += 1
-            size = bit_count(left)
-            high = left << shift
-            for right in rights:
-                buckets[size + bit_count(right)].append(high | right)
-
-        if self._csgs is None:
-            _emit_csgs(self._graph, file_pairs)
-        else:
-            for left in self._csgs:
-                file_pairs(left)
+        _list_pairs(
+            self._graph, self._csgs, buckets, self.stats, self._budget, len(self._memo)
+        )
+        model = self._context.cost_model
         if self._memo.k > 1:
             plan = self._run_ranked(buckets)
-        elif getattr(self._context.cost_model, "cout_shaped", False):
+        elif getattr(model, "cout_shaped", False):
             plan = self._run_cout(buckets)
+        elif getattr(model, "page_priced", False):
+            plan = self._run_flat(buckets, model.page_join_costs)
         else:
             plan = self._run_flat(buckets)
         if plan is None:
@@ -310,18 +354,35 @@ class DPccp:
         self.stats.plan_classes_built = memo.n_plan_classes()
         return memo.best(self._graph.all_vertices)
 
-    def _run_flat(self, buckets: Sequence[Iterable[int]]) -> Optional[JoinTree]:
+    def _run_flat(
+        self,
+        buckets: Sequence[Iterable[int]],
+        page_costs: Optional[Callable[[float, float], Tuple[float, float]]] = None,
+    ) -> Optional[JoinTree]:
         """``k = 1``: flat cost/split tables, then only the winning tree.
 
-        Per ccp, both orders are priced (:meth:`PlanBuilder.price`) and
-        summed exactly as ``JoinNode`` would: ``(dp[L] + dp[R]) + c``.  A
-        class keeps the first order in the memotable's (cost, fingerprint)
-        order, NaN never enters, and a class's first entry is taken
-        whatever its cost — so the tables end up holding exactly the plans
-        a memotable of trees would, and
+        Per ccp, both orders are priced and summed exactly as ``JoinNode``
+        would: ``(dp[L] + dp[R]) + c``.  A class keeps the first order in
+        the memotable's (cost, fingerprint) order, NaN never enters, and a
+        class's first entry is taken whatever its cost — so the tables end
+        up holding exactly the plans a memotable of trees would, and
         :meth:`PlanBuilder.build_split_tree` materializes the root's.  The
         memo-size budget counts table entries, as it counted memotable
         entries.
+
+        By default each ccp is priced in one
+        :meth:`~repro.plans.builder.PlanBuilder.price` call.  With
+        ``page_costs`` (a ``page_priced`` model's
+        :meth:`~repro.cost.haas.HaasCostModel.page_join_costs`) the sweep
+        keeps a flat pages table, filled once per class from
+        :meth:`~repro.cost.statistics.StatisticsProvider.estimate_pages`,
+        and prices from it.  Every order then costs at least
+        ``pages(L) + pages(R)``, so a ccp whose
+        ``(dp[L] + dp[R]) + (pages(L) + pages(R))`` is strictly above the
+        class's incumbent cannot enter and is skipped unpriced (after its
+        budget charge and count; an exact tie is priced, as it may win on
+        fingerprint).  The winning tree is rebuilt through the model's
+        real ``join_cost`` and checked against ``dp[root]``.
         """
         query = self._query
         budget = self._budget
@@ -330,13 +391,20 @@ class DPccp:
         shift = query.n_relations
         mask = bitset.full_set(shift)
         dp, split, fingerprints = self._tables()
-        operator_costs: Dict[int, float] = {}
         root = self._graph.all_vertices
+        if page_costs is None:
+            operator_costs: Optional[Dict[int, float]] = {}
+        else:
+            operator_costs = None
+            class_pages = self._provider.estimate_pages
+            pages = {vertex_set: class_pages(vertex_set) for vertex_set in dp}
+            page_prices: Dict[Tuple[float, float], Tuple[float, float]] = {}
+        considered = priced = improvements = 0
         try:
             for word in chain.from_iterable(buckets):
                 if budget is not None:
                     budget.check(len(dp))
-                stats.ccps_considered += 1
+                considered += 1
                 left = word >> shift
                 right = word & mask
                 left_cost = dp.get(left)
@@ -344,8 +412,29 @@ class DPccp:
                 if left_cost is None or right_cost is None:
                     raise OptimizationError(_ORDER_BUG)
                 vertex_set = left | right
-                price_lr, price_rl = price(left, right)
                 base = left_cost + right_cost
+                incumbent = dp.get(vertex_set)
+                if page_costs is None:
+                    price_lr, price_rl = price(left, right)
+                else:
+                    left_pages = pages[left]
+                    right_pages = pages[right]
+                    if (
+                        incumbent is not None
+                        and base + (left_pages + right_pages) > incumbent
+                    ):
+                        continue  # the I/O bound: this ccp cannot enter
+                    # Many ccps share their inputs' page counts.  A page
+                    # count is 1.0 or an int of at least 2, so equal keys
+                    # have equal types and the memo returns the prices a
+                    # call would.
+                    page_pair = (left_pages, right_pages)
+                    prices = page_prices.get(page_pair)
+                    if prices is None:
+                        prices = page_costs(left_pages, right_pages)
+                        page_prices[page_pair] = prices
+                    price_lr, price_rl = prices
+                    priced += 1
                 cost = base + price_lr
                 other = base + price_rl
                 inner = right
@@ -360,7 +449,6 @@ class DPccp:
                     tie = True
                 if not cost <= _INFINITY:
                     continue  # NaN: DPccp's unbounded budget still refuses it
-                incumbent = dp.get(vertex_set)
                 if incumbent is not None and not cost <= incumbent:
                     continue
                 # Fingerprints only for a cost that can still enter.
@@ -369,7 +457,10 @@ class DPccp:
                 ):
                     inner = left
                     operator_cost = price_rl
-                if incumbent is not None:
+                if incumbent is None:
+                    if page_costs is not None:
+                        pages[vertex_set] = class_pages(vertex_set)
+                else:
                     if cost == incumbent:  # repro: disable=no-float-cost-eq
                         challenger = join_fingerprint(
                             _fingerprint(vertex_set ^ inner, split, fingerprints),
@@ -381,24 +472,25 @@ class DPccp:
                         fingerprints[vertex_set] = challenger
                     else:
                         fingerprints.pop(vertex_set, None)
-                    stats.plan_improvements += 1
+                    improvements += 1
                 dp[vertex_set] = cost
                 split[vertex_set] = inner
-                operator_costs[vertex_set] = operator_cost
+                if operator_costs is not None:
+                    operator_costs[vertex_set] = operator_cost
         except BudgetExceeded:
             # The root's best plan so far is complete (every smaller class
             # is final by then): register it for the caller's salvage.
             if root in dp:
-                self._builder.build_split_tree(
-                    self._memo, root, split, operator_costs
-                )
+                self._build_swept_tree(root, dp, split, operator_costs)
             raise
+        finally:
+            stats.ccps_considered += considered
+            stats.plan_improvements += improvements
+            stats.operator_pricings += priced
         stats.plan_classes_built = len(dp) - query.n_relations
         if root not in dp:
             return None
-        return self._builder.build_split_tree(
-            self._memo, root, split, operator_costs
-        )
+        return self._build_swept_tree(root, dp, split, operator_costs)
 
     def _run_cout(self, buckets: Sequence[Iterable[int]]) -> Optional[JoinTree]:
         """``k = 1`` under a ``cout_shaped`` model: each class priced once.
@@ -517,12 +609,29 @@ class DPccp:
     ) -> JoinTree:
         """Orient the winning tree's joins, then build it and check its cost."""
         _fingerprint(root, split, fingerprints, True)
-        plan = self._builder.build_split_tree(self._memo, root, split)
+        return self._build_swept_tree(root, dp, split)
+
+    def _build_swept_tree(
+        self,
+        root: int,
+        dp: Dict[int, float],
+        split: Dict[int, int],
+        operator_costs: Optional[Dict[int, float]] = None,
+    ) -> JoinTree:
+        """Build the winning tree of a ``k = 1`` sweep and check its cost.
+
+        Without ``operator_costs`` the joins are priced through the
+        model's real ``join_cost``, so a sweep that priced from a
+        declaration (``cout_shaped``, ``page_priced``) is checked against
+        the model itself, as :meth:`DPconv.run
+        <repro.baselines.dpconv.DPconv.run>` checks its sweep.
+        """
+        plan = self._builder.build_split_tree(self._memo, root, split, operator_costs)
         if plan.cost != dp[root]:  # repro: disable=no-float-cost-eq
             raise OptimizationError(
                 f"DPccp reconstruction cost {plan.cost!r} diverges from the "
-                f"swept value {dp[root]!r}; the cost model's cout_shaped "
-                "declaration is wrong"
+                f"swept value {dp[root]!r}; the cost model's sweep "
+                "declaration (cout_shaped or page_priced) is wrong"
             )
         return plan
 

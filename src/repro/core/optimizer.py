@@ -119,19 +119,21 @@ DPCCP_WORK_PER_CSG = 100
 #: Live share above which DPccp serves a Haas APCBI request.  Under Haas
 #: every join reads both inputs, so a connected class ``S`` other than the
 #: root whose ``pages(S)`` exceeds GOO's cost is in no optimal plan: APCBI
-#: prunes it at its parent's LBE and never expands it, while DPccp prices
-#: every ccp of it.  The router samples the connected classes of size
-#: ``n - 1`` and ``n - 2`` (:func:`_live_share`); when more than this share
-#: of them is live, pruning has little to cut and DPccp is faster.
-#: Measured over 126 queries (the ``cold_haas`` shapes at three statistics
-#: seeds, stars with ordinary statistics, spanning trees plus 1-3 edges at
-#: n = 12-16; best of 5), summed APCBI time over DPccp's by live share:
-#: below 0.5, 27 queries, 0.56 (APCBI faster on 26); 0.5-0.8, 16, 0.97;
-#: 0.8-0.9, 5, 1.09; 0.9-0.95, 9, 1.16; 0.95 and up, 69, 1.43 (DPccp
-#: faster on 62).  Any threshold from 0.6 to 0.9 serves the set at 0.78x
-#: APCBI's time; 0.9 keeps APCBI wherever the two are close.
-#: docs/dpconv.md has the study.
-HAAS_LIVE_SHARE = 0.9
+#: prunes it at its parent's LBE and never expands it, while DPccp's sweep
+#: still lists and charges every ccp of it.  The router samples the
+#: connected classes of size ``n - 1`` and ``n - 2`` (:func:`_live_share`);
+#: when more than this share of them is live, pruning has little to cut
+#: and DPccp is faster.  Measured over 126 queries (the ``cold_haas``
+#: shapes at three statistics seeds, stars with ordinary statistics,
+#: spanning trees plus 1-3 edges at n = 12-16; best of 5) against DPccp's
+#: page-priced sweep, summed APCBI time over DPccp's by live share: below
+#: 0.5, 29 queries, 1.02 (DPccp faster on 13); 0.5-0.8, 15, 1.82 (on all
+#: 15); 0.8-0.9, 7, 2.26; 0.9-0.95, 8, 2.23; 0.95 and up, 67, 3.33 (on
+#: all).  At 0.5 the set is served in 0.40x APCBI's time, against 0.49x
+#: at the former 0.9, and no query routed to DPccp is slower than APCBI;
+#: below 0.5 the two are near ties on most queries.  docs/dpconv.md has
+#: the study.
+HAAS_LIVE_SHARE = 0.5
 
 #: Pruning name -> plan generator class for the simple (non-APCBI) variants.
 PRUNING_STRATEGIES: Dict[str, Type[PlanGeneratorBase]] = {

@@ -98,6 +98,11 @@ class HaasCostModel(CostModel):
 
     name = "haas"
 
+    #: A join's cost is a function of its inputs' page counts alone, and
+    #: every order reads both inputs (see
+    #: :attr:`repro.cost.model.CostModel.page_priced`).
+    page_priced = True
+
     def __init__(self, buffer_pages: int = DEFAULT_BUFFER_PAGES):
         if buffer_pages < 3:
             raise ValueError(f"need >= 3 buffer pages, got {buffer_pages}")
@@ -165,26 +170,32 @@ class HaasCostModel(CostModel):
     def join_costs(
         self, left: IntermediateStats, right: IntermediateStats
     ) -> Tuple[float, float]:
-        """Both orders of a ccp in one call; runs once per priced ccp.
+        """Both orders of a ccp in one call (:meth:`page_join_costs`)."""
+        return self.page_join_costs(left.pages, right.pages)
 
-        Each order's value equals :meth:`join_cost`'s bit for bit: the
-        same formulas, the same operations in the same order, and the
-        ``min`` over the three algorithms in the same order (a later term
-        replaces an earlier one only when strictly smaller).  The orders
-        share what is symmetric: each input's sort cost is looked up once,
-        and the sort-merge sum and the in-memory hash join's ``L + R`` are
-        the same for both (floating-point addition commutes).  The nested
-        loop and the in-memory hash join are spelled out here rather than
-        called through :func:`_nested_loop` and :func:`_hybrid_hash`: the
-        four calls cost 8-10% of a DPccp pass over the ``cold_haas`` pool
-        and 6-9% of the optimizer's (in-process A/B, best of 7 and 9, on a
-        2-vCPU Xeon VM).  A formula changed there must change
-        here too; ``TestJoinCosts`` in ``tests/cost/test_haas.py`` checks
-        both against :meth:`join_cost` by ``float.hex``.
+    def page_join_costs(
+        self, left_pages: float, right_pages: float
+    ) -> Tuple[float, float]:
+        """Both orders of a ccp from its inputs' page counts.
+
+        Runs once per priced ccp (:attr:`page_priced`: DPccp's sweep calls
+        it on its flat pages table).  Each order's value equals
+        :meth:`join_cost`'s bit for bit: the same formulas, the same
+        operations in the same order, and the ``min`` over the three
+        algorithms in the same order (a later term replaces an earlier one
+        only when strictly smaller).  The orders share what is symmetric:
+        each input's sort cost is looked up once, and the sort-merge sum
+        and the in-memory hash join's ``L + R`` are the same for both
+        (floating-point addition commutes).  The nested loop and the
+        in-memory hash join are spelled out here rather than called
+        through :func:`_nested_loop` and :func:`_hybrid_hash`: the four
+        calls cost 8-10% of a DPccp pass over the ``cold_haas`` pool and
+        6-9% of the optimizer's (in-process A/B, best of 7 and 9, on a
+        2-vCPU Xeon VM).  A formula changed there must change here too;
+        ``TestJoinCosts`` in ``tests/cost/test_haas.py`` checks both
+        against :meth:`join_cost` by ``float.hex``.
         """
         buffer = self._buffer
-        left_pages = left.pages
-        right_pages = right.pages
         sorted_ = self._sorted
         sort_left = sorted_.get(left_pages)
         if sort_left is None:

@@ -45,6 +45,19 @@ class CostModel(ABC):
     #: fault-injection wrappers) must leave this False.
     cout_shaped = False
 
+    #: True when the operator cost is a function of the inputs' page
+    #: counts alone and every order reads both inputs:
+    #: ``join_costs(left, right)`` must equal
+    #: ``page_join_costs(left.pages, right.pages)``, a method the model
+    #: then provides, and each order must cost at least
+    #: ``left.pages + right.pages`` (the admissible I/O bound of §IV-B).
+    #: DPccp's ``k = 1`` sweep then prices every ccp from a flat pages
+    #: table and skips, unpriced, a ccp that bound already rules out
+    #: (:meth:`repro.baselines.dpccp.DPccp._run_flat`).  Haas I/O costs
+    #: declare it.  Wrappers (fault injection, tracers) must leave this
+    #: False, so that every ccp is priced through :meth:`join_costs`.
+    page_priced = False
+
     def bind(self, provider: StatisticsProvider) -> "CostModel":
         """Return the model to use with ``provider``'s query.
 

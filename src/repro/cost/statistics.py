@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.catalog.relation import DEFAULT_PAGE_SIZE
 from repro.graph import bitset
@@ -139,16 +139,22 @@ class StatisticsProvider:
     def estimate_pages(self, vertex_set: int) -> float:
         """Pages of ``vertex_set``, priced without memoizing stats.
 
-        The same value as ``stats(vertex_set).pages``.  Callers that probe
-        sets the run they serve may never ask for (the Haas router's
-        live-share sample) use this and grow no memo.
+        The same value as ``stats(vertex_set).pages``, computed without
+        building an :class:`IntermediateStats`.  Callers that need only a
+        class's pages (DPccp's sweep under a ``page_priced`` model, the
+        Haas router's live-share sample) use this and grow no memo.
         """
         cached = self._cache.get(vertex_set)
         if cached is not None:
             return cached.pages
-        return self._compute(vertex_set).pages
+        return self._measure(vertex_set)[2]
 
     def _compute(self, vertex_set: int) -> IntermediateStats:
+        return IntermediateStats(vertex_set, *self._measure(vertex_set))
+
+    def _measure(self, vertex_set: int) -> Tuple[float, int, float]:
+        """``(cardinality, tuple width, pages)`` of ``vertex_set``, in
+        :class:`IntermediateStats` field order (after ``vertex_set``)."""
         cardinality = self.estimate_cardinality(vertex_set)
         widths = self._widths
         width = 0
@@ -163,12 +169,7 @@ class StatisticsProvider:
             remaining ^= low
         tuples_per_page = max(1, self._page_size // max(1, width))
         pages = max(1.0, math.ceil(cardinality / tuples_per_page))
-        return IntermediateStats(
-            vertex_set=vertex_set,
-            cardinality=cardinality,
-            tuple_width=width,
-            pages=pages,
-        )
+        return cardinality, width, pages
 
     def cache_size(self) -> int:
         """Number of memoized plan classes (diagnostics)."""

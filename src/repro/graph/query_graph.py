@@ -13,7 +13,7 @@ enumeration algorithms of the paper depend only on graph *shape*.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import DisconnectedGraphError, GraphError
 from repro.graph import bitset
@@ -55,7 +55,7 @@ class QueryGraph:
         self._edges = frozenset(normalized)
         self._adjacency = tuple(adjacency)
         # subset -> N(subset) memo; see neighborhood().
-        self._nbr_cache: dict = {}
+        self._nbr_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -118,6 +118,16 @@ class QueryGraph:
         if within >= 0:
             result &= within
         return result
+
+    @property
+    def neighborhood_memo(self) -> Dict[int, int]:
+        """The live memo behind :meth:`neighborhood`: ``subset -> N(subset)``.
+
+        Holds every subset probed so far.  Enumeration's inner loops read
+        it directly and call :meth:`neighborhood` on a miss, which fills
+        it; nothing else may write to it.
+        """
+        return self._nbr_cache
 
     def connected_component(self, start: int, within: int) -> int:
         """Return the connected component of ``G|within`` containing ``start``.

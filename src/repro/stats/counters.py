@@ -35,7 +35,13 @@ class OptimizationStats:
         ccps priced in both orders (:meth:`~repro.plans.PlanBuilder.price`:
         one :meth:`~repro.cost.model.CostModel.join_costs` call each).
         DPccp under a ``cout_shaped`` model at ``k = 1`` prices classes,
-        not ccps: its count is the classes it priced, one each.
+        not ccps: its count is the classes it priced, one each.  Under a
+        ``page_priced`` model (Haas) at ``k = 1`` it skips the ccps the
+        I/O lower bound rules out: its count is the ccps it priced, at
+        least one per class and at most ``ccps_considered``.  (Neither
+        sweep builds statistics objects, so of the ``stats_classes`` an
+        ``enumerate`` span reports, DPccp's context holds only the winning
+        tree's ``2n - 1`` classes.)
     plan_classes_built:
         Distinct vertex sets (|S| >= 2) for which a best tree was
         registered — the *s* numerator of Table III.

@@ -10,8 +10,9 @@ old code lives on here, and only here, as the oracle:
   every graph family at n = 1..14 (clique up to 10) and for drawn graphs;
 * a DPccp run is compared with the old one under Haas and ``C_out`` at
   ``k = 1`` and ``k = 3``: cost by ``float.hex``, plan by
-  ``plan_fingerprint``, the ranked list, and every counter (under
-  ``C_out`` at ``k = 1``, ``operator_pricings`` counts classes priced);
+  ``plan_fingerprint``, the ranked list, and every counter (at
+  ``k = 1``, ``operator_pricings`` counts classes priced under ``C_out``
+  and the ccps the I/O bound left to price under Haas);
 * budgets trip where they tripped, with the same reason, and a deadline
   stops the enumeration before every pair is listed.
 """
@@ -206,17 +207,26 @@ def _outcome(algorithm: DPccp, plan) -> tuple:
 def _assert_runs_match(new: DPccp, old: DPccp, model: str, topk: int) -> None:
     """Run both; everything matches, ``operator_pricings`` as restated.
 
-    ``old`` runs the generic flat sweep, which prices every ccp.  Under
-    ``C_out`` at ``k = 1`` the new run takes the class-priced sweep, so
-    there the counter is the number of classes, one pricing each.
+    ``old`` runs the generic flat sweep, which prices every ccp.  At
+    ``k = 1`` the new run takes a declared sweep: under ``C_out`` the
+    class-priced one, where the counter is the number of classes, one
+    pricing each; under Haas the page-priced one, where it is the ccps
+    the I/O bound did not rule out, at least one per class.
     """
     new_outcome = _outcome(new, new.run())
     old_outcome = _outcome(old, old.run())
-    if model == "cout" and topk == 1:
+    if topk == 1:
         new_pricings = new_outcome[3].pop("operator_pricings")
         old_pricings = old_outcome[3].pop("operator_pricings")
-        assert new_pricings == new.stats.plan_classes_built
         assert old_pricings == old.stats.ccps_considered
+        if model == "cout":
+            assert new_pricings == new.stats.plan_classes_built
+        else:
+            assert (
+                new.stats.plan_classes_built
+                <= new_pricings
+                <= new.stats.ccps_considered
+            )
     assert new_outcome == old_outcome
 
 
@@ -342,14 +352,19 @@ class TestBudgetCharging:
         csgs = enumerate_csg(graph)
         pairs = len(enumerate_csg_cmp_pairs(graph, csgs))
 
+        # Each connected set EnumerateCsg emits has its complements listed
+        # and charged before the next one is emitted.
         listed = []
-        enumerate_cmp = dpccp_module._enumerate_cmp
+        emit_csgs = dpccp_module._emit_csgs
 
-        def counting(neighborhood, subset):
-            listed.append(subset)
-            return enumerate_cmp(neighborhood, subset)
+        def counting(graph, emit):
+            def counted(subset):
+                listed.append(subset)
+                emit(subset)
 
-        monkeypatch.setattr(dpccp_module, "_enumerate_cmp", counting)
+            emit_csgs(graph, counted)
+
+        monkeypatch.setattr(dpccp_module, "_emit_csgs", counting)
         ticks = [0.0]
 
         def clock() -> float:
@@ -370,11 +385,13 @@ class TestBudgetCharging:
     def test_deadline_trips_while_connected_sets_are_listed(self, monkeypatch):
         # Star with the hub at vertex 0: EnumerateCsg emits all 2^(n-1)
         # sets that hold the hub from one level of one recursion call.
-        # Listing is what costs time here (every neighborhood probe
-        # advances the clock), so listing every set first would outlast
-        # the deadline before the first charge could see it.
+        # Listing is what costs time here (every neighborhood probe the
+        # memo cannot answer advances the clock), so listing every set
+        # first would outlast the deadline before the first charge could
+        # see it.  The sets are counted on a copy of the graph, whose
+        # neighborhood memo the run does not share.
         query = QueryGenerator(seed=5).generate("star", 16)
-        csgs = len(enumerate_csg(query.graph))
+        csgs = len(enumerate_csg(QueryGenerator(seed=5).generate("star", 16).graph))
         ticks = [0.0]
         neighborhood = QueryGraph.neighborhood
 
@@ -389,7 +406,7 @@ class TestBudgetCharging:
             algorithm.run()
         assert caught.value.reason == "deadline"
         # About a thousand probes ran before the trip, far fewer than one
-        # per connected set (the recursion probes every set it emits).
+        # per connected set (the listing probes every set it emits).
         probes = round(ticks[0] / 0.001)
         assert probes < csgs // 4
         assert 0 < algorithm.stats.ccps_enumerated

@@ -151,16 +151,24 @@ def _boundary_pages(buffer: int):
 
 
 class TestJoinCosts:
-    """The one-call pricing equals two ``join_cost`` calls, bit for bit."""
+    """The one-call pricing, on statistics and on page counts, equals two
+    ``join_cost`` calls bit for bit, and reads both inputs in each order
+    (the ``page_priced`` contract)."""
 
     @staticmethod
     def _assert_exact(model, left_pages, right_pages):
         left, right = _stats(left_pages, 1), _stats(right_pages, 2)
-        fused = model.join_costs(left, right)
-        assert [cost.hex() for cost in fused] == [
+        separate = [
             model.join_cost(left, right).hex(),
             model.join_cost(right, left).hex(),
         ]
+        assert [cost.hex() for cost in model.join_costs(left, right)] == separate
+        paged = model.page_join_costs(left_pages, right_pages)
+        assert [cost.hex() for cost in paged] == separate
+        assert min(paged) >= left_pages + right_pages
+
+    def test_haas_declares_page_pricing(self):
+        assert HaasCostModel.page_priced
 
     @pytest.mark.parametrize("buffer", [3, 4, 8, 64, 128])
     def test_exact_at_boundaries(self, buffer):

@@ -11,6 +11,7 @@ from repro.baselines.dpconv import DPconv
 from repro.catalog.catalog import Catalog
 from repro.catalog.relation import DEFAULT_PAGE_SIZE, RelationStats
 from repro.context.context import OptimizationContext
+from repro.cost import statistics as statistics_module
 from repro.cost.cout import CoutCostModel
 from repro.cost.statistics import IntermediateStats, StatisticsProvider
 from repro.errors import CatalogError
@@ -179,14 +180,21 @@ class TestFactorTable:
         assert provider.cache_size() == query.n_relations
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_estimated_pages_build_no_stats_objects(self, family):
+    def test_estimated_pages_build_no_stats_objects(self, family, monkeypatch):
         query = QueryGenerator(seed=2).generate(family, 8)
         provider = StatisticsProvider(query)
         reference = StatisticsProvider(query)
-        for vertex_set in enumerate_csg(query.graph):
-            assert provider.estimate_pages(vertex_set) == (
-                reference.stats(vertex_set).pages
-            )
+        expected = {
+            vertex_set: reference.stats(vertex_set).pages
+            for vertex_set in enumerate_csg(query.graph)
+        }
+
+        def no_stats_object(*args, **kwargs):
+            raise AssertionError("estimate_pages built an IntermediateStats")
+
+        monkeypatch.setattr(statistics_module, "IntermediateStats", no_stats_object)
+        for vertex_set, pages in expected.items():
+            assert provider.estimate_pages(vertex_set) == pages
         assert provider.cache_size() == query.n_relations
 
     @pytest.mark.parametrize("family", FAMILIES)
