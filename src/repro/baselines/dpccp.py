@@ -43,6 +43,15 @@ cost model for both join orders at once
 (:meth:`~repro.cost.model.CostModel.join_costs`).  Ranked runs
 (``k > 1``) register trees through BUILDTREE's ranked cross product.
 :meth:`DPccp.optimal_class_costs` covers every class either way.
+
+A ``k = 1`` sweep breaks exact cost ties by plan fingerprint, and a
+leaf's fingerprint is its relation index.  ``labels`` renames the leaves
+for those comparisons only: leaf ``v``'s fingerprint becomes
+``str(labels[v])``.  Under a numbering's labels every comparison the run
+makes is the one a run on the query relabeled into that numbering would
+make (costs do not depend on the numbering: statistics multiply in value
+order), so the run returns that run's plan, in the caller's numbering
+and on the caller's context.
 """
 
 from __future__ import annotations
@@ -76,7 +85,12 @@ from repro.stats.counters import OptimizationStats
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from repro.resilience.budget import Budget
 
-__all__ = ["DPccp", "enumerate_csg_cmp_pairs", "enumerate_csg"]
+__all__ = [
+    "DPccp",
+    "enumerate_csg_cmp_pairs",
+    "enumerate_csg",
+    "enumerate_csg_upto",
+]
 
 
 def _grow(
@@ -132,6 +146,31 @@ def enumerate_csg(graph: QueryGraph) -> List[int]:
     """EnumerateCsg: every connected subset, each exactly once, in order."""
     out: List[int] = []
     _emit_csgs(graph, out.append)
+    return out
+
+
+class _CapReached(Exception):
+    """Stops an EnumerateCsg listing from inside its callback."""
+
+
+def enumerate_csg_upto(graph: QueryGraph, cap: int) -> Optional[List[int]]:
+    """:func:`enumerate_csg`'s list, or ``None`` if it holds more than ``cap``.
+
+    The listing stops at the ``cap + 1``-th connected set, so a graph with
+    many more costs no more than one just over the cap.
+    """
+    out: List[int] = []
+    append = out.append
+
+    def emit(vertex_set: int) -> None:
+        append(vertex_set)
+        if len(out) > cap:
+            raise _CapReached
+
+    try:
+        _emit_csgs(graph, emit)
+    except _CapReached:
+        return None
     return out
 
 
@@ -253,7 +292,9 @@ class DPccp:
     ``csgs`` hands in the query graph's connected sets, in
     :func:`enumerate_csg` order, when the caller already enumerated them
     (the optimizer's work prediction does); the run then does not list
-    them again.
+    them again.  ``labels`` (``k = 1`` only) is the numbering whose
+    fingerprints break exact cost ties: leaf ``v`` reads
+    ``str(labels[v])`` (see the module notes).
     """
 
     name = "dpccp"
@@ -267,6 +308,7 @@ class DPccp:
         *,
         context: Optional[OptimizationContext] = None,
         csgs: Optional[Sequence[int]] = None,
+        labels: Optional[Sequence[int]] = None,
     ):
         if context is None:
             if query is None:
@@ -284,6 +326,9 @@ class DPccp:
         self._memo = MemoTable(k=context.topk)
         self._budget = budget if budget is not None else context.budget
         self._csgs = csgs
+        if labels is not None and context.topk > 1:
+            raise ValueError("labels apply to single-best (k = 1) runs only")
+        self._labels = labels
         # Flat per-class optimum costs (k = 1 runs), kept for
         # optimal_class_costs().
         self._dp: Optional[Dict[int, float]] = None
@@ -591,12 +636,16 @@ class DPccp:
         ``fingerprints`` its plan's fingerprint, filled only when an exact
         tie needs it (the generic sweep drops a class's entry when its
         plan changes; the ``C_out`` sweep asks only for final classes).
+        A leaf's fingerprint is its index, or its label under ``labels``.
         """
         dp: Dict[int, float] = {}
         fingerprints: Dict[int, str] = {}
+        labels = self._labels
         for index in range(self._query.n_relations):
             dp[bitset.singleton(index)] = 0.0
-            fingerprints[bitset.singleton(index)] = str(index)
+            fingerprints[bitset.singleton(index)] = str(
+                index if labels is None else labels[index]
+            )
         self._dp = dp
         return dp, {}, fingerprints
 

@@ -24,10 +24,12 @@ lists the query graph's connected sets, DPconv's work over them is
 counted exactly and DPccp's estimated as :data:`DPCCP_WORK_PER_CSG` per
 set, and the cheaper of the two runs on the same list.  Under Haas costs
 an APCBI request is routed by predicted pruning yield: GOO runs once, and
-when its cost leaves more than :data:`HAAS_LIVE_SHARE` of the classes
-nearest the root live, DPccp serves in the numbering APCBI would have used
-(so the plan is APCBI's, bit for bit); otherwise APCBI serves, seeded with
-the same GOO run.
+DPccp serves when its cost leaves more than :data:`HAAS_LIVE_SHARE` of the
+classes nearest the root live, or when the graph has at most
+:data:`HAAS_CSG_CAP` connected sets (listed once and handed to DPccp).
+DPccp then runs in the caller's numbering and breaks ties under the labels
+of the numbering APCBI would have used (so the plan is APCBI's, bit for
+bit); otherwise APCBI serves, seeded with the same GOO run.
 
 Timing rule (§V-C), applied by :func:`_execute` alone: the measured
 interval covers everything the algorithm does at query time — including
@@ -49,7 +51,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.baselines.dpccp import DPccp, enumerate_csg
+from repro.baselines.dpccp import DPccp, enumerate_csg, enumerate_csg_upto
 from repro.baselines.dpconv import (
     DPconv,
     convolution_work,
@@ -96,6 +98,7 @@ __all__ = [
     "run_dpconv",
     "DPCCP_WORK_PER_CSG",
     "HAAS_LIVE_SHARE",
+    "HAAS_CSG_CAP",
     "PRUNING_STRATEGIES",
     "PRUNING_SUFFIXES",
     "algorithm_label",
@@ -134,6 +137,24 @@ DPCCP_WORK_PER_CSG = 100
 #: below 0.5 the two are near ties on most queries.  docs/dpconv.md has
 #: the study.
 HAAS_LIVE_SHARE = 0.5
+
+#: Most connected sets at which DPccp serves a low-live-share Haas
+#: request.  At or below :data:`HAAS_LIVE_SHARE` GOO's bound leaves most
+#: classes near the root dead, but on a small graph DPccp's whole sweep
+#: can still cost less than APCBI's pruned search.  The router then
+#: lists the connected sets, stopping one past this cap; at or under it
+#: DPccp serves with the list, over it APCBI serves.  Measured over the
+#: 126 study queries of :data:`HAAS_LIVE_SHARE` plus eleven probes (best
+#: of 9, interleaved, DPccp under APCBI's labels): the ``cold_haas``
+#: pool's acyclic-12 (live share 0.23, 417 sets) takes DPccp 0.52x
+#: APCBI's time, a sparse acyclic-14 (0.24, 684 sets) 1.85x and
+#: enumspeed's Haas acyclic-19 (0.19, 4,083 sets) 11x.  Every cap from
+#: 417 to 620 makes the same choices on the set, whose routed time falls
+#: 914 -> 904 ms (the pool's 95 -> 81 ms).  Of the 21 low-share queries
+#: the cap sends to DPccp, three run 1.5-1.85x slower there; no cap that
+#: keeps the pool's acyclic-12 on DPccp avoids them.  docs/dpconv.md has
+#: the study.
+HAAS_CSG_CAP = 512
 
 #: Pruning name -> plan generator class for the simple (non-APCBI) variants.
 PRUNING_STRATEGIES: Dict[str, Type[PlanGeneratorBase]] = {
@@ -189,8 +210,8 @@ def _live_share(
     that joins a class above the bound costs more than the bound.  Returns
     the share and the number of classes sampled (a share of 1 when there
     are none).  Pages are priced unmemoized: the run the route picks may
-    never ask for these classes, and usually runs relabeled on a context
-    with its own provider.
+    never ask for these classes (APCBI runs relabeled, on a context with
+    its own provider).
     """
     graph = context.query.graph
     pages = context.provider.estimate_pages
@@ -303,9 +324,11 @@ def _execute(
             error.partial_ranked = tuple(salvage)
             error.memo_entries = len(memo)
             raise
-        # Statistics objects the run built: a renumbered run prices on its
-        # relabeled context's provider after the heuristic priced on the
-        # caller's, so both count.
+        # Statistics objects the run built: a renumbered APCBI run prices
+        # on its relabeled context's provider after the heuristic priced
+        # on the caller's, so both count.  A routed DPccp shares the
+        # caller's provider with the heuristic, so a class both priced
+        # counts once.
         stats_classes = context.provider.cache_size()
         if selection.context is not context:
             stats_classes += selection.context.provider.cache_size()
@@ -394,9 +417,10 @@ class Optimizer:
         * a Haas model routes ``pruning="apcbi"`` by predicted pruning
           yield: the heuristic (GOO by default) runs once, and DPccp
           serves when more than :data:`HAAS_LIVE_SHARE` of the classes
-          nearest the root are live under its cost.  DPccp then runs in
-          the numbering APCBI would have used, so the plan is APCBI's
-          bit for bit.
+          nearest the root are live under its cost, or when the graph
+          has at most :data:`HAAS_CSG_CAP` connected sets.  DPccp then
+          breaks ties under the labels of the numbering APCBI would have
+          used, so the plan is APCBI's bit for bit.
 
         The result reports the algorithm that ran (``pruning ==
         "dpconv"``, ``"dpccp"`` or the configured one), and an armed trace
@@ -662,11 +686,16 @@ class Optimizer:
         The configured heuristic (GOO by default) runs once; when more
         than :data:`HAAS_LIVE_SHARE` of the classes nearest the root are
         live under its cost (:func:`_live_share`), pruning has little to
-        cut and DPccp serves.  DPccp runs in the numbering APCBI would
-        have used (advancement 6's renumbering of the same heuristic
-        tree), and both break exact-cost ties by ``(cost, fingerprint)``
-        in it, so the plan is APCBI's bit for bit.  Otherwise APCBI serves
-        and reuses the heuristic run.
+        cut and DPccp serves.  Otherwise the connected sets are listed,
+        stopping one past :data:`HAAS_CSG_CAP`: at or under the cap the
+        whole DP costs less than the pruned search and DPccp serves with
+        the list; over it APCBI serves and reuses the heuristic run.
+
+        DPccp runs in the caller's numbering on the caller's context, and
+        its fingerprints label leaf ``v`` as APCBI's renumbering of the
+        same heuristic tree numbers it (advancement 6).  Both algorithms
+        break exact-cost ties by ``(cost, fingerprint)`` in that
+        numbering, so the plan is APCBI's bit for bit.
         """
         query = context.query
         built = get_heuristic(self.heuristic).build(query, context.builder)
@@ -676,20 +705,29 @@ class Optimizer:
             "live_share": share,
             "sampled_classes": sampled,
             "upper_bound": built.cost,
+            "connected_sets": None,
+            "stopped_at_cap": False,
         }
+        csgs = None
         if share <= HAAS_LIVE_SHARE:
-            selection = self._apcbi(context, budget=None, oracle=None, built=built)
-            return replace(selection, evidence=evidence)
-        mapping = None
+            csgs = enumerate_csg_upto(query.graph, HAAS_CSG_CAP)
+            evidence["stopped_at_cap"] = csgs is None
+            evidence["connected_sets"] = (
+                HAAS_CSG_CAP + 1 if csgs is None else len(csgs)
+            )
+            if csgs is None:
+                selection = self._apcbi(
+                    context, budget=None, oracle=None, built=built
+                )
+                return replace(selection, evidence=evidence)
+        labels = None
         if self._renumbers(query):
-            mapping = renumber_mapping(built.tree, query.n_relations)
-            context = context.relabeled(mapping)
+            labels = renumber_mapping(built.tree, query.n_relations)
         return _Selection(
             "dpccp",
             "dpccp",
-            DPccp(context=context, budget=None),
+            DPccp(context=context, budget=None, csgs=csgs, labels=labels),
             context,
-            mapping,
             evidence=evidence,
         )
 

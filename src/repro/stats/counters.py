@@ -40,8 +40,11 @@ class OptimizationStats:
         I/O lower bound rules out: its count is the ccps it priced, at
         least one per class and at most ``ccps_considered``.  (Neither
         sweep builds statistics objects, so of the ``stats_classes`` an
-        ``enumerate`` span reports, DPccp's context holds only the winning
-        tree's ``2n - 1`` classes.)
+        ``enumerate`` span reports, a bare DPccp run holds only the
+        winning tree's ``2n - 1`` classes.  A Haas-routed DPccp run shares
+        the caller's provider with the heuristic that routed it: its
+        ``stats_classes`` is the heuristic's classes and the winning
+        tree's, each class once.)
     plan_classes_built:
         Distinct vertex sets (|S| >= 2) for which a best tree was
         registered — the *s* numerator of Table III.

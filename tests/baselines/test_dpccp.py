@@ -1,9 +1,15 @@
 """Tests for the DPccp baseline and its csg/cmp enumeration."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from repro.baselines.dpccp import DPccp, enumerate_csg, enumerate_csg_cmp_pairs
+from repro.baselines import dpccp as dpccp_module
+from repro.baselines.dpccp import (
+    DPccp,
+    enumerate_csg,
+    enumerate_csg_cmp_pairs,
+    enumerate_csg_upto,
+)
 from repro.cost.haas import HaasCostModel
 from repro.graph import bitset, generators
 from repro.partitioning import PARTITIONINGS
@@ -34,6 +40,33 @@ class TestEnumerateCsg:
         graph = generators.clique_graph(5)
         # Every non-empty subset of a clique is connected.
         assert len(list(enumerate_csg(graph))) == 2**5 - 1
+
+
+class TestEnumerateCsgUpto:
+    @given(connected_graphs(max_vertices=8), st.integers(0, 300))
+    def test_the_list_at_or_under_the_cap_and_none_over_it(self, graph, cap):
+        listed = enumerate_csg(graph)
+        capped = enumerate_csg_upto(graph, cap)
+        if len(listed) <= cap:
+            assert capped == listed
+        else:
+            assert capped is None
+
+    def test_listing_stops_one_past_the_cap(self, monkeypatch):
+        graph = generators.clique_graph(10)  # 1,023 connected sets
+        emitted = []
+        original = dpccp_module._emit_csgs
+
+        def counting(graph, emit):
+            def wrapped(vertex_set):
+                emitted.append(vertex_set)
+                emit(vertex_set)
+
+            original(graph, wrapped)
+
+        monkeypatch.setattr(dpccp_module, "_emit_csgs", counting)
+        assert enumerate_csg_upto(graph, 40) is None
+        assert len(emitted) == 41
 
 
 class TestEnumerateCsgCmpPairs:

@@ -2,23 +2,31 @@
 
 Under Haas costs an unbudgeted single-best ``pruning="apcbi"`` request is
 routed by GOO's bound: DPccp serves when more than ``HAAS_LIVE_SHARE`` of
-the connected classes of size ``n - 1`` and ``n - 2`` are live.  DPccp
-runs in the numbering APCBI would have used, so routing changes the
-label and the wall clock, never the plan: every test here is
-deterministic and compares plans by ``float.hex`` and
-``plan_fingerprint``, not timings.
+the connected classes of size ``n - 1`` and ``n - 2`` are live, or when
+fewer are but the graph has at most ``HAAS_CSG_CAP`` connected sets.
+DPccp runs in the caller's numbering and breaks ties under the labels of
+the numbering APCBI would have used, so routing changes the label and
+the wall clock, never the plan: every test here is deterministic and
+compares plans by ``float.hex`` and ``plan_fingerprint``, not timings.
+
+The route used to run DPccp on a context relabeled into APCBI's
+numbering and relabel the plan back.  That path lives on here, and only
+here, as the oracle for the labelled run.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.baselines.dpccp import DPccp
+from perfbench.workloads import WORKLOADS, make_pool
+from repro.baselines.dpccp import DPccp, enumerate_csg
 from repro.context.context import OptimizationContext
 from repro.context.plancache import PlanCache
 from repro.core import optimizer as optimizer_module
 from repro.core.advancements import AdvancementConfig
 from repro.core.optimizer import (
+    HAAS_CSG_CAP,
     HAAS_LIVE_SHARE,
     Optimizer,
     optimize_topk,
@@ -28,6 +36,7 @@ from repro.core.plangen import PlanGeneratorBase
 from repro.cost.cout import CoutCostModel
 from repro.graph import bitset
 from repro.graph.generators import random_cyclic_graph, star_graph
+from repro.graph.renumber import invert_mapping, remap_bitset
 from repro.heuristics.goo import GreedyOperatorOrdering
 from repro.plans.join_tree import JoinNode, plan_fingerprint
 from repro.query import Query
@@ -87,6 +96,37 @@ def _queries():
 
 
 QUERIES = _queries()
+
+
+def _pool_acyclic_12(run_seed):
+    """The ``cold_haas`` pool's acyclic-12 as a run at ``run_seed`` sees it."""
+    pool = make_pool(WORKLOADS["cold_haas"], run_seed)
+    (query,) = [
+        query
+        for query in pool.queries
+        if query.family == "acyclic" and query.n_relations == 12
+    ]
+    return query
+
+
+def _enumspeed_acyclic_19():
+    """enumspeed's Haas acyclic-19: the fourth draw of its generator."""
+    generator = QueryGenerator(seed=20120403)
+    for family, n in (("clique", 10), ("star", 12), ("cyclic", 13)):
+        generator.generate(family, n)
+    return generator.generate("acyclic", 19)
+
+
+#: Low-live-share queries on each side of the cap, with the choice each
+#: gets: the pool's acyclic-12 (live share 0.23, 417 connected sets)
+#: and enumspeed's acyclic-19 (0.19, 4,083).
+NAMED = [
+    *(
+        pytest.param(_pool_acyclic_12(seed), "dpccp", id=f"pool-acyclic-12@{seed}")
+        for seed in (20120411, 3, 7)
+    ),
+    pytest.param(_enumspeed_acyclic_19(), "apcbi", id="enumspeed-acyclic-19"),
+]
 
 
 def _relabeled(query):
@@ -194,10 +234,147 @@ class TestDecision:
         assert event["upper_bound"].hex() == goo.cost.hex()
         assert 0.0 <= event["live_share"] <= 1.0
         assert event["choice"] == result.pruning
-        assert (event["choice"] == "dpccp") == (
-            event["live_share"] > HAAS_LIVE_SHARE
-        )
+        if event["live_share"] > HAAS_LIVE_SHARE:
+            # The share alone decides: nothing is listed.
+            assert event["connected_sets"] is None
+            assert not event["stopped_at_cap"]
+            assert event["choice"] == "dpccp"
+        elif event["stopped_at_cap"]:
+            assert len(enumerate_csg(query.graph)) > HAAS_CSG_CAP
+            assert event["connected_sets"] == HAAS_CSG_CAP + 1
+            assert event["choice"] == "apcbi"
+        else:
+            assert event["connected_sets"] == len(enumerate_csg(query.graph))
+            assert event["connected_sets"] <= HAAS_CSG_CAP
+            assert event["choice"] == "dpccp"
         assert event["ccps_considered"] == result.stats.ccps_considered
+
+
+class TestNamedQueries:
+    """The queries the cap was placed between, under three relabelings."""
+
+    @pytest.mark.parametrize("query, choice", NAMED)
+    def test_choice_and_plan(self, query, choice):
+        for variant in (query, _relabeled(query), _relabeled(_relabeled(query))):
+            routed = Optimizer().optimize(variant)
+            pinned = Optimizer(auto_route=False).optimize(variant)
+            assert routed.pruning == choice
+            assert _same_plan(routed, pinned)
+            assert routed.plan.sexpr() == pinned.plan.sexpr()
+
+    @pytest.mark.parametrize("query, choice", NAMED)
+    def test_listing_reuses_its_connected_sets(self, query, choice, monkeypatch):
+        # A routed DPccp takes the router's list instead of listing again.
+        handed = []
+        original = DPccp.__init__
+
+        def recording(self, *args, **kwargs):
+            handed.append(kwargs.get("csgs"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DPccp, "__init__", recording)
+        Optimizer().optimize(query)
+        if choice == "dpccp":
+            assert handed == [enumerate_csg(query.graph)]
+        else:
+            assert handed == []
+
+
+#: Largest drawn size per family; the rest go up to 13.
+_MAX_RELATIONS = {"clique": 10}
+
+#: Counters that do not depend on the order the ccps are swept in.
+#: ``operator_pricings`` (the I/O bound skips a ccp against the incumbent
+#: of the moment) and ``plan_improvements`` do.
+_ORDER_FREE_COUNTERS = (
+    "ccps_enumerated",
+    "ccps_considered",
+    "trees_created",
+    "plan_classes_built",
+)
+
+
+@st.composite
+def _labelled_queries(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    low = 3 if family in ("cycle", "cyclic") else 2
+    n = draw(st.integers(low, _MAX_RELATIONS.get(family, 13)))
+    scheme = draw(st.sampled_from(("fk", "random")))
+    seed = draw(st.integers(0, 2**31 - 1))
+    query = QueryGenerator(seed=seed).generate(family, n, scheme)
+    return query, draw(st.permutations(range(n)))
+
+
+def _relabeled_dpccp(query, mapping):
+    """The former routed path: DPccp on a context relabeled by ``mapping``,
+    its plan relabeled back into the caller's numbering."""
+    context = OptimizationContext.for_query(query).relabeled(mapping)
+    algorithm = DPccp(context=context)
+    plan = algorithm.run().relabel(invert_mapping(mapping))
+    return algorithm, plan
+
+
+class TestLabelledDPccpMatchesRelabeledRun:
+    @settings(max_examples=150, deadline=None)
+    @given(_labelled_queries())
+    def test_plan_class_costs_and_counters(self, drawn):
+        query, mapping = drawn
+        labelled = DPccp(context=OptimizationContext.for_query(query), labels=mapping)
+        plan = labelled.run()
+        oracle, oracle_plan = _relabeled_dpccp(query, mapping)
+        assert plan.sexpr() == oracle_plan.sexpr()
+        assert plan.cost.hex() == oracle_plan.cost.hex()
+        assert plan_fingerprint(plan) == plan_fingerprint(oracle_plan)
+        assert {
+            remap_bitset(vertex_set, mapping): cost.hex()
+            for vertex_set, cost in labelled.optimal_class_costs().items()
+        } == {
+            vertex_set: cost.hex()
+            for vertex_set, cost in oracle.optimal_class_costs().items()
+        }
+        for name in _ORDER_FREE_COUNTERS:
+            assert getattr(labelled.stats, name) == getattr(oracle.stats, name)
+        for run in (labelled, oracle):
+            stats = run.stats
+            assert stats.plan_classes_built <= stats.operator_pricings
+            assert stats.operator_pricings <= stats.ccps_considered
+
+    def test_a_routed_dpccp_relabels_nothing(self, monkeypatch):
+        relabeled = []
+        original = OptimizationContext.relabeled
+
+        def recording(self, mapping):
+            relabeled.append(mapping)
+            return original(self, mapping)
+
+        monkeypatch.setattr(OptimizationContext, "relabeled", recording)
+        routed = 0
+        for _, query in QUERIES:
+            relabeled.clear()
+            if Optimizer().optimize(query).pruning == "dpccp":
+                routed += 1
+                assert relabeled == []
+        assert routed > 0
+
+    def test_one_provider_holds_every_statistics_object(self):
+        # GOO and DPccp price on the caller's provider; the span counts it.
+        telemetry = _traced()
+        query = QUERIES[0][1]
+        context = OptimizationContext.for_query(query, telemetry=telemetry)
+        result = Optimizer(telemetry=telemetry).optimize(query, context=context)
+        assert result.pruning == "dpccp"
+        (span,) = [
+            span
+            for span in telemetry.tracer.finished_spans()
+            if span.name == "enumerate"
+        ]
+        assert span.attrs["stats_classes"] == context.provider.cache_size()
+
+    def test_labels_apply_to_single_best_runs_only(self):
+        query = QueryGenerator(seed=4).generate("clique", 5)
+        context = OptimizationContext.for_query(query, topk=2)
+        with pytest.raises(ValueError):
+            DPccp(context=context, labels=list(range(5)))
 
 
 class TestRoutingIsTraced:

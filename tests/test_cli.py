@@ -24,7 +24,9 @@ class TestGeneratedQueries:
             ["--family", "cycle", "--relations", "5", "--seed", "2", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["algorithm"] == "TDMcC_APCBI"
+        # A 5-cycle has 21 connected sets, under HAAS_CSG_CAP: the Haas
+        # route serves it with DPccp, and the label names what ran.
+        assert payload["algorithm"] == "DPccp"
         assert payload["cost"] > 0
         assert "plan" in payload and "stats" in payload
 
