@@ -9,6 +9,7 @@ runtime — an ablation of a design choice DESIGN.md calls out.
 import pytest
 
 from repro.baselines.dpccp import DPccp
+from repro.context import OptimizationContext
 from repro.core.optimizer import Optimizer, run_dpccp
 from repro.cost.haas import HaasCostModel
 from repro.cost.statistics import StatisticsProvider
@@ -36,7 +37,7 @@ def test_bench_heuristic_quality(benchmark, heuristic_workload, capsys):
         for name in available_heuristics():
             ratios = []
             for query in heuristic_workload:
-                optimal = DPccp(query, HaasCostModel()).run()
+                optimal = DPccp(OptimizationContext.for_query(query)).run()
                 builder = PlanBuilder(
                     StatisticsProvider(query), HaasCostModel()
                 )

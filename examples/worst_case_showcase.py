@@ -71,12 +71,12 @@ def main() -> None:
 
     # Per-class view of the cascade, via the enumeration profiler.
     from repro.bench.profiling import InstrumentedPartitioning
+    from repro.context import OptimizationContext
     from repro.core.apcb import ApcbPlanGenerator
-    from repro.cost import HaasCostModel
     from repro.partitioning import MinCutConservative
 
     instrumented = InstrumentedPartitioning(MinCutConservative())
-    ApcbPlanGenerator(query, instrumented, HaasCostModel()).run()
+    ApcbPlanGenerator(OptimizationContext.for_query(query), instrumented).run()
     print("\nAPCB's worst re-enumerated plan classes:")
     print(instrumented.profile.render(limit=6))
 

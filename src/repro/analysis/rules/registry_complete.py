@@ -34,7 +34,7 @@ class _Spec:
 _SPECS = (
     _Spec("PartitioningStrategy", "repro/partitioning/registry.py", "PARTITIONINGS"),
     _Spec("JoinHeuristic", "repro/heuristics/registry.py", "HEURISTICS"),
-    _Spec("PlanGeneratorBase", "repro/core/optimizer.py", "PRUNING_STRATEGIES"),
+    _Spec("PlanGeneratorBase", "repro/core/routing.py", "PRUNING_STRATEGIES"),
 )
 
 _ABSTRACT_DECORATORS = {"abstractmethod", "abstractproperty"}

@@ -72,14 +72,12 @@ from typing import (
 )
 
 from repro.context.context import OptimizationContext
-from repro.cost.model import CostModel
 from repro.errors import BudgetExceeded, OptimizationError
 from repro.graph import bitset
 from repro.graph.query_graph import QueryGraph
 from repro.plans.builder import PlanBuilder
 from repro.plans.join_tree import JoinTree, join_fingerprint
 from repro.plans.memo import MemoTable
-from repro.query import Query
 from repro.stats.counters import OptimizationStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
@@ -89,7 +87,6 @@ __all__ = [
     "DPccp",
     "enumerate_csg_cmp_pairs",
     "enumerate_csg",
-    "enumerate_csg_upto",
 ]
 
 
@@ -142,25 +139,24 @@ def _emit_csgs(graph: QueryGraph, emit: Callable[[int], object]) -> None:
             _grow(memo, neighborhood, start, reach, forbidden, emit)
 
 
-def enumerate_csg(graph: QueryGraph) -> List[int]:
-    """EnumerateCsg: every connected subset, each exactly once, in order."""
-    out: List[int] = []
-    _emit_csgs(graph, out.append)
-    return out
-
-
 class _CapReached(Exception):
     """Stops an EnumerateCsg listing from inside its callback."""
 
 
-def enumerate_csg_upto(graph: QueryGraph, cap: int) -> Optional[List[int]]:
-    """:func:`enumerate_csg`'s list, or ``None`` if it holds more than ``cap``.
+def enumerate_csg(
+    graph: QueryGraph, cap: Optional[int] = None
+) -> Optional[List[int]]:
+    """EnumerateCsg: every connected subset, each exactly once, in order.
 
-    The listing stops at the ``cap + 1``-th connected set, so a graph with
-    many more costs no more than one just over the cap.
+    With a ``cap`` the listing stops at the ``cap + 1``-th connected set
+    and returns ``None``, so a graph with many more costs no more than one
+    just over the cap.
     """
     out: List[int] = []
     append = out.append
+    if cap is None:
+        _emit_csgs(graph, append)
+        return out
 
     def emit(vertex_set: int) -> None:
         append(vertex_set)
@@ -289,10 +285,11 @@ def _fingerprint(
 class DPccp:
     """Bottom-up optimal bushy join ordering without cross products.
 
-    ``csgs`` hands in the query graph's connected sets, in
-    :func:`enumerate_csg` order, when the caller already enumerated them
-    (the optimizer's work prediction does); the run then does not list
-    them again.  ``labels`` (``k = 1`` only) is the numbering whose
+    Built on a query's :class:`~repro.context.OptimizationContext` (its
+    budget included).  ``csgs`` hands in the query graph's connected
+    sets, in :func:`enumerate_csg` order, when the caller already
+    enumerated them (a route's prediction does); the run then does not
+    list them again.  ``labels`` (``k = 1`` only) is the numbering whose
     fingerprints break exact cost ties: leaf ``v`` reads
     ``str(labels[v])`` (see the module notes).
     """
@@ -301,30 +298,18 @@ class DPccp:
 
     def __init__(
         self,
-        query: Optional[Query] = None,
-        cost_model: Optional[CostModel] = None,
-        stats: Optional[OptimizationStats] = None,
-        budget: Optional["Budget"] = None,
+        context: OptimizationContext,
         *,
-        context: Optional[OptimizationContext] = None,
         csgs: Optional[Sequence[int]] = None,
         labels: Optional[Sequence[int]] = None,
     ):
-        if context is None:
-            if query is None:
-                raise TypeError("DPccp needs a query (or a ready context=)")
-            context = OptimizationContext.for_query(
-                query, cost_model=cost_model, stats=stats, budget=budget
-            )
-        elif query is not None and query is not context.query:
-            raise ValueError("query and context disagree; pass one or the other")
         self._context = context
         self._query = context.query
         self._graph = context.query.graph
         self._provider = context.provider
         self._builder = context.builder
         self._memo = MemoTable(k=context.topk)
-        self._budget = budget if budget is not None else context.budget
+        self._budget = context.budget
         self._csgs = csgs
         if labels is not None and context.topk > 1:
             raise ValueError("labels apply to single-best (k = 1) runs only")

@@ -39,26 +39,21 @@ Eligibility is the :attr:`repro.cost.model.CostModel.cout_shaped` contract
 (union-shaped operator cost) plus single-best retention (``topk == 1`` —
 ranked retention needs per-class candidate lists the flat layout does not
 keep).  :class:`DPconv` *refuses* to run outside that envelope; the
-:class:`~repro.core.optimizer.Optimizer` facade is the layer that falls
-back to DPccp honestly instead.
+selector (:func:`repro.core.routing.select`) is the layer that falls back
+to DPccp honestly instead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.baselines.dpccp import enumerate_csg
 from repro.context.context import OptimizationContext
-from repro.cost.model import CostModel
 from repro.errors import OptimizationError
 from repro.graph import bitset
 from repro.plans.join_tree import JoinTree
 from repro.plans.memo import MemoTable
-from repro.query import Query
 from repro.stats.counters import OptimizationStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
-    from repro.resilience.budget import Budget
 
 __all__ = ["DPconv", "convolution_work", "eligible"]
 
@@ -74,9 +69,9 @@ def eligible(context: OptimizationContext) -> bool:
 
     The three-part envelope: a union-shaped (``C_out``) bound cost model,
     single-best retention (``topk == 1``), and a relation count the dense
-    2^n layout can hold.  The :class:`~repro.core.optimizer.Optimizer`
-    facade consults this before selecting the fast path and falls back to
-    DPccp honestly when it returns False.
+    2^n layout can hold.  The selector
+    (:func:`repro.core.routing.select`) consults this before choosing the
+    fast path and falls back to DPccp honestly when it returns False.
     """
     return (
         getattr(context.cost_model, "cout_shaped", False)
@@ -104,41 +99,29 @@ class DPconv:
     """Bottom-up optimal bushy join ordering via layered subset convolution.
 
     Same plan space and bit-identical optimal costs as :class:`DPccp`, for
-    union-shaped (``C_out``) cost models at ``k = 1`` only.  Constructed
-    like every other baseline: either from a ``query`` (plus optional cost
-    model / stats / budget) or from a ready ``context=``.  ``csgs`` hands
-    in the query graph's connected sets when the caller already enumerated
-    them (the optimizer's work prediction does); the sweep then does not
-    list them again.
+    union-shaped (``C_out``) cost models at ``k = 1`` only, built on a
+    query's :class:`~repro.context.OptimizationContext` (its budget
+    included) like every other algorithm.  ``csgs`` hands in the query
+    graph's connected sets when the caller already enumerated them (the
+    ``C_out`` route's work prediction does); the sweep then does not list
+    them again.
     """
 
     name = "dpconv"
 
     def __init__(
         self,
-        query: Optional[Query] = None,
-        cost_model: Optional[CostModel] = None,
-        stats: Optional[OptimizationStats] = None,
-        budget: Optional["Budget"] = None,
+        context: OptimizationContext,
         *,
-        context: Optional[OptimizationContext] = None,
         csgs: Optional[Sequence[int]] = None,
     ):
-        if context is None:
-            if query is None:
-                raise TypeError("DPconv needs a query (or a ready context=)")
-            context = OptimizationContext.for_query(
-                query, cost_model=cost_model, stats=stats, budget=budget
-            )
-        elif query is not None and query is not context.query:
-            raise ValueError("query and context disagree; pass one or the other")
         self._context = context
         self._query = context.query
         self._graph = context.query.graph
         self._provider = context.provider
         self._builder = context.builder
         self._memo = MemoTable(k=context.topk)
-        self._budget = budget if budget is not None else context.budget
+        self._budget = context.budget
         self._csgs = csgs
         self._require_eligible(context)
 
@@ -146,9 +129,9 @@ class DPconv:
     def _require_eligible(context: OptimizationContext) -> None:
         """Refuse configurations the convolution cannot serve correctly.
 
-        The facade checks :func:`eligible` *before* constructing a DPconv
-        and falls back to DPccp; reaching these raises means a caller
-        bypassed that check.
+        The selector checks :func:`eligible` *before* constructing a
+        DPconv and falls back to DPccp; reaching these raises means a
+        caller bypassed that check (a named ``run_dpconv`` baseline).
         """
         if not getattr(context.cost_model, "cout_shaped", False):
             raise OptimizationError(

@@ -209,30 +209,22 @@ class OptimizationContext:
             self._topk,
         )
 
-    def fork(
-        self,
-        stats: Optional[OptimizationStats] = None,
-        budget: Optional["Budget"] = None,
-    ) -> "OptimizationContext":
-        """Same query, provider and model — fresh counters.
+    def fork(self) -> "OptimizationContext":
+        """Same query, provider, model and budget — fresh counters.
 
         Used for side computations whose work must *not* pollute the main
         run's counters (APCBI_Opt's untimed DPccp oracle pre-pass, §V-C)
         while still profiting from the shared subproblem statistics.  The
-        budget defaults to this context's budget (the oracle shares the
-        caller's wall-clock allowance) and can be overridden.
+        budget is this context's budget: the oracle shares the caller's
+        wall-clock allowance.
         """
-        builder = PlanBuilder(
-            self._provider,
-            self._cost_model,
-            stats if stats is not None else OptimizationStats(),
-        )
+        builder = PlanBuilder(self._provider, self._cost_model, OptimizationStats())
         return OptimizationContext(
             self._query,
             self._provider,
             self._cost_model,
             builder,
-            budget if budget is not None else self._budget,
+            self._budget,
             self._telemetry,
             self._topk,
         )

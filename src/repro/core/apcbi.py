@@ -53,10 +53,9 @@ class ApcbiPlanGenerator(PlanGeneratorBase):
     ----------
     config:
         Which advancements are active; defaults to all six (full APCBI).
-        The ``renumber_graph`` flag is acted upon by the
-        :class:`~repro.core.optimizer.Optimizer` facade (it requires
-        relabeling the query before this generator is constructed) and is
-        ignored here.
+        The ``renumber_graph`` flag is acted upon by the selector
+        (:func:`repro.core.routing.select`; it requires relabeling the
+        query before this generator is constructed) and is ignored here.
     upper_bounds:
         Optional pre-seeded ``uB`` table (vertex set -> cost).  Passing the
         optimal subtree costs from a DPccp pre-pass yields APCBI_Opt; when

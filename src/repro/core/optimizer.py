@@ -12,67 +12,50 @@ query (:func:`repro.context.fingerprint`) and serves structurally
 identical repeats from the cache — replaying the stored canonical tree
 through the requesting query's context — instead of enumerating again.
 
-Every algorithm runs through one path.  :meth:`Optimizer._select` decides
-which algorithm serves a request, and the module-level :func:`_execute`
-runs it: it alone owns the timer, the ``enumerate`` span, the
-``BudgetExceeded`` salvage and the result envelope.  :func:`run_dpccp`
-and :func:`run_dpconv` are thin calls into the same :func:`_execute`.
-
-Under a ``C_out``-shaped cost model :meth:`Optimizer._select` routes by
-predicted work: one :func:`~repro.baselines.dpccp.enumerate_csg` pass
-lists the query graph's connected sets, DPconv's work over them is
-counted exactly and DPccp's estimated as :data:`DPCCP_WORK_PER_CSG` per
-set, and the cheaper of the two runs on the same list.  Under Haas costs
-an APCBI request is routed by predicted pruning yield: GOO runs once, and
-DPccp serves when its cost leaves more than :data:`HAAS_LIVE_SHARE` of the
-classes nearest the root live, or when the graph has at most
-:data:`HAAS_CSG_CAP` connected sets (listed once and handed to DPccp).
-DPccp then runs in the caller's numbering and breaks ties under the labels
-of the numbering APCBI would have used (so the plan is APCBI's, bit for
-bit); otherwise APCBI serves, seeded with the same GOO run.
+Every algorithm runs through one path.  :func:`repro.core.routing.select`
+decides which algorithm serves a request and builds it, and the
+module-level :func:`_execute` runs it: it alone owns the timer, the
+``enumerate`` span, the ``BudgetExceeded`` salvage and the result
+envelope.  :func:`run_dpccp` and :func:`run_dpconv` take the same path.
 
 Timing rule (§V-C), applied by :func:`_execute` alone: the measured
 interval covers everything the algorithm does at query time — including
-the GOO heuristic and the graph renumbering of APCBI — but *excludes* the
-DPccp pre-pass that supplies APCBI_Opt's oracle upper bounds ("we do not
-include the pre-computation time", §V-C), which runs before the clock
-starts.  Building the per-query context is never timed.  Routing is timed
-and runs inside the ``enumerate`` span: :func:`_execute` calls
-:meth:`Optimizer._select`, so a routed run's connected-set pass, heuristic
-run and live-share sample count like the work the served algorithm would
-otherwise do itself.  A plan-cache hit is timed from before the
-fingerprint to the replayed plan.
+the GOO heuristic and the graph renumbering of APCBI, and the routing
+that chose it — but *excludes* the DPccp pre-pass that supplies
+APCBI_Opt's oracle upper bounds ("we do not include the pre-computation
+time", §V-C), which runs before the clock starts.  Building the
+per-query context is never timed.  A plan-cache hit is timed from before
+the fingerprint to the replayed plan.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.baselines.dpccp import DPccp, enumerate_csg, enumerate_csg_upto
-from repro.baselines.dpconv import (
-    DPconv,
-    convolution_work,
-    eligible as dpconv_eligible,
-)
+from repro.baselines.dpccp import DPccp
 from repro.context.context import OptimizationContext
 from repro.context.fingerprint import fingerprint
 from repro.context.plancache import CachedPlan, PlanCache, replay_plan
-from repro.core.acb import AcbPlanGenerator
 from repro.core.advancements import ADVANCEMENT_NAMES, AdvancementConfig
-from repro.core.apcb import ApcbPlanGenerator
-from repro.core.apcbi import ApcbiPlanGenerator
-from repro.core.pcb import PcbPlanGenerator
-from repro.core.plangen import PlanGeneratorBase, TopDownPlanGenerator
+from repro.core.routing import (
+    DPCCP_WORK_PER_CSG,
+    HAAS_CSG_CAP,
+    HAAS_LIVE_SHARE,
+    PRUNING_STRATEGIES,
+    Oracle,
+    Selection,
+    configured,
+    routes_by_work,
+    select,
+)
 from repro.cost.cout import CoutCostModel
 from repro.cost.haas import HaasCostModel
 from repro.cost.model import CostModel
 from repro.errors import BudgetExceeded, UnknownAlgorithmError
-from repro.graph import bitset
-from repro.graph.renumber import invert_mapping, remap_bitset, renumber_mapping
-from repro.heuristics.base import HeuristicResult
+from repro.graph.renumber import invert_mapping
 from repro.heuristics.registry import get_heuristic
 from repro.partitioning.registry import get_partitioning
 from repro.plans.join_tree import JoinTree
@@ -104,66 +87,6 @@ __all__ = [
     "algorithm_label",
 ]
 
-#: DPccp's predicted work per connected set, in DPconv split probes.
-#: The router counts DPconv's work exactly (``convolution_work``: the
-#: splits its sweep will probe) and predicts DPccp's as this constant
-#: times the number of connected sets.  Against DPccp's ``C_out`` sweep,
-#: which prices each class once, the two cross near 100 split probes per
-#: connected set (``cold_cout`` pool, best of 5): star-12 (85) takes
-#: DPconv 0.6-1.0x DPccp's time and stays on DPconv; chain-12 (104) takes
-#: it 1.3-1.6x, cyclic-12 (109-111) 0.9-1.0x, acyclic-12 (118) 1.1-1.4x,
-#: cycle-12 (199) 2.0-2.8x and acyclic-14 (295) 2.9x, and all go to
-#: DPccp.  Dense shapes cross later than sparse ones (drawn cyclic-12 at
-#: 112-119 takes DPconv 0.8-0.9x DPccp's time, acyclic-11 at 69-78
-#: 1.0-1.5x), which one constant per set cannot separate.
-#: docs/dpconv.md tabulates the rows.
-DPCCP_WORK_PER_CSG = 100
-
-#: Live share above which DPccp serves a Haas APCBI request.  Under Haas
-#: every join reads both inputs, so a connected class ``S`` other than the
-#: root whose ``pages(S)`` exceeds GOO's cost is in no optimal plan: APCBI
-#: prunes it at its parent's LBE and never expands it, while DPccp's sweep
-#: still lists and charges every ccp of it.  The router samples the
-#: connected classes of size ``n - 1`` and ``n - 2`` (:func:`_live_share`);
-#: when more than this share of them is live, pruning has little to cut
-#: and DPccp is faster.  Measured over 126 queries (the ``cold_haas``
-#: shapes at three statistics seeds, stars with ordinary statistics,
-#: spanning trees plus 1-3 edges at n = 12-16; best of 5) against DPccp's
-#: page-priced sweep, summed APCBI time over DPccp's by live share: below
-#: 0.5, 29 queries, 1.02 (DPccp faster on 13); 0.5-0.8, 15, 1.82 (on all
-#: 15); 0.8-0.9, 7, 2.26; 0.9-0.95, 8, 2.23; 0.95 and up, 67, 3.33 (on
-#: all).  At 0.5 the set is served in 0.40x APCBI's time, against 0.49x
-#: at the former 0.9, and no query routed to DPccp is slower than APCBI;
-#: below 0.5 the two are near ties on most queries.  docs/dpconv.md has
-#: the study.
-HAAS_LIVE_SHARE = 0.5
-
-#: Most connected sets at which DPccp serves a low-live-share Haas
-#: request.  At or below :data:`HAAS_LIVE_SHARE` GOO's bound leaves most
-#: classes near the root dead, but on a small graph DPccp's whole sweep
-#: can still cost less than APCBI's pruned search.  The router then
-#: lists the connected sets, stopping one past this cap; at or under it
-#: DPccp serves with the list, over it APCBI serves.  Measured over the
-#: 126 study queries of :data:`HAAS_LIVE_SHARE` plus eleven probes (best
-#: of 9, interleaved, DPccp under APCBI's labels): the ``cold_haas``
-#: pool's acyclic-12 (live share 0.23, 417 sets) takes DPccp 0.52x
-#: APCBI's time, a sparse acyclic-14 (0.24, 684 sets) 1.85x and
-#: enumspeed's Haas acyclic-19 (0.19, 4,083 sets) 11x.  Every cap from
-#: 417 to 620 makes the same choices on the set, whose routed time falls
-#: 914 -> 904 ms (the pool's 95 -> 81 ms).  Of the 21 low-share queries
-#: the cap sends to DPccp, three run 1.5-1.85x slower there; no cap that
-#: keeps the pool's acyclic-12 on DPccp avoids them.  docs/dpconv.md has
-#: the study.
-HAAS_CSG_CAP = 512
-
-#: Pruning name -> plan generator class for the simple (non-APCBI) variants.
-PRUNING_STRATEGIES: Dict[str, Type[PlanGeneratorBase]] = {
-    "none": TopDownPlanGenerator,
-    "acb": AcbPlanGenerator,
-    "pcb": PcbPlanGenerator,
-    "apcb": ApcbPlanGenerator,
-}
-
 #: Table I display suffixes.
 PRUNING_SUFFIXES: Dict[str, str] = {
     "none": "",
@@ -173,62 +96,6 @@ PRUNING_SUFFIXES: Dict[str, str] = {
     "apcbi": "_APCBI",
     "apcbi_opt": "_APCBI_Opt",
 }
-
-#: APCBI_Opt's oracle: DPccp's optimal plan and its optimal class costs.
-_Oracle = Tuple[JoinTree, Dict[int, float]]
-
-
-@dataclass(frozen=True)
-class _Selection:
-    """The algorithm that serves a request, built and ready to run."""
-
-    enumerator: str
-    pruning: str
-    #: Anything with ``run()`` and ``memo``.
-    algorithm: Any
-    #: The context it runs on (a relabeled one under renumbering).
-    context: OptimizationContext
-    #: The renumbering its run uses (``None``: the caller's numbering).
-    mapping: Optional[List[int]] = None
-    #: A complete heuristic tree in the caller's numbering, the
-    #: last-resort salvage (or ``None``).
-    salvage: Optional[JoinTree] = None
-    #: What an automatic route saw, recorded on its ``algorithm_selected``
-    #: event: the candidates and the prediction that chose between them.
-    #: ``None`` when nothing was routed.
-    evidence: Optional[Dict[str, Any]] = None
-
-
-def _live_share(
-    context: OptimizationContext, bound: float
-) -> Tuple[float, int]:
-    """Share of the classes nearest the root that ``bound`` leaves live.
-
-    Samples the connected classes of size ``n - 1`` and ``n - 2`` (at most
-    ``n (n + 1) / 2`` sets, no connected-set pass).  A class is live when
-    ``pages(S) <= bound``: under Haas a join reads both inputs, so a plan
-    that joins a class above the bound costs more than the bound.  Returns
-    the share and the number of classes sampled (a share of 1 when there
-    are none).  Pages are priced unmemoized: the run the route picks may
-    never ask for these classes (APCBI runs relabeled, on a context with
-    its own provider).
-    """
-    graph = context.query.graph
-    pages = context.provider.estimate_pages
-    root = graph.all_vertices
-    n = graph.n_vertices
-    sampled = live = 0
-    for first in range(n):
-        outer = root ^ bitset.singleton(first)
-        nearest = [outer]
-        nearest.extend(
-            outer ^ bitset.singleton(second) for second in range(first + 1, n)
-        )
-        for vertex_set in nearest:
-            if graph.is_connected(vertex_set):
-                sampled += 1
-                live += pages(vertex_set) <= bound
-    return (live / sampled if sampled else 1.0), sampled
 
 
 def algorithm_label(enumerator: str, pruning: str) -> str:
@@ -281,17 +148,17 @@ class OptimizationResult:
 
 
 def _execute(
-    context: OptimizationContext, select: Callable[[], _Selection]
+    context: OptimizationContext, chosen: Callable[[], Selection]
 ) -> OptimizationResult:
     """Run one algorithm on ``context``: the single execution path.
 
-    ``select()`` picks and builds the algorithm inside the measured
-    interval and the ``enumerate`` span (routing, GOO and renumbering are
-    timed, §V-C).  A routed selection's prediction lands on the span as
-    an ``algorithm_selected`` event beside the run's actual
-    ``ccps_considered``.  A
-    :class:`~repro.errors.BudgetExceeded` leaves enriched with the best
-    complete plans registered so far (``partial_plan`` /
+    ``chosen()`` (a bound :func:`~repro.core.routing.select`) picks and
+    builds the algorithm inside the measured interval and the
+    ``enumerate`` span (routing, GOO and renumbering are timed, §V-C).  A
+    routed selection's evidence lands on the span as an
+    ``algorithm_selected`` event with the run's ``choice`` and ``actual``
+    work.  A :class:`~repro.errors.BudgetExceeded` leaves enriched with
+    the best complete plans registered so far (``partial_plan`` /
     ``partial_ranked``, in the caller's numbering; the heuristic tree when
     enumeration registered no root plan) and the memo size, so callers
     such as :class:`repro.resilience.ResilientOptimizer` can degrade
@@ -305,7 +172,7 @@ def _execute(
     if telemetry is not None:
         span = telemetry.span("enumerate", relations=query.n_relations)
     with span:
-        selection = select()
+        selection = chosen()
         span.set(enumerator=selection.enumerator, pruning=selection.pruning)
         mapping = selection.mapping
         inverse = invert_mapping(mapping) if mapping is not None else None
@@ -345,7 +212,9 @@ def _execute(
                 "algorithm_selected",
                 **selection.evidence,
                 choice=selection.pruning,
-                ccps_considered=context.stats.ccps_considered - considered,
+                actual={
+                    "ccps_considered": context.stats.ccps_considered - considered
+                },
             )
     ranked = tuple(memo.best_k(root)) if context.topk > 1 else ()
     if inverse is not None:
@@ -405,27 +274,12 @@ class Optimizer:
         Ranked runs are never routed.
     auto_route:
         When True (the default), unbudgeted single-best runs are routed
-        automatically where a route applies (:meth:`_select`):
-
-        * a ``C_out``-shaped bound cost model (within DPconv's 24-relation
-          layout) routes any top-down request by predicted work: one
-          connected-set pass predicts DPconv's work exactly and DPccp's
-          as :data:`DPCCP_WORK_PER_CSG` per connected set, and the smaller
-          prediction runs, on the same connected-set list.  Both are
-          exact, so the optimal *cost* is unchanged; on exact-cost ties
-          DPconv's plan shape can differ.
-        * a Haas model routes ``pruning="apcbi"`` by predicted pruning
-          yield: the heuristic (GOO by default) runs once, and DPccp
-          serves when more than :data:`HAAS_LIVE_SHARE` of the classes
-          nearest the root are live under its cost, or when the graph
-          has at most :data:`HAAS_CSG_CAP` connected sets.  DPccp then
-          breaks ties under the labels of the numbering APCBI would have
-          used, so the plan is APCBI's bit for bit.
-
-        The result reports the algorithm that ran (``pruning ==
-        "dpconv"``, ``"dpccp"`` or the configured one), and an armed trace
-        records an ``algorithm_selected`` event with the prediction.
-        Benchmarks that measure a named algorithm pass False.
+        automatically where a route applies: the ``C_out`` route picks
+        DPconv or DPccp by predicted work, the Haas route APCBI or DPccp
+        by predicted pruning yield (:mod:`repro.core.routing` describes
+        both).  The result reports the algorithm that ran, and an armed
+        trace records an ``algorithm_selected`` event with the
+        prediction.  Benchmarks that measure a named algorithm pass False.
     """
 
     def __init__(
@@ -530,22 +384,27 @@ class Optimizer:
         ``context`` lets a caller that already built an
         :class:`~repro.context.OptimizationContext` for this query (the
         resilience ladder shares one across every rung) hand it in; by
-        default a fresh context is created per call.
+        default a fresh context is created per call.  A handed-in context
+        carries the run's budget: a ``budget`` beside it must be that same
+        object.
         """
         if context is not None:
             if context.query is not query:
                 raise ValueError(
                     "context was built for a different query object"
                 )
-            if budget is None:
-                budget = context.budget
+            if budget is not None and budget is not context.budget:
+                raise ValueError(
+                    "budget is not the context's budget; pass one or the other"
+                )
+            budget = context.budget
         if budget is not None:
             budget.start()
         if context is None:
             context = self._context_for(query, budget, self.topk)
         if self.plan_cache is not None:
-            return self._optimize_cached(context, budget)
-        return self._run(context, budget)
+            return self._optimize_cached(context)
+        return self._run(context)
 
     def optimize_topk(
         self,
@@ -582,171 +441,25 @@ class Optimizer:
             previous = plan.cost
         return result
 
-    def _configured(self, context: OptimizationContext) -> Tuple[str, str]:
-        """The configured ``(enumerator, pruning)``, before any routing.
-
-        ``pruning="dpconv"`` runs DPconv when :func:`dpconv_eligible`
-        allows it and falls back to DPccp otherwise, labelled ``dpccp``.
-        """
-        if self.pruning != "dpconv":
-            return self.enumerator, self.pruning
-        if dpconv_eligible(context):
-            return "dpconv", "dpconv"
-        return "dpccp", "dpccp"
-
-    def _routes_by_work(
-        self, context: OptimizationContext, budget: Optional["Budget"]
-    ) -> bool:
-        """Whether the ``C_out`` route (DPconv or DPccp) serves ``context``."""
-        return self.auto_route and budget is None and dpconv_eligible(context)
-
-    def _select(
-        self,
-        context: OptimizationContext,
-        budget: Optional["Budget"],
-        oracle: Optional[_Oracle] = None,
-    ) -> _Selection:
-        """The algorithm that serves ``context``, built and ready to run.
-
-        :func:`_execute` calls this inside its measured interval.  Two
-        routes apply to unbudgeted runs with ``auto_route`` on:
-
-        * A context DPconv is eligible for (a ``C_out``-shaped bound
-          model, ``topk == 1``) is routed by predicted work: one
-          :func:`enumerate_csg` pass lists the connected sets, DPconv's
-          work over them is exact (:func:`convolution_work`) and DPccp's
-          is estimated as :data:`DPCCP_WORK_PER_CSG` per set; the smaller
-          prediction wins (DPconv on a tie) and is handed the list, so
-          nothing enumerates the sets twice.
-        * A ``pruning="apcbi"`` request under Haas costs at ``topk == 1``
-          is routed by predicted pruning yield (:meth:`_route_haas`).
-
-        A budgeted run wants the top-down generators' anytime best-so-far
-        salvage and keeps the configured algorithm, as does everything
-        else.  ``oracle`` is APCBI_Opt's pre-pass (:meth:`_oracle`), run
-        before the clock starts.
-        """
-        enumerator, pruning = self._configured(context)
-        if pruning == "dpconv":
-            return _Selection(
-                enumerator, pruning, DPconv(context=context, budget=budget), context
-            )
-        if pruning == "dpccp":
-            # DPccp serves an ineligible ``pruning="dpconv"`` request: it
-            # covers the same plan space under any cost model and with
-            # ranked retention.
-            if context.telemetry is not None:
-                context.telemetry.event(
-                    "dpconv_fallback",
-                    cost_model=context.cost_model.name,
-                    topk=context.topk,
-                    relations=context.query.n_relations,
-                )
-            return _Selection(
-                enumerator, pruning, DPccp(context=context, budget=budget), context
-            )
-        if self._routes_by_work(context, budget):
-            csgs = enumerate_csg(context.query.graph)
-            predicted = {
-                "dpconv": convolution_work(csgs),
-                "dpccp": DPCCP_WORK_PER_CSG * len(csgs),
-            }
-            choice = min(predicted, key=predicted.__getitem__)
-            algorithm = DPconv if choice == "dpconv" else DPccp
-            return _Selection(
-                choice,
-                choice,
-                algorithm(context=context, budget=budget, csgs=csgs),
-                context,
-                evidence={
-                    "candidates": tuple(predicted),
-                    "predicted_work": predicted,
-                },
-            )
-        if (
-            self.auto_route
-            and budget is None
-            and pruning == "apcbi"
-            and context.topk == 1
-            and isinstance(context.cost_model, HaasCostModel)
-        ):
-            return self._route_haas(context)
-        if pruning in PRUNING_STRATEGIES:
-            generator = PRUNING_STRATEGIES[pruning](
-                context=context,
-                budget=budget,
-                partitioning=get_partitioning(enumerator),
-            )
-            return _Selection(enumerator, pruning, generator, context)
-        return self._apcbi(context, budget, oracle)
-
-    def _route_haas(self, context: OptimizationContext) -> _Selection:
-        """APCBI or DPccp for an unbudgeted Haas request, by pruning yield.
-
-        The configured heuristic (GOO by default) runs once; when more
-        than :data:`HAAS_LIVE_SHARE` of the classes nearest the root are
-        live under its cost (:func:`_live_share`), pruning has little to
-        cut and DPccp serves.  Otherwise the connected sets are listed,
-        stopping one past :data:`HAAS_CSG_CAP`: at or under the cap the
-        whole DP costs less than the pruned search and DPccp serves with
-        the list; over it APCBI serves and reuses the heuristic run.
-
-        DPccp runs in the caller's numbering on the caller's context, and
-        its fingerprints label leaf ``v`` as APCBI's renumbering of the
-        same heuristic tree numbers it (advancement 6).  Both algorithms
-        break exact-cost ties by ``(cost, fingerprint)`` in that
-        numbering, so the plan is APCBI's bit for bit.
-        """
-        query = context.query
-        built = get_heuristic(self.heuristic).build(query, context.builder)
-        share, sampled = _live_share(context, built.cost)
-        evidence = {
-            "candidates": ("apcbi", "dpccp"),
-            "live_share": share,
-            "sampled_classes": sampled,
-            "upper_bound": built.cost,
-            "connected_sets": None,
-            "stopped_at_cap": False,
-        }
-        csgs = None
-        if share <= HAAS_LIVE_SHARE:
-            csgs = enumerate_csg_upto(query.graph, HAAS_CSG_CAP)
-            evidence["stopped_at_cap"] = csgs is None
-            evidence["connected_sets"] = (
-                HAAS_CSG_CAP + 1 if csgs is None else len(csgs)
-            )
-            if csgs is None:
-                selection = self._apcbi(
-                    context, budget=None, oracle=None, built=built
-                )
-                return replace(selection, evidence=evidence)
-        labels = None
-        if self._renumbers(query):
-            labels = renumber_mapping(built.tree, query.n_relations)
-        return _Selection(
-            "dpccp",
-            "dpccp",
-            DPccp(context=context, budget=None, csgs=csgs, labels=labels),
-            context,
-            evidence=evidence,
-        )
-
-    def _renumbers(self, query: Query) -> bool:
-        """Whether APCBI runs ``query`` renumbered (advancement 6)."""
-        return self.config.renumber_graph and query.n_relations > 2
-
-    def _run(
-        self, context: OptimizationContext, budget: Optional["Budget"]
-    ) -> OptimizationResult:
+    def _run(self, context: OptimizationContext) -> OptimizationResult:
         """Enumerate with the selected algorithm (no cache involved)."""
-        oracle = self._oracle(context, budget)
-        return _execute(context, partial(self._select, context, budget, oracle))
+        return _execute(
+            context,
+            partial(
+                select,
+                context,
+                self.pruning,
+                self.enumerator,
+                config=self.config,
+                heuristic=self.heuristic,
+                auto_route=self.auto_route,
+                oracle=self._oracle(context),
+            ),
+        )
 
     # -- plan cache --------------------------------------------------------
 
-    def _optimize_cached(
-        self, context: OptimizationContext, budget: Optional["Budget"]
-    ) -> OptimizationResult:
+    def _optimize_cached(self, context: OptimizationContext) -> OptimizationResult:
         """Serve from / populate the cross-query plan cache.
 
         The key combines the query's canonical fingerprint with the
@@ -775,7 +488,9 @@ class Optimizer:
             context.stats.plan_cache_hits += 1
             if self.telemetry is not None:
                 self.telemetry.event("plan_cache_hit", key=key)
-            enumerator, pruning = entry.algorithm or self._configured(context)
+            enumerator, pruning = entry.algorithm or configured(
+                context, self.enumerator, self.pruning
+            )
             elapsed = time.perf_counter() - started
             return OptimizationResult(
                 plan=plan,
@@ -788,7 +503,7 @@ class Optimizer:
                 query=context.query,
                 ranked_plans=ranked,
             )
-        result = self._run(context, budget)
+        result = self._run(context)
         result.stats.plan_cache_misses += 1
         # Never cache a plan whose numbers are not finite: a faulting cost
         # model (e.g. under fault injection) could otherwise poison the
@@ -820,11 +535,7 @@ class Optimizer:
         )
         return result
 
-    # -- APCBI / APCBI_Opt -------------------------------------------------
-
-    def _oracle(
-        self, context: OptimizationContext, budget: Optional["Budget"]
-    ) -> Optional[_Oracle]:
+    def _oracle(self, context: OptimizationContext) -> Optional[Oracle]:
         """APCBI_Opt's oracle pre-pass, when APCBI_Opt will serve.
 
         It runs before :func:`_execute` starts its clock.  It shares the
@@ -835,71 +546,11 @@ class Optimizer:
         statistics carry over into enumeration), fresh counters (its work
         stays untimed/uncounted).  Only a cache miss may call this.
         """
-        if self.pruning != "apcbi_opt" or self._routes_by_work(context, budget):
+        if self.pruning != "apcbi_opt" or routes_by_work(context, self.auto_route):
             return None
-        oracle = DPccp(context=context.fork(), budget=budget)
+        oracle = DPccp(context.fork())
         plan = oracle.run()
         return plan, oracle.optimal_class_costs()
-
-    def _apcbi(
-        self,
-        context: OptimizationContext,
-        budget: Optional["Budget"],
-        oracle: Optional[_Oracle],
-        built: Optional[HeuristicResult] = None,
-    ) -> _Selection:
-        """Build APCBI (or APCBI_Opt, given its ``oracle``) for ``context``.
-
-        ``built`` is a heuristic result the router already computed in the
-        caller's numbering; APCBI then seeds and renumbers from it instead
-        of running the heuristic again.
-        """
-        query = context.query
-        heuristic = get_heuristic(self.heuristic)
-        upper_bounds = heuristic_tree = mapping = None
-        renumbers = self._renumbers(query)
-        if oracle is not None:
-            # APCBI_Opt: the oracle's costs are the bounds, and its
-            # optimal tree doubles as advancement 6's heuristic tree.
-            upper_bounds = oracle[1]
-            if renumbers:
-                heuristic_tree = oracle[0]
-        elif renumbers and built is None:
-            # Advancement 6 needs a heuristic join tree before enumeration;
-            # the heuristic runs here unless the router already ran it.
-            built = heuristic.build(query, context.builder)
-        if built is not None:
-            # Its tree also seeds the uB table (advancement 2).
-            heuristic_tree = built.tree
-            upper_bounds = {}
-            if self.config.heuristic_upper_bounds:
-                upper_bounds = dict(built.subtree_costs)
-        if renumbers:
-            mapping = renumber_mapping(heuristic_tree, query.n_relations)
-            # The renumbered query runs on a relabeled context: own
-            # provider and bound model, shared counters and budget.
-            context = context.relabeled(mapping)
-            if upper_bounds:
-                upper_bounds = {
-                    remap_bitset(vertex_set, mapping): cost
-                    for vertex_set, cost in upper_bounds.items()
-                }
-        generator = ApcbiPlanGenerator(
-            partitioning=get_partitioning(self.enumerator),
-            context=context,
-            config=self.config,
-            upper_bounds=upper_bounds,
-            heuristic=heuristic,
-            budget=budget,
-        )
-        return _Selection(
-            self.enumerator,
-            self.pruning,
-            generator,
-            context,
-            mapping,
-            heuristic_tree or generator.heuristic_tree,
-        )
 
 
 def optimize(
@@ -956,7 +607,7 @@ def optimize_topk(
 
 
 def _run_baseline(
-    algorithm_cls: Type[Any],
+    name: str,
     query: Query,
     cost_model_factory: Callable[[], CostModel],
     budget: Optional["Budget"],
@@ -972,13 +623,7 @@ def _run_baseline(
         telemetry=telemetry,
         topk=topk,
     )
-    name = algorithm_cls.name
-    return _execute(
-        context,
-        lambda: _Selection(
-            name, name, algorithm_cls(context=context, budget=budget), context
-        ),
-    )
+    return _execute(context, partial(select, context, name))
 
 
 def run_dpconv(
@@ -996,7 +641,7 @@ def run_dpconv(
     therefore :class:`~repro.cost.cout.CoutCostModel`, the one shipped
     model inside DPconv's envelope.
     """
-    return _run_baseline(DPconv, query, cost_model_factory, budget, telemetry)
+    return _run_baseline("dpconv", query, cost_model_factory, budget, telemetry)
 
 
 def run_dpccp(
@@ -1008,5 +653,5 @@ def run_dpccp(
 ) -> OptimizationResult:
     """Run the bottom-up baseline with the same result envelope."""
     return _run_baseline(
-        DPccp, query, cost_model_factory, budget, telemetry, topk
+        "dpccp", query, cost_model_factory, budget, telemetry, topk
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.context.context import OptimizationContext
-from repro.cost.model import CostModel
 from repro.errors import OptimizationError
 from repro.graph import bitset
 from repro.partitioning.base import PartitioningStrategy
@@ -33,43 +32,16 @@ INFINITY = float("inf")
 class PlanGeneratorBase:
     """Shared infrastructure of all top-down plan generators (§V-A).
 
-    Subclasses implement :meth:`run`.  A generator runs on one
+    Subclasses implement :meth:`run`.  A generator is built from one
     :class:`~repro.context.OptimizationContext` — the statistics provider,
     bound cost model, plan builder, counters and budget all come from it —
-    plus its own memotable.  Instances are single-use (state accumulates in
-    the memotable and counters).
-
-    Construction accepts either an explicit ``context=`` (the
-    :class:`~repro.core.optimizer.Optimizer` facade builds one per query
-    and threads it through every layer) or the legacy positional
-    ``(query, partitioning, cost_model, stats, budget)`` shape, which
-    builds a private context.
+    and a partitioning strategy, and keeps its own memotable.  Instances
+    are single-use (state accumulates in the memotable and counters).
     """
 
     def __init__(
-        self,
-        query: Optional[Query] = None,
-        partitioning: Optional[PartitioningStrategy] = None,
-        cost_model: Optional[CostModel] = None,
-        stats: Optional[OptimizationStats] = None,
-        budget: Optional["Budget"] = None,
-        *,
-        context: Optional[OptimizationContext] = None,
+        self, context: OptimizationContext, partitioning: PartitioningStrategy
     ):
-        if context is None:
-            if query is None:
-                raise TypeError(
-                    "PlanGeneratorBase needs a query (or a ready context=)"
-                )
-            context = OptimizationContext.for_query(
-                query, cost_model=cost_model, stats=stats, budget=budget
-            )
-        elif query is not None and query is not context.query:
-            raise ValueError(
-                "query and context disagree; pass one or the other"
-            )
-        if partitioning is None:
-            raise TypeError("PlanGeneratorBase needs a partitioning strategy")
         self._context = context
         self._query = context.query
         self._graph = context.query.graph
@@ -78,7 +50,7 @@ class PlanGeneratorBase:
         self._cost_model = context.cost_model
         self._builder = context.builder
         self._memo = MemoTable(k=context.topk)
-        self._budget = budget if budget is not None else context.budget
+        self._budget = context.budget
         self._telemetry = context.telemetry
         for index in range(self._query.n_relations):
             self._memo.register(self._builder.leaf(self._query, index))

@@ -215,11 +215,16 @@ class ResilientOptimizer:
         :class:`~repro.context.OptimizationContext` for this query — the
         optimization service forking one parent context across worker
         threads, a test pinning the substrate — hand it in; by default a
-        fresh context is built per call.
+        fresh context is built per call.  A handed-in context carries the
+        run's budget: a ``budget`` beside it must be that same object.
         """
         started = time.perf_counter()
         report = DegradationReport(rung="exact")
-        if context is not None and budget is None:
+        if context is not None:
+            if budget is not None and budget is not context.budget:
+                raise ValueError(
+                    "budget is not the context's budget; pass one or the other"
+                )
             budget = context.budget
         if budget is not None:
             budget.start()

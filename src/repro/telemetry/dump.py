@@ -48,6 +48,7 @@ def run_dump(
     # from every layer, including the ones these modules sit on.
     from repro.bench.harness import FailureCounts
     from repro.bench.profiling import InstrumentedPartitioning
+    from repro.context.context import OptimizationContext
     from repro.core.apcb import ApcbPlanGenerator
     from repro.partitioning.registry import get_partitioning
     from repro.service.server import OptimizationService
@@ -85,7 +86,8 @@ def run_dump(
     # One profiled enumeration over a pool query feeds the fourth silo
     # (the per-class enumeration profile the service path doesn't collect).
     profiled = InstrumentedPartitioning(get_partitioning("mincut_conservative"))
-    generator = ApcbPlanGenerator(pool[0][1], profiled)
+    context = OptimizationContext.for_query(pool[0][1])
+    generator = ApcbPlanGenerator(context, profiled)
     generator.run()
     publish_enumeration_profile(telemetry.registry, profiled.profile)
     publish_optimization_stats(telemetry.registry, generator.stats)

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.baselines import dpccp as dpccp_module
-from repro.baselines.dpccp import (
-    DPccp,
-    enumerate_csg,
-    enumerate_csg_cmp_pairs,
-    enumerate_csg_upto,
-)
+from repro.baselines.dpccp import DPccp, enumerate_csg, enumerate_csg_cmp_pairs
+from repro.context import OptimizationContext
 from repro.cost.haas import HaasCostModel
 from repro.graph import bitset, generators
 from repro.partitioning import PARTITIONINGS
@@ -46,7 +42,7 @@ class TestEnumerateCsgUpto:
     @given(connected_graphs(max_vertices=8), st.integers(0, 300))
     def test_the_list_at_or_under_the_cap_and_none_over_it(self, graph, cap):
         listed = enumerate_csg(graph)
-        capped = enumerate_csg_upto(graph, cap)
+        capped = enumerate_csg(graph, cap)
         if len(listed) <= cap:
             assert capped == listed
         else:
@@ -65,7 +61,7 @@ class TestEnumerateCsgUpto:
             original(graph, wrapped)
 
         monkeypatch.setattr(dpccp_module, "_emit_csgs", counting)
-        assert enumerate_csg_upto(graph, 40) is None
+        assert enumerate_csg(graph, 40) is None
         assert len(emitted) == 41
 
 
@@ -102,18 +98,18 @@ class TestEnumerateCsgCmpPairs:
 class TestDPccpOptimality:
     @given(small_queries(max_n=7))
     def test_plan_covers_query_and_costs_match(self, query):
-        algorithm = DPccp(query, HaasCostModel())
+        algorithm = DPccp(OptimizationContext.for_query(query, HaasCostModel()))
         plan = algorithm.run()
         assert plan.vertex_set == query.graph.all_vertices
         assert plan.cost == algorithm.memo.best_cost(query.graph.all_vertices)
 
     def test_single_relation(self, generator):
         query = generator.generate("chain", 1)
-        plan = DPccp(query, HaasCostModel()).run()
+        plan = DPccp(OptimizationContext.for_query(query, HaasCostModel())).run()
         assert plan.cost == 0.0
 
     def test_plan_class_count_equals_connected_subsets(self, small_query):
-        algorithm = DPccp(small_query, HaasCostModel())
+        algorithm = DPccp(OptimizationContext.for_query(small_query, HaasCostModel()))
         algorithm.run()
         graph = small_query.graph
         connected = sum(
@@ -124,7 +120,7 @@ class TestDPccpOptimality:
 
 class TestOracleExport:
     def test_optimal_class_costs_cover_all_classes(self, small_query):
-        algorithm = DPccp(small_query, HaasCostModel())
+        algorithm = DPccp(OptimizationContext.for_query(small_query, HaasCostModel()))
         algorithm.run()
         costs = algorithm.optimal_class_costs()
         assert costs[small_query.graph.all_vertices] == algorithm.memo.best_cost(

@@ -58,8 +58,8 @@ def cout_queries(draw):
 
 
 def _dpccp(query, model, budget=None) -> DPccp:
-    context = OptimizationContext.for_query(query, cost_model=model)
-    return DPccp(context=context, budget=budget)
+    context = OptimizationContext.for_query(query, cost_model=model, budget=budget)
+    return DPccp(context)
 
 
 def _outcome(algorithm: DPccp, plan) -> tuple:

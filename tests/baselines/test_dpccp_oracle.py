@@ -188,11 +188,15 @@ def _family_sizes():
                 yield family, n
 
 
-def _context(query: Query, model: str, topk: int, old: bool) -> OptimizationContext:
+def _context(
+    query: Query, model: str, topk: int, old: bool, budget: Optional[Budget] = None
+) -> OptimizationContext:
     provider = (_OldProvider if old else StatisticsProvider)(query)
     cost_model = MODELS[model]().bind(provider)
     builder = (_OldBuilder if old else PlanBuilder)(provider, cost_model)
-    return OptimizationContext(query, provider, cost_model, builder, topk=topk)
+    return OptimizationContext(
+        query, provider, cost_model, builder, budget=budget, topk=topk
+    )
 
 
 def _outcome(algorithm: DPccp, plan) -> tuple:
@@ -306,8 +310,9 @@ class TestRunsMatchOracle:
 def _tripped(algorithm_cls, query: Query, budget: Budget, topk: int):
     """Run under ``budget``; what the budget and the counters say after."""
     algorithm = algorithm_cls(
-        context=_context(query, "haas", topk, old=algorithm_cls is _OldDPccp),
-        budget=budget,
+        context=_context(
+            query, "haas", topk, old=algorithm_cls is _OldDPccp, budget=budget
+        )
     )
     try:
         algorithm.run()
@@ -372,7 +377,7 @@ class TestBudgetCharging:
             return ticks[0]
 
         budget = Budget(deadline_seconds=0.004, clock=clock)
-        algorithm = DPccp(context=_context(query, "haas", 1, old=False), budget=budget)
+        algorithm = DPccp(_context(query, "haas", 1, old=False, budget=budget))
         with pytest.raises(BudgetExceeded) as caught:
             algorithm.run()
         assert caught.value.reason == "deadline"
@@ -401,7 +406,7 @@ class TestBudgetCharging:
 
         monkeypatch.setattr(QueryGraph, "neighborhood", slow_neighborhood)
         budget = Budget(deadline_seconds=1.0, clock=lambda: ticks[0])
-        algorithm = DPccp(context=_context(query, "haas", 1, old=False), budget=budget)
+        algorithm = DPccp(_context(query, "haas", 1, old=False, budget=budget))
         with pytest.raises(BudgetExceeded) as caught:
             algorithm.run()
         assert caught.value.reason == "deadline"

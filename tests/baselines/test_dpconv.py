@@ -16,7 +16,7 @@ from repro.baselines import dpccp as dpccp_module
 from repro.baselines import dpconv as dpconv_module
 from repro.baselines.dpconv import DPconv, _MAX_RELATIONS, eligible
 from repro.context.context import OptimizationContext
-from repro.core import optimizer as optimizer_module
+from repro.core import routing as routing_module
 from repro.core.optimizer import (
     Optimizer,
     optimize_topk,
@@ -41,12 +41,12 @@ def _counted_csg_passes():
     calls = []
     original = dpccp_module.enumerate_csg
 
-    def counting(graph):
+    def counting(graph, *cap):
         calls.append(graph)
-        return original(graph)
+        return original(graph, *cap)
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (dpccp_module, dpconv_module, optimizer_module):
+        for module in (dpccp_module, dpconv_module, routing_module):
             patch.setattr(module, "enumerate_csg", counting)
         yield calls
 
@@ -140,7 +140,9 @@ class TestEligibility:
         budget = Budget(max_expansions=10)
         budget.start()
         with pytest.raises(BudgetExceeded):
-            DPconv(query, cost_model=CoutCostModel(), budget=budget).run()
+            DPconv(
+                OptimizationContext.for_query(query, CoutCostModel(), budget=budget)
+            ).run()
 
 
 class TestFacadeRouting:
@@ -259,12 +261,14 @@ class TestFacadeRouting:
         (event,) = _selected_events(telemetry)
         assert event["candidates"] == ("dpconv", "dpccp")
         assert event["choice"] == result.pruning == choice
-        predicted = event["predicted_work"]
+        assert event["route"] == "cout"
+        predicted = event["predicted"]
         assert predicted[choice] == min(predicted.values())
-        assert event["ccps_considered"] == result.stats.ccps_considered
+        actual = event["actual"]["ccps_considered"]
+        assert actual == result.stats.ccps_considered
         if choice == "dpconv":
             # DPconv's prediction is exact: its split probes, to the unit.
-            assert predicted["dpconv"] == event["ccps_considered"]
+            assert predicted["dpconv"] == actual
 
     @given(st.sampled_from(FAMILIES), st.integers(3, 10), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)

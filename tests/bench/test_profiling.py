@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.profiling import EnumerationProfile, InstrumentedPartitioning
+from repro.context import OptimizationContext
 from repro.core.apcb import ApcbPlanGenerator
 from repro.core.apcbi import ApcbiPlanGenerator
 from repro.core.plangen import TopDownPlanGenerator
@@ -19,7 +20,10 @@ def cascade_query():
 
 def _profiled_run(generator_cls, query):
     instrumented = InstrumentedPartitioning(MinCutConservative())
-    generator = generator_cls(query, instrumented, HaasCostModel())
+    generator = generator_cls(
+        OptimizationContext.for_query(query, HaasCostModel()),
+        instrumented,
+    )
     generator.run()
     return instrumented.profile
 

@@ -12,6 +12,7 @@ from repro.context import (
     replay_plan,
 )
 from repro.core import optimizer as optimizer_module
+from repro.core import routing as routing_module
 from repro.baselines import dpccp as dpccp_module
 from repro.baselines import dpconv as dpconv_module
 from repro.core.optimizer import Optimizer, run_dpccp
@@ -198,7 +199,7 @@ class TestOptimizerIntegration:
         def refuse(graph):
             raise AssertionError("a cache hit enumerated connected sets")
 
-        for module in (dpccp_module, dpconv_module, optimizer_module):
+        for module in (dpccp_module, dpconv_module, routing_module):
             monkeypatch.setattr(module, "enumerate_csg", refuse)
         warm = optimizer.optimize(query)
         assert warm.stats.plan_cache_hits == 1

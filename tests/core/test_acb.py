@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import OptimizationContext
 from repro.core.acb import AcbPlanGenerator
 from repro.core.plangen import INFINITY
 from repro.cost.haas import HaasCostModel
@@ -11,7 +12,8 @@ from repro.partitioning import get_partitioning
 @pytest.fixture
 def acb_generator(small_query):
     return AcbPlanGenerator(
-        small_query, get_partitioning("mincut_conservative"), HaasCostModel()
+        OptimizationContext.for_query(small_query, HaasCostModel()),
+        get_partitioning("mincut_conservative"),
     )
 
 
@@ -22,14 +24,16 @@ class TestBudgetSemantics:
 
     def test_insufficient_budget_returns_none(self, small_query):
         generator = AcbPlanGenerator(
-            small_query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(small_query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         full = small_query.graph.all_vertices
         assert generator._tdpg(full, 0.0) is None
 
     def test_failed_pass_records_lower_bound(self, small_query):
         generator = AcbPlanGenerator(
-            small_query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(small_query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         full = small_query.graph.all_vertices
         generator._tdpg(full, 1.0)
@@ -38,7 +42,8 @@ class TestBudgetSemantics:
 
     def test_re_request_below_lower_bound_rejected_fast(self, small_query):
         generator = AcbPlanGenerator(
-            small_query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(small_query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         full = small_query.graph.all_vertices
         generator._tdpg(full, 10.0)
@@ -49,11 +54,13 @@ class TestBudgetSemantics:
 
     def test_exact_budget_succeeds(self, small_query):
         probe = AcbPlanGenerator(
-            small_query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(small_query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         optimal = probe.run().cost
         generator = AcbPlanGenerator(
-            small_query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(small_query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         plan = generator._tdpg(small_query.graph.all_vertices, optimal)
         assert plan is not None

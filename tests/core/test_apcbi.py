@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.dpccp import DPccp
+from repro.context import OptimizationContext
 from repro.core.advancements import AdvancementConfig
 from repro.core.apcb import ApcbPlanGenerator
 from repro.core.apcbi import ApcbiPlanGenerator, budget_slack
@@ -18,9 +19,8 @@ def explosive_query():
 
 def _apcbi(query, config=None, upper_bounds=None):
     return ApcbiPlanGenerator(
-        query,
+        OptimizationContext.for_query(query, HaasCostModel()),
         get_partitioning("mincut_conservative"),
-        HaasCostModel(),
         config=config,
         upper_bounds=upper_bounds,
     )
@@ -86,7 +86,8 @@ class TestImprovedLowerBounds:
 class TestApcbiVersusApcb:
     def test_apcbi_builds_fewer_classes(self, explosive_query):
         apcb = ApcbPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(explosive_query),
+            get_partitioning("mincut_conservative"),
         )
         apcb.run()
         apcbi = _apcbi(explosive_query)
@@ -96,7 +97,10 @@ class TestApcbiVersusApcb:
     def test_apcbi_avoids_apcb_re_enumeration_blowup(self):
         """The worst-case fix: APCBI's enumeration stays near DPccp's count."""
         query = QueryGenerator(seed=5).generate("cyclic", 9, "fk")
-        apcb = ApcbPlanGenerator(query, get_partitioning("mincut_conservative"))
+        apcb = ApcbPlanGenerator(
+            OptimizationContext.for_query(query),
+            get_partitioning("mincut_conservative"),
+        )
         apcb.run()
         apcbi = _apcbi(query)
         apcbi.run()
@@ -105,7 +109,7 @@ class TestApcbiVersusApcb:
 
 class TestOracleBounds:
     def test_oracle_upper_bounds_are_used(self, explosive_query):
-        oracle = DPccp(explosive_query, HaasCostModel())
+        oracle = DPccp(OptimizationContext.for_query(explosive_query))
         optimal = oracle.run()
         generator = _apcbi(
             explosive_query,
@@ -131,7 +135,7 @@ class TestStarOverhead:
         """§V-B: star selectivities make every plan equal, so APCBI builds
         every plan class DPccp builds (avg_s = 1 in Table III)."""
         query = QueryGenerator(seed=31).generate("star", 8)
-        oracle = DPccp(query, HaasCostModel())
+        oracle = DPccp(OptimizationContext.for_query(query, HaasCostModel()))
         oracle.run()
         generator = _apcbi(query)
         generator.run()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.baselines.dpccp import DPccp
+from repro.context import OptimizationContext
 from repro.core.acb import AcbPlanGenerator
 from repro.core.apcb import ApcbPlanGenerator
 from repro.core.apcbi import ApcbiPlanGenerator
@@ -24,7 +25,7 @@ GENERATORS = (AcbPlanGenerator, ApcbPlanGenerator, ApcbiPlanGenerator)
 
 
 def _optimum(query):
-    return DPccp(query, HaasCostModel()).run().cost
+    return DPccp(OptimizationContext.for_query(query, HaasCostModel())).run().cost
 
 
 @pytest.mark.parametrize("generator_cls", GENERATORS)
@@ -33,7 +34,8 @@ class TestBudgetThreshold:
     def test_sufficient_budget_returns_optimum(self, generator_cls, query, factor):
         optimum = _optimum(query)
         generator = generator_cls(
-            query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         tree = generator._tdpg(query.graph.all_vertices, optimum * factor)
         assert tree is not None
@@ -43,7 +45,8 @@ class TestBudgetThreshold:
     def test_insufficient_budget_returns_none(self, generator_cls, query, factor):
         optimum = _optimum(query)
         generator = generator_cls(
-            query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         assert generator._tdpg(query.graph.all_vertices, optimum * factor) is None
 
@@ -57,12 +60,13 @@ class TestBoundAdmissibilityAfterMixedRequests:
     def test_lower_bounds_stay_admissible(self, generator_cls, query, factors):
         """Stress the tables with a mix of failing and succeeding requests,
         then verify every recorded bound against the DPccp oracle."""
-        oracle = DPccp(query, HaasCostModel())
+        oracle = DPccp(OptimizationContext.for_query(query, HaasCostModel()))
         oracle.run()
         optima = oracle.optimal_class_costs()
         optimum = optima[query.graph.all_vertices]
         generator = generator_cls(
-            query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         for factor in factors:
             generator._tdpg(query.graph.all_vertices, optimum * factor)
@@ -79,11 +83,12 @@ class TestBoundAdmissibilityAfterMixedRequests:
     def test_memo_entries_are_optimal(self, generator_cls, query):
         """Registered trees are optimal for their class (the invariant the
         improved LBE relies on)."""
-        oracle = DPccp(query, HaasCostModel())
+        oracle = DPccp(OptimizationContext.for_query(query, HaasCostModel()))
         oracle.run()
         optima = oracle.optimal_class_costs()
         generator = generator_cls(
-            query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         generator.run()
         for vertex_set, tree in generator.memo.entries():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from repro.baselines.dpccp import DPccp
+from repro.context import OptimizationContext
 from repro.core.goo import run_goo
 from repro.cost.haas import HaasCostModel
 from repro.cost.statistics import StatisticsProvider
@@ -54,13 +55,13 @@ class TestUpperBounds:
     @given(small_queries(max_n=6))
     def test_goo_cost_upper_bounds_optimal(self, query):
         """A heuristic plan can never beat the optimum (uB validity)."""
-        optimal = DPccp(query, HaasCostModel()).run()
+        optimal = DPccp(OptimizationContext.for_query(query, HaasCostModel())).run()
         result = run_goo(query, _builder(query))
         assert result.cost >= optimal.cost - 1e-6 * max(1.0, optimal.cost)
 
     @given(small_queries(max_n=6))
     def test_every_subtree_cost_upper_bounds_its_class(self, query):
-        algorithm = DPccp(query, HaasCostModel())
+        algorithm = DPccp(OptimizationContext.for_query(query, HaasCostModel()))
         algorithm.run()
         optima = algorithm.optimal_class_costs()
         result = run_goo(query, _builder(query))

@@ -23,7 +23,7 @@ from perfbench.workloads import WORKLOADS, make_pool
 from repro.baselines.dpccp import DPccp, enumerate_csg
 from repro.context.context import OptimizationContext
 from repro.context.plancache import PlanCache
-from repro.core import optimizer as optimizer_module
+from repro.core import routing as routing_module
 from repro.core.advancements import AdvancementConfig
 from repro.core.optimizer import (
     HAAS_CSG_CAP,
@@ -230,24 +230,26 @@ class TestDecision:
         goo = GreedyOperatorOrdering().build(
             query, OptimizationContext.for_query(query).builder
         )
+        predicted = event["predicted"]
+        assert event["route"] == "haas"
         assert event["candidates"] == ("apcbi", "dpccp")
-        assert event["upper_bound"].hex() == goo.cost.hex()
-        assert 0.0 <= event["live_share"] <= 1.0
+        assert predicted["upper_bound"].hex() == goo.cost.hex()
+        assert 0.0 <= predicted["live_share"] <= 1.0
         assert event["choice"] == result.pruning
-        if event["live_share"] > HAAS_LIVE_SHARE:
+        if predicted["live_share"] > HAAS_LIVE_SHARE:
             # The share alone decides: nothing is listed.
-            assert event["connected_sets"] is None
-            assert not event["stopped_at_cap"]
+            assert predicted["connected_sets"] is None
+            assert not predicted["stopped_at_cap"]
             assert event["choice"] == "dpccp"
-        elif event["stopped_at_cap"]:
+        elif predicted["stopped_at_cap"]:
             assert len(enumerate_csg(query.graph)) > HAAS_CSG_CAP
-            assert event["connected_sets"] == HAAS_CSG_CAP + 1
+            assert predicted["connected_sets"] == HAAS_CSG_CAP + 1
             assert event["choice"] == "apcbi"
         else:
-            assert event["connected_sets"] == len(enumerate_csg(query.graph))
-            assert event["connected_sets"] <= HAAS_CSG_CAP
+            assert predicted["connected_sets"] == len(enumerate_csg(query.graph))
+            assert predicted["connected_sets"] <= HAAS_CSG_CAP
             assert event["choice"] == "dpccp"
-        assert event["ccps_considered"] == result.stats.ccps_considered
+        assert event["actual"]["ccps_considered"] == result.stats.ccps_considered
 
 
 class TestNamedQueries:
@@ -401,7 +403,7 @@ class TestRoutingIsTraced:
             monkeypatch, GreedyOperatorOrdering, "build", telemetry.tracer
         )
         sampled = self._spans_seen(
-            monkeypatch, optimizer_module, "_live_share", telemetry.tracer
+            monkeypatch, routing_module, "_live_share", telemetry.tracer
         )
         Optimizer(telemetry=telemetry).optimize(self.QUERY)
         assert goo == ["enumerate"]
@@ -410,7 +412,7 @@ class TestRoutingIsTraced:
     def test_cout_route_connected_set_pass(self, monkeypatch):
         telemetry = _traced()
         csgs = self._spans_seen(
-            monkeypatch, optimizer_module, "enumerate_csg", telemetry.tracer
+            monkeypatch, routing_module, "enumerate_csg", telemetry.tracer
         )
         Optimizer(cost_model_factory=CoutCostModel, telemetry=telemetry).optimize(
             self.QUERY
@@ -437,7 +439,7 @@ class TestLiveShare:
             for vertex_set in nearest
             if context.provider.stats(vertex_set).pages <= bound
         ]
-        share, sampled = optimizer_module._live_share(context, bound)
+        share, sampled = routing_module._live_share(context, bound)
         assert sampled == len(nearest)
         assert share == len(live) / len(nearest)
 
@@ -446,7 +448,7 @@ class TestLiveShare:
         # The run the route picks may never price these classes.
         context = OptimizationContext.for_query(query)
         memoized = context.provider.cache_size()
-        optimizer_module._live_share(context, run_dpccp(query).cost)
+        routing_module._live_share(context, run_dpccp(query).cost)
         assert context.provider.cache_size() == memoized
 
     @pytest.mark.parametrize("name, query", QUERIES, ids=[n for n, _ in QUERIES])

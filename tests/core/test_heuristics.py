@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from repro.baselines.dpccp import DPccp
+from repro.context import OptimizationContext
 from repro.cost.haas import HaasCostModel
 from repro.cost.statistics import StatisticsProvider
 from repro.errors import UnknownAlgorithmError
@@ -50,7 +51,7 @@ class TestEveryHeuristic:
         heuristic = get_heuristic(name)
         result = heuristic.build(query, _builder(query))
         validate_plan(result.tree, query, HaasCostModel())
-        optimal = DPccp(query, HaasCostModel()).run()
+        optimal = DPccp(OptimizationContext.for_query(query, HaasCostModel())).run()
         assert result.cost >= optimal.cost - 1e-6 * max(1.0, optimal.cost)
 
     def test_subtree_costs_cover_all_joins(self, name, small_query):

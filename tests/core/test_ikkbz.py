@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from repro.baselines.dpccp import DPccp
+from repro.context import OptimizationContext
 from repro.cost.cout import CoutCostModel
 from repro.cost.haas import HaasCostModel
 from repro.cost.statistics import StatisticsProvider
@@ -86,7 +87,7 @@ class TestOptimality:
     def test_sound_upper_bound_everywhere(self, query):
         """Even on cyclic graphs (spanning-tree fallback) the result is a
         real plan, hence a sound upper bound for APCBI."""
-        optimal = DPccp(query, HaasCostModel()).run()
+        optimal = DPccp(OptimizationContext.for_query(query, HaasCostModel())).run()
         result = IKKBZ().build(query, _haas_builder(query))
         assert result.cost >= optimal.cost - 1e-6 * max(1.0, optimal.cost)
 

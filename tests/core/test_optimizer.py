@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import OptimizationContext
 from repro.core.advancements import AdvancementConfig
 from repro.core.optimizer import (
     Optimizer,
@@ -13,6 +14,7 @@ from repro.core.optimizer import (
 from repro.cost.cout import CoutCostModel
 from repro.errors import BudgetExceeded, UnknownAlgorithmError
 from repro.resilience.budget import Budget
+from repro.resilience.optimizer import ResilientOptimizer
 from repro.telemetry import MetricRegistry, Telemetry, Tracer
 from repro.workload.generator import QueryGenerator
 
@@ -25,6 +27,19 @@ class TestValidation:
     def test_unknown_pruning_rejected(self):
         with pytest.raises(UnknownAlgorithmError):
             Optimizer(pruning="clairvoyance")
+
+    @pytest.mark.parametrize("optimizer", [Optimizer, ResilientOptimizer])
+    def test_a_budget_beside_a_context_must_be_its_budget(
+        self, small_query, optimizer
+    ):
+        budget = Budget(max_expansions=10**9)
+        context = OptimizationContext.for_query(small_query, budget=budget)
+        with pytest.raises(ValueError, match="context's budget"):
+            optimizer().optimize(
+                small_query, budget=Budget(max_expansions=10**9), context=context
+            )
+        result = optimizer().optimize(small_query, budget=budget, context=context)
+        assert result.plan.vertex_set == small_query.graph.all_vertices
 
 
 class TestLabels:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import OptimizationContext
 from repro.core.apcb import ApcbPlanGenerator
 from repro.core.pcb import PcbPlanGenerator
 from repro.core.plangen import TopDownPlanGenerator
@@ -19,11 +20,13 @@ def explosive_query():
 class TestPcb:
     def test_pcb_considers_no_more_ccps_than_unpruned(self, explosive_query):
         unpruned = TopDownPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(explosive_query),
+            get_partitioning("mincut_conservative"),
         )
         unpruned.run()
         pruned = PcbPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(explosive_query),
+            get_partitioning("mincut_conservative"),
         )
         pruned.run()
         assert pruned.stats.ccps_considered <= unpruned.stats.ccps_considered
@@ -31,7 +34,8 @@ class TestPcb:
 
     def test_pcb_counts_lbe_evaluations(self, explosive_query):
         generator = PcbPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(explosive_query),
+            get_partitioning("mincut_conservative"),
         )
         generator.run()
         assert generator.stats.lbe_evaluations == generator.stats.ccps_enumerated
@@ -39,7 +43,8 @@ class TestPcb:
     def test_pcb_never_fails_builds(self, explosive_query):
         """PCB has no budgets, so every requested class gets a plan."""
         generator = PcbPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(explosive_query),
+            get_partitioning("mincut_conservative"),
         )
         generator.run()
         assert generator.stats.failed_builds == 0
@@ -48,7 +53,8 @@ class TestPcb:
 class TestApcb:
     def test_combines_both_prune_kinds(self, explosive_query):
         generator = ApcbPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(explosive_query),
+            get_partitioning("mincut_conservative"),
         )
         generator.run()
         assert generator.stats.pcb_prunes > 0  # predicted-cost component
@@ -58,18 +64,21 @@ class TestApcb:
 
     def test_apcb_builds_no_more_classes_than_pcb(self, explosive_query):
         pcb = PcbPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(explosive_query),
+            get_partitioning("mincut_conservative"),
         )
         pcb.run()
         apcb = ApcbPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(explosive_query),
+            get_partitioning("mincut_conservative"),
         )
         apcb.run()
         assert apcb.stats.plan_classes_built <= pcb.stats.plan_classes_built
 
     def test_insufficient_budget_returns_none(self, explosive_query):
         generator = ApcbPlanGenerator(
-            explosive_query, get_partitioning("mincut_conservative"), HaasCostModel()
+            OptimizationContext.for_query(explosive_query, HaasCostModel()),
+            get_partitioning("mincut_conservative"),
         )
         assert generator._tdpg(explosive_query.graph.all_vertices, 0.5) is None
         assert generator.bounds.lower(explosive_query.graph.all_vertices) >= 0.5

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from repro.baselines.dpccp import DPccp
+from repro.context import OptimizationContext
 from repro.core.plangen import TopDownPlanGenerator
 from repro.cost.haas import HaasCostModel
 from repro.cost.statistics import StatisticsProvider
@@ -53,10 +54,11 @@ class TestOptimality:
     @given(small_queries(max_n=6))
     def test_matches_brute_force(self, query):
         generator = TopDownPlanGenerator(
-            query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(query),
+            get_partitioning("mincut_conservative"),
         )
         plan = generator.run()
-        bottom_up = DPccp(query, HaasCostModel()).run()
+        bottom_up = DPccp(OptimizationContext.for_query(query, HaasCostModel())).run()
         expected = _brute_force_optimum(query)
         assert plan.cost == pytest.approx(expected, rel=1e-9)
         assert bottom_up.cost == pytest.approx(expected, rel=1e-9)
@@ -66,10 +68,12 @@ class TestOptimality:
     )
     def test_all_enumerators_agree(self, small_query, enumerator):
         plan = TopDownPlanGenerator(
-            small_query, get_partitioning(enumerator)
+            OptimizationContext.for_query(small_query),
+            get_partitioning(enumerator),
         ).run()
         reference = TopDownPlanGenerator(
-            small_query, get_partitioning("naive")
+            OptimizationContext.for_query(small_query),
+            get_partitioning("naive"),
         ).run()
         assert plan.cost == pytest.approx(reference.cost)
 
@@ -77,7 +81,8 @@ class TestOptimality:
 class TestPlanShape:
     def test_plan_covers_all_relations(self, small_query):
         plan = TopDownPlanGenerator(
-            small_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(small_query),
+            get_partitioning("mincut_conservative"),
         ).run()
         assert plan.vertex_set == small_query.graph.all_vertices
 
@@ -85,7 +90,8 @@ class TestPlanShape:
         from repro.plans.join_tree import JoinNode
 
         plan = TopDownPlanGenerator(
-            cyclic_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(cyclic_query),
+            get_partitioning("mincut_conservative"),
         ).run()
         stack = [plan]
         while stack:
@@ -100,7 +106,8 @@ class TestPlanShape:
 class TestMemoBehaviour:
     def test_every_plan_class_built_exactly_once(self, small_query):
         generator = TopDownPlanGenerator(
-            small_query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(small_query),
+            get_partitioning("mincut_conservative"),
         )
         generator.run()
         # Without pruning, top-down memoization builds every connected
@@ -116,7 +123,8 @@ class TestMemoBehaviour:
     def test_single_relation_query(self):
         query = QueryGenerator(seed=1).generate("chain", 1)
         plan = TopDownPlanGenerator(
-            query, get_partitioning("mincut_conservative")
+            OptimizationContext.for_query(query),
+            get_partitioning("mincut_conservative"),
         ).run()
         assert plan.cost == 0.0
         assert plan.vertex_set == 1

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+from repro.context import OptimizationContext
 from repro.cost.haas import HaasCostModel
 from repro.cost.lower_bound import ImprovedLowerBoundEstimator, LowerBoundEstimator
 from repro.cost.statistics import StatisticsProvider
@@ -25,7 +26,7 @@ class TestBaselineEstimator:
     def test_admissible_against_true_optima(self, query):
         """LBE(S1,S2) never exceeds the cheapest real tree through that ccp."""
         model = HaasCostModel()
-        algorithm = DPccp(query, model)
+        algorithm = DPccp(OptimizationContext.for_query(query, model))
         algorithm.run()
         optima = algorithm.optimal_class_costs()
         provider = StatisticsProvider(query)

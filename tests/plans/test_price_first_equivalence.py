@@ -86,11 +86,15 @@ def _bucketed_pairs(query: Query) -> List[Tuple[int, int]]:
     return [pair for size in sorted(buckets) for pair in buckets[size]]
 
 
-def _context(query: Query, model: str, topk: int, builder_cls=PlanBuilder):
+def _context(
+    query: Query, model: str, topk: int, builder_cls=PlanBuilder, budget=None
+):
     provider = StatisticsProvider(query)
     cost_model = MODELS[model]().bind(provider)
     builder = builder_cls(provider, cost_model)
-    return OptimizationContext(query, provider, cost_model, builder, topk=topk)
+    return OptimizationContext(
+        query, provider, cost_model, builder, budget=budget, topk=topk
+    )
 
 
 def _old_dpccp(query: Query, model: str, topk: int, budget=None) -> MemoTable:
@@ -272,9 +276,7 @@ def test_budget_salvage_matches_the_oracle(family, model):
     for done in range(len(pairs) - root_pairs, len(pairs) + 1):
         cap = len(pairs) + done  # checks: one per pair listed, then per pair
         oracle = _old_dpccp(query, model, 1, Budget(max_expansions=cap))
-        dpccp = DPccp(
-            context=_context(query, model, 1), budget=Budget(max_expansions=cap)
-        )
+        dpccp = DPccp(_context(query, model, 1, budget=Budget(max_expansions=cap)))
         try:
             plan = dpccp.run()
         except BudgetExceeded:

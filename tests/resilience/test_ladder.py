@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import OptimizationContext
 from repro.core.optimizer import Optimizer
 from repro.cost.haas import HaasCostModel
 from repro.errors import ReproError, ResilienceError
@@ -189,7 +190,8 @@ class TestFullCoverage:
         with injector:
             with pytest.raises((ReproError, ValueError)):
                 generator = ApcbiPlanGenerator(
-                    query, strategy, HaasCostModel(), OptimizationStats()
+                    OptimizationContext.for_query(query, HaasCostModel(), OptimizationStats()),
+                    strategy,
                 )
                 plan = generator.run()
                 validate_plan(plan, query)  # either raise above or fail here
