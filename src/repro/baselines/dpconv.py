@@ -24,6 +24,16 @@ which prices each class once as this sweep does), which is what dense
 graphs such as clique-12 need before resorting to anything
 non-pure-Python.
 
+On a tree query graph (the chain, star and acyclic families) the lattice
+is mostly waste: of a connected set's ``2^(|S|-1) - 1`` splits only its
+``|S| - 1`` inner edges cut it into two connected halves (11,264 of
+175,099 probes on star-12).  There the sweep visits each set's inner
+edges instead, from one rooting of the tree (:func:`tree_edges`), and
+keys its tables by connected set.  It makes the lattice's additions and
+keeps the lattice's winner, ties included, so its tables, plans and
+costs are the lattice's bit for bit; :func:`convolution_work` reports
+whichever sweep's work is exact for the graph.
+
 Plan-space equivalence: the sweep visits exactly DPccp's plan space.  A
 candidate split contributes only when both halves carry finite DP values,
 i.e. both induce connected subgraphs; and any 2-partition of a connected
@@ -45,17 +55,18 @@ to DPccp honestly instead.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.dpccp import enumerate_csg
 from repro.context.context import OptimizationContext
 from repro.errors import OptimizationError
 from repro.graph import bitset
+from repro.graph.query_graph import QueryGraph
 from repro.plans.join_tree import JoinTree
 from repro.plans.memo import MemoTable
 from repro.stats.counters import OptimizationStats
 
-__all__ = ["DPconv", "convolution_work", "eligible"]
+__all__ = ["DPconv", "convolution_work", "eligible", "tree_edges"]
 
 _INFINITY = float("inf")
 
@@ -81,17 +92,54 @@ def eligible(context: OptimizationContext) -> bool:
 
 
 def _splits(size: int) -> int:
-    """Proper splits the sweep probes for one connected set of ``size``."""
+    """Splits the lattice sweep probes for one connected set of ``size``."""
     return (1 << (size - 1)) - 1  # repro: disable=bitset-discipline
 
 
-def convolution_work(csgs: Iterable[int]) -> int:
-    """DPconv's exact work over the connected sets ``csgs``.
+def tree_edges(graph: QueryGraph) -> Optional[List[Tuple[int, int]]]:
+    """``graph``'s edges, rooted, when it is a tree; else ``None``.
 
-    Sum of ``2^(|S|-1) - 1`` over every set ``S``: the split probes the
-    sweep makes, and so exactly the ``ccps_considered`` a run reports.
+    A graph is a tree when it has ``n - 1`` edges and is connected; the
+    rooting BFS (from vertex 0) proves connectivity, so a disconnected
+    graph with ``n - 1`` edges is no tree.  Each edge comes as its two
+    end bits and the subtree mask of its child end.  The one predicate
+    behind both the tree sweep and :func:`convolution_work`.
+    """
+    n = graph.n_vertices
+    if len(graph.edges) != n - 1:
+        return None
+    singleton = bitset.singleton
+    parent = [0] * n
+    order = [0]
+    reached = singleton(0)
+    for index in order:  # grows while it is walked: a BFS queue
+        children = graph.adjacency(index) & ~reached
+        reached |= children
+        for child in bitset.iter_bits(children):
+            parent[child] = index
+            order.append(child)
+    if len(order) != n:
+        return None
+    subtree = [singleton(index) for index in range(n)]
+    for index in reversed(order[1:]):  # children before parents
+        subtree[parent[index]] |= subtree[index]
+    return [
+        (singleton(index) | singleton(parent[index]), subtree[index])
+        for index in order[1:]
+    ]
+
+
+def convolution_work(graph: QueryGraph, csgs: Iterable[int]) -> int:
+    """DPconv's exact work over ``graph``'s connected sets ``csgs``.
+
+    On a tree (:func:`tree_edges`) the sweep probes each set's inner
+    edges, ``|S| - 1`` splits, which are exactly its csg-cmp pairs;
+    otherwise it probes all ``2^(|S|-1) - 1`` splits of each set.  The
+    sum is exactly the ``ccps_considered`` a run reports.
     """
     bit_count = bitset.bit_count
+    if tree_edges(graph) is not None:
+        return sum(bit_count(subset) - 1 for subset in csgs)
     return sum(_splits(bit_count(subset)) for subset in csgs)
 
 
@@ -199,6 +247,23 @@ class DPconv:
         return plan
 
     def _sweep(self):
+        """Fill the dp/split tables: the tree sweep on a tree, else the lattice."""
+        edges = tree_edges(self._graph)
+        if edges is None:
+            return self._lattice_sweep()
+        return self._tree_sweep(edges)
+
+    def _layers(self) -> List[List[int]]:
+        """The connected sets by size: layer ``s`` holds those of size ``s``."""
+        graph = self._graph
+        bit_count = bitset.bit_count
+        layers: List[List[int]] = [[] for _ in range(graph.n_vertices + 1)]
+        csgs = enumerate_csg(graph) if self._csgs is None else self._csgs
+        for subset in csgs:
+            layers[bit_count(subset)].append(subset)
+        return layers
+
+    def _lattice_sweep(self):
         """The layered (min, +) sweep: fill the flat dp/split arrays.
 
         Layer ``s`` reads only layers ``1 .. s-1`` — the size-indexed
@@ -207,19 +272,15 @@ class DPconv:
         ``c(S)`` comes from the provider's factor table
         (:meth:`~repro.cost.statistics.StatisticsProvider.estimate_cardinality`),
         so no swept class gets an ``IntermediateStats``; only the ones
-        the reconstruction builds do.
+        the reconstruction builds do.  Serves any graph; on a tree it is
+        the oracle the tree sweep must match bit for bit.
         """
         graph = self._graph
         n = graph.n_vertices
         stats = self.stats
         budget = self._budget
         cardinality = self._provider.estimate_cardinality
-        bit_count = bitset.bit_count
-
-        layers: List[List[int]] = [[] for _ in range(n + 1)]
-        csgs = enumerate_csg(graph) if self._csgs is None else self._csgs
-        for subset in csgs:
-            layers[bit_count(subset)].append(subset)
+        layers = self._layers()
 
         size = graph.all_vertices + 1
         dp = [_INFINITY] * size
@@ -253,5 +314,59 @@ class DPconv:
                 classes_done += 1
                 stats.ccps_enumerated += splits_per_class
                 stats.ccps_considered += splits_per_class
+        stats.plan_classes_built = classes_done - n
+        return dp, split
+
+    def _tree_sweep(self, edges: List[Tuple[int, int]]):
+        """The sweep over a tree's inner edges: fill dp/split dicts.
+
+        On a tree the csg-cmp pairs of a connected set ``S`` are its inner
+        edges: each of :func:`tree_edges` with both ends in ``S`` cuts it
+        into ``S & subtree`` (below the edge) and the rest, both
+        connected.  The half without the anchor ``lowest_bit(S)`` is the
+        split's ``sub``, as in the lattice, and each candidate sums
+        ``(dp[S ^ sub] + dp[sub]) + c(S)``, the lattice's additions.  The
+        lattice keeps the first strict minimum in descending ``sub``
+        order; this sweep visits the edges in another order, so an exact
+        tie goes to the larger ``sub`` once a candidate has won (a NaN
+        never wins, and when none wins ``sub`` stays 0, as there).  Both
+        tables are keyed by connected set, so they hold the sets, not
+        ``2^n`` slots, and the budget is charged once per class in the
+        lattice's order.
+        """
+        n = self._graph.n_vertices
+        stats = self.stats
+        budget = self._budget
+        cardinality = self._provider.estimate_cardinality
+        lowest_bit = bitset.lowest_bit
+        layers = self._layers()
+
+        dp = {bitset.singleton(index): 0.0 for index in range(n)}
+        split = {}
+
+        infinity = _INFINITY
+        classes_done = n
+        for layer_size in range(2, n + 1):
+            inner_edges = layer_size - 1
+            for vertex_set in layers[layer_size]:
+                if budget is not None:
+                    budget.check(classes_done)
+                best = infinity
+                arg = 0
+                anchor = lowest_bit(vertex_set)
+                for ends, below in edges:
+                    if vertex_set & ends == ends:
+                        sub = vertex_set & below
+                        if sub & anchor:
+                            sub ^= vertex_set
+                        cand = dp[vertex_set ^ sub] + dp[sub]
+                        if cand < best or cand == best and sub > arg > 0:
+                            best = cand
+                            arg = sub
+                dp[vertex_set] = best + cardinality(vertex_set)
+                split[vertex_set] = arg
+                classes_done += 1
+                stats.ccps_enumerated += inner_edges
+                stats.ccps_considered += inner_edges
         stats.plan_classes_built = classes_done - n
         return dp, split

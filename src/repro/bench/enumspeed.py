@@ -58,13 +58,15 @@ __all__ = ["run_benchmark", "check_against", "main"]
 
 #: (family, relations) matrix.  Sizes where enumeration (not setup)
 #: dominates; clique stops at 12 to keep the CI job near a minute.
-#: The sparse rows past 14 are where DPconv's ~2^n split probes lose to
-#: DPccp's polynomial csg-cmp pairs, so they pin the router's choice.
-#: Rows are drawn in order from one generator, so a new row goes last
-#: and leaves every earlier draw as it was.  The last, acyclic-14 (269
-#: split probes per connected set), is one a per-set constant of 300
-#: sends to DPconv, which takes 2-3x DPccp's time there and clears the
-#: noise floor, so the misroute check gates the constant on it.
+#: The chain, star and acyclic rows are trees: DPconv sweeps each
+#: connected set's inner edges there and the router sends every one of
+#: them to DPconv, so they time the tree sweep against DPccp and do not
+#: test DPCCP_WORK_PER_CSG.  The cycle rows from 16 up do: there
+#: DPconv's lattice probes ~2^n splits per set against DPccp's
+#: polynomial csg-cmp pairs, clears the noise floor, and the misroute
+#: check fails a constant that sends them to DPconv.  Rows are drawn in
+#: order from one generator, so a new row goes last and leaves every
+#: earlier draw as it was.
 DEFAULT_WORKLOAD = (
     ("chain", 8),
     ("chain", 10),

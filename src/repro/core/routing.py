@@ -16,9 +16,13 @@ ranked run and every other pruning, keeps the configured algorithm.
 
 * **The** ``C_out`` **route** (any top-down pruning, a ``C_out``-shaped
   bound model within DPconv's envelope) lists the connected sets once,
-  counts DPconv's work over them exactly and predicts DPccp's as
+  counts DPconv's work over them exactly
+  (:func:`~repro.baselines.dpconv.convolution_work`: each set's inner
+  edges on a tree, its subset splits otherwise) and predicts DPccp's as
   :data:`DPCCP_WORK_PER_CSG` per set.  The smaller prediction runs
-  (DPconv on a tie) on that list.  Both are exact, so the optimal cost
+  (DPconv on a tie) on that list.  A tree has fewer than
+  :data:`DPCCP_WORK_PER_CSG` inner edges per set in DPconv's envelope,
+  so every tree goes to DPconv.  Both are exact, so the optimal cost
   never moves; on exact-cost ties DPconv's plan shape can differ.
 * **The Haas route** (``pruning="apcbi"`` under Haas costs) runs the
   heuristic once.  DPccp serves when more than :data:`HAAS_LIVE_SHARE`
@@ -34,7 +38,8 @@ Both routes record one ``algorithm_selected`` event: ``route``
 (``"cout"`` or ``"haas"``), ``candidates``, ``predicted`` (what the
 route measured before choosing), ``choice`` and ``actual``
 (``{"ccps_considered": ...}``).  ``predicted`` holds the per-candidate
-split-probe counts on the ``C_out`` route, and ``live_share``,
+work on the ``C_out`` route (DPconv's exact split probes, DPccp's
+per-set estimate), and ``live_share``,
 ``sampled_classes``, ``upper_bound``, ``connected_sets`` (``None`` when
 the share alone decided, ``HAAS_CSG_CAP + 1`` when the listing stopped at
 the cap) and ``stopped_at_cap`` on the Haas route.
@@ -77,16 +82,16 @@ __all__ = [
 #: DPccp's predicted work per connected set, in DPconv split probes.
 #: The router counts DPconv's work exactly (``convolution_work``: the
 #: splits its sweep will probe) and predicts DPccp's as this constant
-#: times the number of connected sets.  Against DPccp's ``C_out`` sweep,
+#: times the number of connected sets.  It decides only graphs with a
+#: cycle: on a tree DPconv probes each set's inner edges, at most
+#: ``n - 1 < 100`` per set, so every tree goes to DPconv.  On the lattice
+#: DPconv probes every subset split; against DPccp's ``C_out`` sweep,
 #: which prices each class once, the two cross near 100 split probes per
-#: connected set (``cold_cout`` pool, best of 5): star-12 (85) takes
-#: DPconv 0.6-1.0x DPccp's time and stays on DPconv; chain-12 (104) takes
-#: it 1.3-1.6x, cyclic-12 (109-111) 0.9-1.0x, acyclic-12 (118) 1.1-1.4x,
-#: cycle-12 (199) 2.0-2.8x and acyclic-14 (295) 2.9x, and all go to
-#: DPccp.  Dense shapes cross later than sparse ones (drawn cyclic-12 at
-#: 112-119 takes DPconv 0.8-0.9x DPccp's time, acyclic-11 at 69-78
-#: 1.0-1.5x), which one constant per set cannot separate.
-#: docs/dpconv.md tabulates the rows.
+#: connected set (``cold_cout`` pool, best of 5): cyclic-12 (109-111)
+#: takes DPconv 0.9-1.0x DPccp's time and cycle-12 (199) 2.0-2.8x, and
+#: both go to DPccp.  Dense shapes cross later than sparse ones (drawn
+#: cyclic-12 at 112-119 takes DPconv 0.8-0.9x DPccp's time), which one
+#: constant per set cannot separate.  docs/dpconv.md tabulates the rows.
 DPCCP_WORK_PER_CSG = 100
 
 #: Live share above which DPccp serves a Haas APCBI request.  Under Haas
@@ -234,9 +239,10 @@ def select(
 
 def _route_cout(context: OptimizationContext) -> Selection:
     """DPconv or DPccp for an unbudgeted ``C_out`` request, by predicted work."""
-    csgs = enumerate_csg(context.query.graph)
+    graph = context.query.graph
+    csgs = enumerate_csg(graph)
     predicted = {
-        "dpconv": convolution_work(csgs),
+        "dpconv": convolution_work(graph, csgs),
         "dpccp": DPCCP_WORK_PER_CSG * len(csgs),
     }
     choice = min(predicted, key=predicted.__getitem__)

@@ -215,12 +215,19 @@ class ResilientOptimizer:
         :class:`~repro.context.OptimizationContext` for this query — the
         optimization service forking one parent context across worker
         threads, a test pinning the substrate — hand it in; by default a
-        fresh context is built per call.  A handed-in context carries the
-        run's budget: a ``budget`` beside it must be that same object.
+        fresh context is built per call.  A handed-in context must be the
+        one built for ``query`` and carries the run's budget: a ``budget``
+        beside it must be that same object.  Either mismatch raises
+        ``ValueError`` before the descent, which would otherwise take it
+        for a recoverable rung failure.
         """
         started = time.perf_counter()
         report = DegradationReport(rung="exact")
         if context is not None:
+            if context.query is not query:
+                raise ValueError(
+                    "context was built for a different query object"
+                )
             if budget is not None and budget is not context.budget:
                 raise ValueError(
                     "budget is not the context's budget; pass one or the other"

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import dpccp as dpccp_module
 from repro.baselines import dpconv as dpconv_module
 from repro.baselines.dpconv import DPconv, _MAX_RELATIONS, eligible
+from repro.catalog.catalog import Catalog
+from repro.catalog.relation import RelationStats
 from repro.context.context import OptimizationContext
 from repro.core import routing as routing_module
 from repro.core.optimizer import (
@@ -26,13 +28,17 @@ from repro.core.optimizer import (
 from repro.cost.cout import CoutCostModel
 from repro.cost.haas import HaasCostModel
 from repro.errors import BudgetExceeded, OptimizationError
+from repro.graph import bitset
+from repro.graph.query_graph import QueryGraph
 from repro.plans.validation import validate_plan
+from repro.query import Query
 from repro.resilience.budget import Budget
 from repro.telemetry import MetricRegistry, Telemetry, Tracer
 from repro.workload.generator import QueryGenerator
 from tests.conftest import small_queries
 
 FAMILIES = ("chain", "star", "cycle", "clique", "acyclic", "cyclic")
+TREE_FAMILIES = ("chain", "star", "acyclic")
 
 
 @contextlib.contextmanager
@@ -102,6 +108,101 @@ class TestBitExactness:
         )
         assert result.stats.ccps_enumerated == expected
         assert result.stats.plan_classes_built == 2**6 - 1 - 6
+
+
+@st.composite
+def _tree_queries(draw):
+    """Queries on trees (chain, star, acyclic), relabeled by a drawn map."""
+    family = draw(st.sampled_from(TREE_FAMILIES))
+    n = draw(st.integers(2, 14))
+    seed = draw(st.integers(0, 2**31 - 1))
+    scheme = draw(st.sampled_from(("fk", "random")))
+    mapping = draw(st.permutations(range(n)))
+    return QueryGenerator(seed=seed).generate(family, n, scheme).relabel(mapping)
+
+
+def _swept_run(query, lattice):
+    """Run DPconv on ``query``; returns its plan, tables and stats.
+
+    ``lattice`` forces the lattice sweep, the oracle, even on a tree.
+    """
+    context = OptimizationContext.for_query(query, cost_model=CoutCostModel)
+    dpconv = DPconv(context)
+    sweep = dpconv._lattice_sweep if lattice else dpconv._sweep
+    tables = []
+
+    def recorded():
+        tables.append(sweep())
+        return tables[0]
+
+    dpconv._sweep = recorded
+    plan = dpconv.run()
+    return plan, tables[0], context.stats
+
+
+class TestTreeSweep:
+    @given(_tree_queries())
+    @settings(max_examples=40, deadline=None)
+    def test_the_tree_sweep_matches_the_lattice(self, query):
+        assert dpconv_module.tree_edges(query.graph) is not None
+        plan, (dp, split), stats = _swept_run(query, lattice=False)
+        want_plan, (want_dp, want_split), want_stats = _swept_run(
+            query, lattice=True
+        )
+        csgs = dpccp_module.enumerate_csg(query.graph)
+        for vertex_set in csgs:
+            assert dp[vertex_set].hex() == want_dp[vertex_set].hex()
+            if bitset.bit_count(vertex_set) > 1:
+                assert split[vertex_set] == want_split[vertex_set]
+        assert plan.sexpr() == want_plan.sexpr()
+        assert plan.cost.hex() == want_plan.cost.hex()
+        assert stats.plan_classes_built == want_stats.plan_classes_built
+        # The tree sweep counts exactly the inner edges it probes.
+        assert stats.ccps_considered == stats.ccps_enumerated == sum(
+            bitset.bit_count(vertex_set) - 1 for vertex_set in csgs
+        )
+
+    def test_a_disconnected_graph_with_n_minus_1_edges_has_no_plan(self):
+        # A triangle plus an isolated vertex: three edges on four
+        # vertices, but no tree.  A Query refuses a disconnected graph,
+        # so the run is built on the triangle plus a pendant edge to R3
+        # and then handed the triangle alone.
+        triangle = [(0, 1), (0, 2), (1, 2)]
+        query = Query(
+            graph=QueryGraph(4, triangle + [(2, 3)]),
+            catalog=Catalog(
+                [RelationStats(cardinality=10 * (i + 1)) for i in range(4)],
+                {edge: 0.1 for edge in triangle + [(2, 3)]},
+            ),
+        )
+        graph = QueryGraph(4, triangle)
+        assert dpconv_module.tree_edges(graph) is None
+        csgs = dpccp_module.enumerate_csg(graph)
+        assert dpconv_module.convolution_work(graph, csgs) == sum(
+            2 ** (bitset.bit_count(vertex_set) - 1) - 1 for vertex_set in csgs
+        )
+        dpconv = DPconv(
+            OptimizationContext.for_query(query, cost_model=CoutCostModel)
+        )
+        dpconv._graph = graph
+        with pytest.raises(OptimizationError, match="no plan"):
+            dpconv.run()
+
+    @pytest.mark.parametrize("family, n", [("star", 9), ("acyclic", 10)])
+    def test_a_budget_trips_at_the_lattices_class_count(self, family, n):
+        query = QueryGenerator(seed=6).generate(family, n)
+        classes = run_dpconv(query).stats.plan_classes_built
+        for lattice in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if lattice:
+                    patch.setattr(DPconv, "_sweep", DPconv._lattice_sweep)
+                budget = Budget(max_expansions=classes - 1)
+                with pytest.raises(BudgetExceeded):
+                    run_dpconv(query, budget=budget)
+                assert budget.expansions == classes
+                budget = Budget(max_expansions=classes)
+                run_dpconv(query, budget=budget)
+                assert budget.expansions == classes
 
 
 class TestEligibility:
@@ -174,10 +275,10 @@ class TestFacadeRouting:
         ]
         assert events, "fallback must be observable in the trace"
 
-    @pytest.mark.parametrize("family, n", [("chain", 24), ("cycle", 20)])
+    @pytest.mark.parametrize("family, n", [("cycle", 24), ("cycle", 20)])
     def test_sparse_cout_queries_route_to_dpccp(self, family, n):
-        # DPconv would probe about 2^n splits here; DPccp's csg-cmp
-        # pairs grow polynomially.
+        # DPconv's lattice would probe about 2^n splits on these non-tree
+        # graphs; DPccp's csg-cmp pairs grow polynomially.
         telemetry = _traced()
         query = QueryGenerator(seed=2).generate(family, n)
         result = Optimizer(
@@ -192,6 +293,21 @@ class TestFacadeRouting:
             for event in span.events
         ]
         assert names == ["algorithm_selected"]
+        reference = run_dpccp(query, cost_model_factory=CoutCostModel)
+        assert result.cost.hex() == reference.cost.hex()
+
+    @pytest.mark.parametrize("family, n", [("chain", 24), ("acyclic", 16)])
+    def test_tree_cout_queries_route_to_dpconv(self, family, n):
+        # On a tree DPconv probes only each connected set's inner edges,
+        # at most n - 1 < DPCCP_WORK_PER_CSG per set.
+        telemetry = _traced()
+        query = QueryGenerator(seed=2).generate(family, n)
+        result = Optimizer(
+            cost_model_factory=CoutCostModel, telemetry=telemetry
+        ).optimize(query)
+        assert result.pruning == result.enumerator == "dpconv"
+        (event,) = _selected_events(telemetry)
+        assert event["predicted"]["dpconv"] == result.stats.ccps_considered
         reference = run_dpccp(query, cost_model_factory=CoutCostModel)
         assert result.cost.hex() == reference.cost.hex()
 
@@ -241,13 +357,15 @@ class TestFacadeRouting:
         "family, n, choice",
         [
             ("clique", 8, "dpconv"),
-            ("chain", 16, "dpccp"),
-            # cold_cout pool shapes on either side of DPCCP_WORK_PER_CSG
-            # (split probes per connected set: 199, 330, 114 and 85).
-            ("cycle", 12, "dpccp"),
-            ("acyclic", 14, "dpccp"),
-            ("cyclic", 12, "dpccp"),
+            # Trees: DPconv probes each set's inner edges, under
+            # DPCCP_WORK_PER_CSG per set whatever their size.
+            ("chain", 16, "dpconv"),
+            ("acyclic", 14, "dpconv"),
             ("star", 12, "dpconv"),
+            # cold_cout pool shapes with cycles, over DPCCP_WORK_PER_CSG
+            # (split probes per connected set: 199 and 114).
+            ("cycle", 12, "dpccp"),
+            ("cyclic", 12, "dpccp"),
         ],
     )
     def test_algorithm_selected_event_records_the_prediction(
@@ -277,7 +395,7 @@ class TestFacadeRouting:
         context = OptimizationContext.for_query(query, cost_model=CoutCostModel)
         csgs = list(dpccp_module.enumerate_csg(query.graph))
         DPconv(context=context, csgs=csgs).run()
-        assert dpconv_module.convolution_work(csgs) == (
+        assert dpconv_module.convolution_work(query.graph, csgs) == (
             context.stats.ccps_considered
         )
 

@@ -15,8 +15,10 @@ APCBI_Opt's oracle, a budgeted run).  Run as a script to (re)capture
 
 The capture was made before the selector moved into
 :mod:`repro.core.routing`, with each event rewritten into the one
-``{route, candidates, predicted, choice, actual}`` schema.  Regenerate it
-only for an intentional change of a routing decision, never to paper
+``{route, candidates, predicted, choice, actual}`` schema.  Its ``cout``
+section was re-captured when DPconv began to sweep a tree's inner edges,
+which sent every ``C_out`` tree to DPconv; no cost changed.  Regenerate
+it only for an intentional change of a routing decision, never to paper
 over a regression.
 """
 

@@ -104,3 +104,13 @@ def test_two_threads_forking_one_parent_match_sequential(query):
 
     # Both forks really shared the parent's statistics provider.
     assert all(r.context.provider is parent.provider for r in results)
+
+
+def test_a_context_for_another_query_raises_before_the_descent():
+    """A context built for a different query is the caller's error: the
+    ladder raises it instead of descending to a degraded plan."""
+    query = QueryGenerator(seed=3).generate("chain", 6)
+    other = QueryGenerator(seed=3).generate("cycle", 7)
+    context = OptimizationContext.for_query(other)
+    with pytest.raises(ValueError, match="different query"):
+        ResilientOptimizer().optimize(query, context=context)
