@@ -21,20 +21,12 @@ than guessing.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.analysis.asthelpers import dotted_name
 from repro.analysis.symbols import ClassInfo, FunctionInfo, ProgramIndex
 
 __all__ = ["CallGraph"]
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        prefix = _dotted(node.value)
-        return None if prefix is None else f"{prefix}.{node.attr}"
-    return None
 
 
 class CallGraph:
@@ -96,7 +88,7 @@ class CallGraph:
             return self.program.resolve_methods(
                 self.unit_of(caller.cls), func.attr
             )
-        name = _dotted(func)
+        name = dotted_name(func)
         if name is None:
             return []
         resolved = self.program.resolve_function(caller.module, name)

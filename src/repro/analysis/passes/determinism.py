@@ -43,6 +43,7 @@ import ast
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.asthelpers import dotted_name
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.registry import Pass, register_pass
 from repro.analysis.symbols import FunctionInfo, ProgramIndex
@@ -113,15 +114,6 @@ _KEYFUNC_RE = re.compile(r"(fingerprint|cache_key|plan_key|canonical)")
 _COST_RE = re.compile(r"(^|_)costs?($|_)")
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        prefix = _dotted(node.value)
-        return None if prefix is None else f"{prefix}.{node.attr}"
-    return None
-
-
 def _is_cost_operand(node: ast.expr) -> bool:
     if isinstance(node, ast.Attribute):
         return bool(_COST_RE.search(node.attr))
@@ -179,7 +171,7 @@ class _FunctionAnalysis:
 
     def _canonical(self, func_expr: ast.expr) -> Optional[str]:
         """Dotted call target with the first segment expanded via imports."""
-        name = _dotted(func_expr)
+        name = dotted_name(func_expr)
         if name is None:
             return None
         imports = self.program.imports.get(
@@ -496,7 +488,7 @@ class _FunctionAnalysis:
             and last in ("put", "get")
             and args.tainted
         ):
-            receiver_name = _dotted(node.func.value) or ""
+            receiver_name = dotted_name(node.func.value) or ""
             if "cache" in receiver_name.lower():
                 self._emit(
                     node,

@@ -25,6 +25,8 @@ import ast
 from pathlib import PurePosixPath
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.asthelpers import dotted_name
+
 __all__ = [
     "FunctionInfo",
     "ClassInfo",
@@ -108,15 +110,6 @@ def _decorator_names(node) -> List[str]:
     return names
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        prefix = _dotted(node.value)
-        return None if prefix is None else f"{prefix}.{node.attr}"
-    return None
-
-
 class ProgramIndex:
     """The whole-program view passes run against."""
 
@@ -169,7 +162,7 @@ class ProgramIndex:
     def _index_class(self, module, dotted: str, node: ast.ClassDef) -> None:
         info = ClassInfo(node.name, f"{dotted}::{node.name}", module, node)
         for base in node.bases:
-            base_name = _dotted(base)
+            base_name = dotted_name(base)
             if base_name is not None:
                 info.base_names.append(base_name)
         for child in node.body:

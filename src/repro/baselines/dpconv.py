@@ -78,17 +78,37 @@ _MAX_RELATIONS = 24
 def eligible(context: OptimizationContext) -> bool:
     """True when DPconv can serve ``context`` with DPccp-identical costs.
 
+    The selector (:func:`repro.core.routing.select`) consults this before
+    choosing the fast path and falls back to DPccp honestly when it
+    returns False; :func:`_refusal` states the envelope.
+    """
+    return _refusal(context) is None
+
+
+def _refusal(context: OptimizationContext) -> Optional[str]:
+    """Why DPconv cannot serve ``context``, or ``None`` when it can.
+
     The three-part envelope: a union-shaped (``C_out``) bound cost model,
     single-best retention (``topk == 1``), and a relation count the dense
-    2^n layout can hold.  The selector
-    (:func:`repro.core.routing.select`) consults this before choosing the
-    fast path and falls back to DPccp honestly when it returns False.
+    2^n layout can hold.
     """
-    return (
-        getattr(context.cost_model, "cout_shaped", False)
-        and context.topk == 1
-        and context.query.n_relations <= _MAX_RELATIONS
-    )
+    if not getattr(context.cost_model, "cout_shaped", False):
+        return (
+            "DPconv requires a C_out-shaped cost model (operator cost a "
+            f"function of the union set); {context.cost_model.name!r} "
+            "does not declare cout_shaped — use DPccp instead"
+        )
+    if context.topk != 1:
+        return (
+            "DPconv's flat per-size memo retains a single best plan per "
+            f"class; ranked retention (topk={context.topk}) needs DPccp"
+        )
+    if context.query.n_relations > _MAX_RELATIONS:
+        return (
+            f"DPconv's dense 2^n layout is capped at {_MAX_RELATIONS} "
+            f"relations; got {context.query.n_relations}"
+        )
+    return None
 
 
 def _splits(size: int) -> int:
@@ -171,32 +191,11 @@ class DPconv:
         self._memo = MemoTable(k=context.topk)
         self._budget = context.budget
         self._csgs = csgs
-        self._require_eligible(context)
-
-    @staticmethod
-    def _require_eligible(context: OptimizationContext) -> None:
-        """Refuse configurations the convolution cannot serve correctly.
-
-        The selector checks :func:`eligible` *before* constructing a
-        DPconv and falls back to DPccp; reaching these raises means a
-        caller bypassed that check (a named ``run_dpconv`` baseline).
-        """
-        if not getattr(context.cost_model, "cout_shaped", False):
-            raise OptimizationError(
-                "DPconv requires a C_out-shaped cost model (operator cost a "
-                f"function of the union set); {context.cost_model.name!r} "
-                "does not declare cout_shaped — use DPccp instead"
-            )
-        if context.topk != 1:
-            raise OptimizationError(
-                "DPconv's flat per-size memo retains a single best plan per "
-                f"class; ranked retention (topk={context.topk}) needs DPccp"
-            )
-        if context.query.n_relations > _MAX_RELATIONS:
-            raise OptimizationError(
-                f"DPconv's dense 2^n layout is capped at {_MAX_RELATIONS} "
-                f"relations; got {context.query.n_relations}"
-            )
+        # The selector checks eligible() before building a DPconv; a
+        # refusal here means a caller bypassed it (a named baseline).
+        reason = _refusal(context)
+        if reason is not None:
+            raise OptimizationError(reason)
 
     # ------------------------------------------------------------------
 

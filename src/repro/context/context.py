@@ -68,6 +68,24 @@ def statistics_for(
     return StatisticsProvider(query, page_size)
 
 
+def _adopted_budget(
+    context: "OptimizationContext", query: Query, budget: Optional["Budget"]
+) -> Optional["Budget"]:
+    """The budget of a run handed ``context`` for ``query``: the context's.
+
+    A handed-in context must be the one built for ``query``, and a
+    ``budget`` beside it must be that context's own; either mismatch
+    raises ``ValueError``.
+    """
+    if context.query is not query:
+        raise ValueError("context was built for a different query object")
+    if budget is not None and budget is not context.budget:
+        raise ValueError(
+            "budget is not the context's budget; pass one or the other"
+        )
+    return context.budget
+
+
 class OptimizationContext:
     """Everything one query's optimization shares across components.
 

@@ -36,7 +36,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.baselines.dpccp import DPccp
-from repro.context.context import OptimizationContext
+from repro.context.context import OptimizationContext, _adopted_budget
 from repro.context.fingerprint import fingerprint
 from repro.context.plancache import CachedPlan, PlanCache, replay_plan
 from repro.core.advancements import ADVANCEMENT_NAMES, AdvancementConfig
@@ -389,15 +389,7 @@ class Optimizer:
         object.
         """
         if context is not None:
-            if context.query is not query:
-                raise ValueError(
-                    "context was built for a different query object"
-                )
-            if budget is not None and budget is not context.budget:
-                raise ValueError(
-                    "budget is not the context's budget; pass one or the other"
-                )
-            budget = context.budget
+            budget = _adopted_budget(context, query, budget)
         if budget is not None:
             budget.start()
         if context is None:

@@ -132,7 +132,8 @@ class QueryGraph:
     def connected_component(self, start: int, within: int) -> int:
         """Return the connected component of ``G|within`` containing ``start``.
 
-        ``start`` is a singleton bitset that must be a subset of ``within``.
+        ``start`` is a subset of ``within`` that is connected in
+        ``G|within``: a singleton, or a region already grown from one.
         """
         component = start
         frontier = start

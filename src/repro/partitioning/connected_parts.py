@@ -79,24 +79,15 @@ def get_connected_parts(graph: QueryGraph, s: int, c: int, t: int) -> List[int]:
     # Line 14 onward: the reached region closed; finish expanding it into a
     # full component, then sweep the remaining probe neighbors.
     parts: List[int] = []
-    first = _expand_component(graph, level, complement)
+    first = graph.connected_component(level, complement)
     parts.append(first)
 
     # Lines 15-24: find the other components seeded by untouched neighbors.
     unreached = n & ~first
     while unreached:
         seed = unreached & -unreached  # repro: disable=bitset-discipline
-        component = _expand_component(graph, seed, complement)
+        component = graph.connected_component(seed, complement)
         parts.append(component)
         unreached &= ~component
     return parts
 
-
-def _expand_component(graph: QueryGraph, seed: int, within: int) -> int:
-    """Close ``seed`` under adjacency inside ``within`` (lines 19-22)."""
-    component = seed
-    frontier = seed
-    while frontier:
-        frontier = graph.neighborhood(frontier, within) & ~component
-        component |= frontier
-    return component

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.context.context import OptimizationContext
+from repro.context.context import OptimizationContext, _adopted_budget
 from repro.core.advancements import AdvancementConfig
 from repro.core.optimizer import OptimizationResult, Optimizer
 from repro.cost.haas import HaasCostModel
@@ -224,15 +224,7 @@ class ResilientOptimizer:
         started = time.perf_counter()
         report = DegradationReport(rung="exact")
         if context is not None:
-            if context.query is not query:
-                raise ValueError(
-                    "context was built for a different query object"
-                )
-            if budget is not None and budget is not context.budget:
-                raise ValueError(
-                    "budget is not the context's budget; pass one or the other"
-                )
-            budget = context.budget
+            budget = _adopted_budget(context, query, budget)
         if budget is not None:
             budget.start()
 

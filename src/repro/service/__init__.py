@@ -23,7 +23,9 @@ operational machinery a long-running deployment needs:
 * **sharding** — :class:`~repro.service.sharded.ShardedService` runs N
   supervised copies of this service as child processes behind a
   consistent-hash router (warm-cache affinity on the WL fingerprint),
-  with crash fail-over, seeded-backoff respawn and graceful drains;
+  with crash fail-over, seeded-backoff respawn and graceful drains.
+  Both tiers share one front-end core: admission, request seeds, the
+  one-shot lifecycle, deadlines and terminal responses;
 * **chaos soak** — ``python -m repro.service.soak [--shards N
   --kill-shards K]`` runs either under seeded fault injection and
   asserts every accepted request returned a validated plan

@@ -185,18 +185,213 @@ class OptimizeResponse:
         }
 
 
-class _Ticket:
-    """A queued request plus its completion future and admission stamp."""
+def _timed_out(
+    request: OptimizeRequest,
+    stage: str,
+    response: Optional[OptimizeResponse] = None,
+) -> OptimizeResponse:
+    """``request``'s answer once its deadline ran out at ``stage``.
 
-    __slots__ = ("request", "future", "admitted_at")
+    ``response`` is the answer built so far, if any.
+    """
+    if response is None:
+        response = OptimizeResponse(request.request_id, "timeout")
+    response.status = "timeout"
+    response.error = f"deadline ({request.deadline_seconds * 1000:.0f} ms) {stage}"
+    return response
+
+
+def _failed(
+    request: OptimizeRequest,
+    error: BaseException,
+    stage: str = "",
+    response: Optional[OptimizeResponse] = None,
+) -> OptimizeResponse:
+    """``request``'s answer once ``error`` failed it; ``stage`` prefixes it."""
+    if response is None:
+        response = OptimizeResponse(request.request_id, "failed")
+    response.status = "failed"
+    response.error = f"{stage}{type(error).__name__}: {error}"
+    return response
+
+
+def _seconds_until(deadline: Optional[float]) -> Optional[float]:
+    """Real seconds left before a ``time.monotonic`` deadline, or ``None``."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
+class _Ticket:
+    """An admitted request plus its completion future and deadline."""
+
+    __slots__ = ("request", "future", "admitted_at", "deadline_at")
 
     def __init__(self, request: OptimizeRequest, admitted_at: float):
         self.request = request
         self.future: "Future[OptimizeResponse]" = Future()
         self.admitted_at = admitted_at
+        #: The clock reading at which the request times out, if it can.
+        deadline = request.deadline_seconds
+        self.deadline_at = None if deadline is None else admitted_at + deadline
+
+    def remaining(self, now: float) -> Optional[float]:
+        """Seconds of deadline left at ``now``; ``None`` without one."""
+        return None if self.deadline_at is None else self.deadline_at - now
+
+    def expired(self, now: float) -> bool:
+        return self.deadline_at is not None and now >= self.deadline_at
 
 
-class OptimizationService:
+class _Frontend:
+    """What both service tiers share: the one-shot lifecycle and admission.
+
+    A front-end runs ``stopped -> running -> draining -> stopped`` once.
+    :meth:`submit` numbers each request and derives its seed, so one
+    request stream gets the same seeds from either tier.  A subclass
+    brings its own ``start``, ``shutdown`` and ``healthz``, and takes
+    each request in ``_admit(query, *fields)``, which numbers it with
+    :meth:`_new_request` under the lock.
+    """
+
+    #: How lifecycle errors name the tier.
+    _noun = "service"
+
+    def __init__(
+        self, seed: int, clock: Callable[[], float], telemetry: Optional[Telemetry]
+    ):
+        self.seed = seed
+        self._clock = clock
+        self._telemetry = telemetry
+        self._lock = threading.Lock()
+        self._state = "stopped"  # "stopped" | "running" | "draining"
+        self._started = False
+        self._next_request_id = 0
+        # Counters, all guarded by _lock.
+        self.accepted = 0
+        self.rejected = 0
+        self.completed = 0
+        self.failed = 0
+
+    # -- lifecycle -----------------------------------------------------
+
+    def _claim_start(self) -> None:
+        """Move ``stopped -> running`` (call with ``_lock`` held)."""
+        # One-shot lifecycle: a shut-down front-end's queue and pipes are
+        # closed for good, so it cannot be resurrected — build a new one.
+        if self._state != "stopped" or self._started:
+            raise ServiceShutdownError(
+                f"cannot start a {self._noun} in state {self._state!r}"
+                + ("; services are one-shot" if self._started else "")
+            )
+        self._started = True
+        self._state = "running"
+
+    def _claim_shutdown(self) -> bool:
+        """Move to ``draining``; False when already ``stopped``."""
+        with self._lock:
+            if self._state == "stopped":
+                return False
+            self._state = "draining"
+            return True
+
+    def __enter__(self):
+        return self.start()
+
+    @property
+    def running(self) -> bool:
+        with self._lock:
+            return self._state == "running"
+
+    @property
+    def telemetry(self) -> Optional[Telemetry]:
+        return self._telemetry
+
+    def _count_event(
+        self, name: str, help_text: str, n: int = 1, **labels
+    ) -> None:
+        if self._telemetry is None:
+            return
+        self._telemetry.registry.counter(
+            name, help_text, labels=labels or None
+        ).inc(n)
+
+    # -- admission -----------------------------------------------------
+
+    def _derive_seed(self, request_id: int) -> int:
+        # Distinct large odd multipliers keep per-request seeds spread out
+        # and deterministic for a given (service seed, request id).
+        return self.seed * 1_000_003 + request_id * 7_919 + 1
+
+    def submit(
+        self,
+        query: Query,
+        priority: int = 0,
+        deadline_seconds: Optional[float] = None,
+        seed: Optional[int] = None,
+        topk: int = 1,
+    ) -> "Future[OptimizeResponse]":
+        """Admit a request; returns a future, or raises on shed/shutdown.
+
+        ``topk > 1`` retains that many ranked plans per request and opts
+        in to the breaker-suspect fallback: when the cost-model breaker is
+        not closed at response time, the service re-serves rank 2 (the
+        structurally different runner-up) instead of rank 1, on the theory
+        that a suspect cost model's top pick is the plan most finely tuned
+        to its possibly-poisoned numbers.  This is a deliberate, explicit
+        deviation from the plan = f(query, seed) determinism contract —
+        single-best requests (the default) are unaffected.
+
+        Raises :class:`~repro.errors.ServiceOverloadError` (the admission
+        queue or the cluster's outstanding bound is full: deterministic
+        load shedding) or :class:`ServiceShutdownError` (not running).
+        """
+        if topk < 1:
+            raise ValueError(f"topk must be >= 1, got {topk}")
+        return self._admit(query, priority, deadline_seconds, seed, topk)
+
+    def optimize(
+        self,
+        query: Query,
+        priority: int = 0,
+        deadline_seconds: Optional[float] = None,
+        seed: Optional[int] = None,
+        topk: int = 1,
+    ) -> OptimizeResponse:
+        """Synchronous convenience: submit and wait for the response."""
+        return self.submit(query, priority, deadline_seconds, seed, topk).result()
+
+    def _readmit(self, request: OptimizeRequest) -> "Future[OptimizeResponse]":
+        """Admit a request another front-end numbered, under its seed."""
+        return self.submit(
+            request.query,
+            request.priority,
+            request.deadline_seconds,
+            request.seed,
+            request.topk,
+        )
+
+    def _new_request(self, query: Query, *fields) -> OptimizeRequest:
+        """Number a request while running (call with ``_lock`` held).
+
+        ``fields`` are :meth:`submit`'s other arguments, in order.
+        """
+        priority, deadline_seconds, seed, topk = fields
+        if self._state != "running":
+            raise ServiceShutdownError(
+                f"{self._noun} is {self._state}; request rejected"
+            )
+        request_id = self._next_request_id
+        self._next_request_id += 1
+        return OptimizeRequest(
+            query=query,
+            request_id=request_id,
+            priority=priority,
+            deadline_seconds=deadline_seconds,
+            seed=seed if seed is not None else self._derive_seed(request_id),
+            topk=topk,
+        )
+
+
+class OptimizationService(_Frontend):
     """A thread-pool optimization service over the resilience stack.
 
     Parameters
@@ -274,6 +469,7 @@ class OptimizationService:
             raise ValueError(
                 f"breaker_wait_limit must be >= 1, got {breaker_wait_limit}"
             )
+        super().__init__(seed, clock, telemetry)
         self._optimizer_kwargs = dict(
             enumerator=enumerator,
             pruning=pruning,
@@ -281,7 +477,6 @@ class OptimizationService:
             heuristic=heuristic,
             telemetry=telemetry,
         )
-        self._telemetry = telemetry
         self._cost_model_factory = cost_model_factory
         self._queue: AdmissionQueue[_Ticket] = AdmissionQueue(queue_capacity)
         self._retry = retry_policy if retry_policy is not None else RetryPolicy()
@@ -291,20 +486,11 @@ class OptimizationService:
         self._plan_cache = plan_cache
         self._budget_factory = budget_factory
         self._chaos = chaos
-        self.seed = seed
-        self._clock = clock
         self._sleep = sleep
         self._breaker_wait_limit = breaker_wait_limit
         self._n_workers = workers
         self._threads: List[threading.Thread] = []
-        self._state = "stopped"  # "stopped" | "running" | "draining"
-        self._lock = threading.Lock()
-        self._next_request_id = 0
-        # Counters, all guarded by _lock.
-        self.accepted = 0
-        self.rejected = 0
-        self.completed = 0
-        self.failed = 0
+        # Counters beyond the shared four, all guarded by _lock.
         self.timeouts = 0
         self.cancelled = 0
         self.retries = 0
@@ -315,14 +501,7 @@ class OptimizationService:
 
     def start(self) -> "OptimizationService":
         with self._lock:
-            # One-shot lifecycle: the admission queue's close is final, so
-            # a shut-down service cannot be resurrected — build a new one.
-            if self._state != "stopped" or self._threads:
-                raise ServiceShutdownError(
-                    f"cannot start a service in state {self._state!r}"
-                    + ("; services are one-shot" if self._threads else "")
-                )
-            self._state = "running"
+            self._claim_start()
         for index in range(self._n_workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -344,10 +523,8 @@ class OptimizationService:
         (never falsely ``stopped``) and ``shutdown`` may be called again
         to keep waiting.
         """
-        with self._lock:
-            if self._state == "stopped":
-                return True
-            self._state = "draining"
+        if not self._claim_shutdown():
+            return True
         self._queue.close()
         if not drain:
             for ticket in self._queue.drain_pending():
@@ -368,79 +545,22 @@ class OptimizationService:
         # the deadline is shared: N workers never wait N * timeout.
         join_deadline = None if timeout is None else time.monotonic() + timeout
         for thread in self._threads:
-            remaining = (
-                None
-                if join_deadline is None
-                else max(0.0, join_deadline - time.monotonic())
-            )
-            thread.join(timeout=remaining)
+            thread.join(timeout=_seconds_until(join_deadline))
         stopped = not any(thread.is_alive() for thread in self._threads)
         with self._lock:
             self._state = "stopped" if stopped else "draining"
         return stopped
 
-    def __enter__(self) -> "OptimizationService":
-        return self.start()
-
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.shutdown(drain=True)
         return False
 
-    @property
-    def running(self) -> bool:
+    def _admit(self, query: Query, *fields) -> "Future[OptimizeResponse]":
         with self._lock:
-            return self._state == "running"
-
-    # -- admission -----------------------------------------------------
-
-    def _derive_seed(self, request_id: int) -> int:
-        # Distinct large odd multipliers keep per-request seeds spread out
-        # and deterministic for a given (service seed, request id).
-        return self.seed * 1_000_003 + request_id * 7_919 + 1
-
-    def submit(
-        self,
-        query: Query,
-        priority: int = 0,
-        deadline_seconds: Optional[float] = None,
-        seed: Optional[int] = None,
-        topk: int = 1,
-    ) -> "Future[OptimizeResponse]":
-        """Admit a request; returns a future, or raises on shed/shutdown.
-
-        ``topk > 1`` retains that many ranked plans per request and opts
-        in to the breaker-suspect fallback: when the cost-model breaker is
-        not closed at response time, the service re-serves rank 2 (the
-        structurally different runner-up) instead of rank 1, on the theory
-        that a suspect cost model's top pick is the plan most finely tuned
-        to its possibly-poisoned numbers.  This is a deliberate, explicit
-        deviation from the plan = f(query, seed) determinism contract —
-        single-best requests (the default) are unaffected.
-
-        Raises :class:`~repro.errors.ServiceOverloadError` (queue full,
-        deterministic load shedding) or :class:`ServiceShutdownError`
-        (service not running).
-        """
-        if topk < 1:
-            raise ValueError(f"topk must be >= 1, got {topk}")
-        with self._lock:
-            if self._state != "running":
-                raise ServiceShutdownError(
-                    f"service is {self._state}; request rejected"
-                )
-            request_id = self._next_request_id
-            self._next_request_id += 1
-        request = OptimizeRequest(
-            query=query,
-            request_id=request_id,
-            priority=priority,
-            deadline_seconds=deadline_seconds,
-            seed=seed if seed is not None else self._derive_seed(request_id),
-            topk=topk,
-        )
+            request = self._new_request(query, *fields)
         ticket = _Ticket(request, admitted_at=self._clock())
         try:
-            self._queue.put(ticket, priority=priority)
+            self._queue.put(ticket, priority=request.priority)
         except ReproError:
             with self._lock:
                 self.rejected += 1
@@ -448,23 +568,6 @@ class OptimizationService:
         with self._lock:
             self.accepted += 1
         return ticket.future
-
-    def optimize(
-        self,
-        query: Query,
-        priority: int = 0,
-        deadline_seconds: Optional[float] = None,
-        seed: Optional[int] = None,
-        topk: int = 1,
-    ) -> OptimizeResponse:
-        """Synchronous convenience: submit and wait for the response."""
-        return self.submit(
-            query,
-            priority=priority,
-            deadline_seconds=deadline_seconds,
-            seed=seed,
-            topk=topk,
-        ).result()
 
     # -- health --------------------------------------------------------
 
@@ -529,10 +632,6 @@ class OptimizationService:
     def plan_cache(self) -> Optional[PlanCache]:
         return self._plan_cache
 
-    @property
-    def telemetry(self) -> Optional[Telemetry]:
-        return self._telemetry
-
     # -- the worker loop ----------------------------------------------
 
     def _worker_loop(self) -> None:
@@ -575,12 +674,8 @@ class OptimizationService:
             except Exception as error:  # the worker must never die
                 with self._lock:
                     self.unhandled_worker_errors += 1
-                response = OptimizeResponse(
-                    request_id=ticket.request.request_id,
-                    status="failed",
-                    queue_wait_seconds=queue_wait,
-                    error=f"unhandled {type(error).__name__}: {error}",
-                )
+                response = _failed(ticket.request, error, "unhandled ")
+                response.queue_wait_seconds = queue_wait
             response.service_seconds = self._clock() - started
             self._account(response)
             ticket.future.set_result(response)
@@ -620,15 +715,10 @@ class OptimizationService:
 
     # -- one request, attempt by attempt -------------------------------
 
-    def _deadline_at(self, ticket: _Ticket) -> Optional[float]:
-        if ticket.request.deadline_seconds is None:
-            return None
-        return ticket.admitted_at + ticket.request.deadline_seconds
-
-    def _attempt_budget(self, deadline_at: Optional[float]) -> Optional[Budget]:
-        if deadline_at is not None:
-            remaining = max(0.0, deadline_at - self._clock())
-            return Budget(deadline_seconds=remaining, clock=self._clock)
+    def _attempt_budget(self, ticket: _Ticket) -> Optional[Budget]:
+        remaining = ticket.remaining(self._clock())
+        if remaining is not None:
+            return Budget(deadline_seconds=max(0.0, remaining), clock=self._clock)
         if self._budget_factory is not None:
             return self._budget_factory()
         return None
@@ -675,22 +765,16 @@ class OptimizationService:
             status="failed",
             queue_wait_seconds=queue_wait,
         )
-        deadline_at = self._deadline_at(ticket)
         # A request that waited out its whole deadline in the queue is
         # shed without burning a worker on a doomed optimization.
-        if deadline_at is not None and self._clock() >= deadline_at:
-            response.status = "timeout"
-            response.error = (
-                f"deadline ({request.deadline_seconds * 1000:.0f} ms) "
-                "expired in the admission queue"
-            )
-            return response
+        if ticket.expired(self._clock()):
+            return _timed_out(request, "expired in the admission queue", response)
         rng = self._retry.rng_for(request.seed)
         best_degraded: Optional[ResilientResult] = None
         last_error: Optional[BaseException] = None
 
         for attempt in range(self._retry.max_attempts):
-            if deadline_at is not None and self._clock() >= deadline_at:
+            if ticket.expired(self._clock()):
                 break
 
             # Layer 1: breakers fast-fail while a component is sick.  The
@@ -717,12 +801,8 @@ class OptimizationService:
                     refusal = None
                     break
                 delay = max(self._retry.base_delay, refusal.retry_after)
-                if deadline_at is not None:
-                    remaining = deadline_at - self._clock()
-                    if remaining <= 0:
-                        break
-                    delay = min(delay, remaining)
-                self._sleep(delay)
+                if not self._sleep_within(ticket, delay):
+                    break
                 refusal = self._gate_breakers()
             if refusal is not None:  # deadline expired inside the wait loop
                 break
@@ -743,7 +823,7 @@ class OptimizationService:
                 topk=request.topk,
                 **self._optimizer_kwargs,
             )
-            budget = self._attempt_budget(deadline_at)
+            budget = self._attempt_budget(ticket)
             guard = chaos if chaos is not None else nullcontext()
             attempt_span = (
                 NULL_SPAN
@@ -768,9 +848,8 @@ class OptimizationService:
                 self._record_outcome(injected)
                 last_error = error
                 if not transient:
-                    response.error = f"{type(error).__name__}: {error}"
-                    return response
-                if not self._backoff(attempt, rng, deadline_at, error):
+                    return _failed(request, error, response=response)
+                if not self._backoff(attempt, rng, ticket, error):
                     break
                 response.retries += 1
                 continue
@@ -789,7 +868,7 @@ class OptimizationService:
                     f"degraded to {result.rung} under injected faults "
                     f"{injected}"
                 )
-                if not self._backoff(attempt, rng, deadline_at, last_error):
+                if not self._backoff(attempt, rng, ticket, last_error):
                     break
                 response.retries += 1
                 continue
@@ -802,13 +881,10 @@ class OptimizationService:
 
         if best_degraded is not None:
             return self._fill_ok(response, best_degraded, request)
-        if deadline_at is not None and self._clock() >= deadline_at:
-            response.status = "timeout"
-            response.error = (
-                f"deadline ({request.deadline_seconds * 1000:.0f} ms) "
-                f"exceeded after {response.attempts} attempt(s)"
+        if ticket.expired(self._clock()):
+            return _timed_out(
+                request, f"exceeded after {response.attempts} attempt(s)", response
             )
-            return response
         exhausted = RetriesExhaustedError(response.attempts, last_error)
         response.error = str(exhausted)
         return response
@@ -836,12 +912,11 @@ class OptimizationService:
         if request.topk > 1:
             ranked = result.ranked
             response.ranked_costs = tuple(plan.cost for plan in ranked)
-            if self._telemetry is not None:
-                self._telemetry.registry.counter(
-                    "repro_topk_requests_total",
-                    "Requests served with topk > 1, by retained depth.",
-                    labels={"served": str(len(ranked))},
-                ).inc()
+            self._count_event(
+                "repro_topk_requests_total",
+                "Requests served with topk > 1, by retained depth.",
+                served=str(len(ranked)),
+            )
             # Breaker-suspect fallback: with the cost-model breaker not
             # closed, rank 1 — the plan most finely tuned to the suspect
             # model's numbers — is re-served as the structurally different
@@ -854,12 +929,12 @@ class OptimizationService:
                 response.plan = ranked[1]
                 response.cost = ranked[1].cost
                 response.rank = 2
+                self._count_event(
+                    "repro_topk_fallback_total",
+                    "Rank-2 plans served because the cost-model "
+                    "breaker was open at response time.",
+                )
                 if self._telemetry is not None:
-                    self._telemetry.registry.counter(
-                        "repro_topk_fallback_total",
-                        "Rank-2 plans served because the cost-model "
-                        "breaker was open at response time.",
-                    ).inc()
                     self._telemetry.event(
                         "topk_breaker_fallback",
                         request_id=request.request_id,
@@ -871,7 +946,7 @@ class OptimizationService:
         self,
         attempt: int,
         rng,
-        deadline_at: Optional[float],
+        ticket: _Ticket,
         error: BaseException,
     ) -> bool:
         """Sleep before the next attempt; False when no attempt remains."""
@@ -881,8 +956,13 @@ class OptimizationService:
         if isinstance(error, CircuitOpenError):
             # No point probing before the breaker can move to half-open.
             delay = max(delay, error.retry_after)
-        if deadline_at is not None:
-            remaining = deadline_at - self._clock()
+        return self._sleep_within(ticket, delay)
+
+    def _sleep_within(self, ticket: _Ticket, delay: float) -> bool:
+        """Sleep ``delay``, cut to the ticket's deadline; False, without
+        sleeping, once the deadline has passed."""
+        remaining = ticket.remaining(self._clock())
+        if remaining is not None:
             if remaining <= 0:
                 return False
             delay = min(delay, remaining)

@@ -1,19 +1,25 @@
 """:class:`ShardedService` — the multi-process front-end.
 
-The front-end owns N supervised shard processes (each running the full
-single-process :class:`~repro.service.OptimizationService` stack), a
+Admission, request seeds, the one-shot lifecycle, deadlines and the
+terminal responses are the front-end core it shares with the
+single-process service (``_Frontend`` in :mod:`repro.service.server`;
+``docs/service.md``, "Request lifecycle").  What is its own: N
+supervised shard processes (each running the full single-process
+:class:`~repro.service.OptimizationService` stack), a cluster-wide
+ticket table, a
 :class:`~repro.service.sharded.router.ConsistentHashRouter` keyed on the
 WL query fingerprint, and three parent-side threads:
 
 * the **receiver** multiplexes every shard pipe
   (``multiprocessing.connection.wait``), completing futures from
   :class:`WireResponse` s, refreshing liveness from heartbeats, and
-  re-routing :class:`WireShed` bounces;
+  setting :class:`WireShed` bounces aside; it never writes to a pipe;
 * the **supervisor tick** (driven by
   :class:`~repro.service.sharded.supervisor.ShardSupervisor`) detects
   dead shards — process exit (crash, SIGKILL), broken pipe, stale
   heartbeat — fails their in-flight requests over to surviving shards,
-  and respawns them under seeded exponential backoff;
+  respawns them under seeded exponential backoff, and re-routes the
+  bounces;
 * the **fallback lane** — an in-process
   :class:`~repro.service.OptimizationService` with one worker — serves
   requests when *no* shard is alive, so the cluster never answers "try
@@ -28,10 +34,10 @@ Duplicate work is possible (a response computed but cut down mid-pipe by
 SIGKILL is recomputed elsewhere); duplicate *completion* is not (the
 table pop is first-wins).
 
-Determinism: plans are a function of the query alone (and request seeds
-are derived by the front-end exactly like the single-process service
-derives them), so which shard serves a request — or whether it was
-failed over three times first — never changes the returned plan.  The
+Determinism: plans are a function of the query and its seed alone, and
+the shared core seeds requests for both tiers, so which shard serves a
+request — or whether it was failed over three times first — never
+changes the returned plan.  The
 ``--kill-shards`` chaos soak asserts this bit-for-bit against a
 single-process disarmed replay.
 """
@@ -59,7 +65,11 @@ from repro.service.server import (
     OptimizationService,
     OptimizeRequest,
     OptimizeResponse,
+    _failed,
+    _Frontend,
+    _seconds_until,
     _Ticket,
+    _timed_out,
 )
 from repro.service.sharded.health import ClusterHealth, ShardStatus
 from repro.service.sharded.router import ConsistentHashRouter
@@ -111,7 +121,7 @@ class _ClusterTicket(_Ticket):
         self.shard_id: Optional[int] = None
 
 
-class ShardedService:
+class ShardedService(_Frontend):
     """N shard processes behind a consistent-hash router and supervisor.
 
     Parameters
@@ -147,6 +157,8 @@ class ShardedService:
         :meth:`healthz` publishes gauges + embeds a registry snapshot.
     """
 
+    _noun = "sharded service"
+
     def __init__(
         self,
         shards: int = 2,
@@ -172,9 +184,7 @@ class ShardedService:
             raise ValueError(
                 f"heartbeat_miss_limit must be >= 2, got {heartbeat_miss_limit}"
             )
-        self.seed = seed
-        self._clock = clock
-        self._telemetry = telemetry
+        super().__init__(seed, clock, telemetry)
         self._heartbeat_interval = heartbeat_interval
         self._miss_limit = heartbeat_miss_limit
         self._respawn_policy = (
@@ -220,15 +230,10 @@ class ShardedService:
             clock=clock,
         )
 
-        self._lock = threading.Lock()
         # Guarded by _lock: the ticket table, counters, shard states.
         self._tickets: Dict[int, _ClusterTicket] = {}
-        self._next_request_id = 0
-        self._state = "stopped"  # "stopped" | "running" | "draining"
-        self.accepted = 0
-        self.rejected = 0
-        self.completed = 0
-        self.failed = 0
+        #: Tickets a shard shed, re-routed by the next supervisor tick.
+        self._bounced: List[_ClusterTicket] = []
         self.failovers = 0
         self.respawns = 0
         self.drains = 0
@@ -246,13 +251,8 @@ class ShardedService:
 
     def start(self) -> "ShardedService":
         with self._lock:
-            if self._state != "stopped" or self._receiver_thread is not None:
-                raise ServiceShutdownError(
-                    f"cannot start a sharded service in state {self._state!r}"
-                    + ("; services are one-shot" if self._receiver_thread else "")
-                )
+            self._claim_start()
             self._fallback.start()
-            self._state = "running"
             now = self._clock()
             for handle in self._handles.values():
                 handle.spawn(now)
@@ -263,25 +263,13 @@ class ShardedService:
         self._supervisor.start()
         return self
 
-    def __enter__(self) -> "ShardedService":
-        return self.start()
-
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.shutdown(drain=True, timeout=30.0)
         return False
 
     @property
-    def running(self) -> bool:
-        with self._lock:
-            return self._state == "running"
-
-    @property
     def router(self) -> ConsistentHashRouter:
         return self._router
-
-    @property
-    def telemetry(self) -> Optional[Telemetry]:
-        return self._telemetry
 
     def shutdown(
         self, drain: bool = True, timeout: Optional[float] = None
@@ -294,10 +282,8 @@ class ShardedService:
         :class:`ServiceShutdownError`.  ``timeout`` bounds the total
         wait; stragglers are killed and reported via ``False``.
         """
-        with self._lock:
-            if self._state == "stopped":
-                return True
-            self._state = "draining"
+        if not self._claim_shutdown():
+            return True
         deadline = None if timeout is None else time.monotonic() + timeout
         for handle in self._handles.values():
             handle.send(ShutdownCommand(drain=drain))
@@ -314,12 +300,7 @@ class ShardedService:
             process = handle.process
             if process is None:
                 continue
-            remaining = (
-                None
-                if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            process.join(timeout=remaining)
+            process.join(timeout=_seconds_until(deadline))
             if process.is_alive():
                 all_exited = False
                 handle.kill()
@@ -347,48 +328,25 @@ class ShardedService:
 
     # -- admission & routing -------------------------------------------
 
-    # The single-process service's own definitions, so a request stream
-    # produces identical per-request seeds either way.
-    _derive_seed = OptimizationService._derive_seed
-    optimize = OptimizationService.optimize
-
-    def submit(
-        self,
-        query: Query,
-        priority: int = 0,
-        deadline_seconds: Optional[float] = None,
-        seed: Optional[int] = None,
-        topk: int = 1,
-    ) -> "Future[OptimizeResponse]":
-        """Admit a request; returns a future, or raises on shed/shutdown."""
-        if topk < 1:
-            raise ValueError(f"topk must be >= 1, got {topk}")
+    def _admit(self, query: Query, *fields) -> "Future[OptimizeResponse]":
         key = self._router.key_for(query)
         with self._lock:
-            if self._state != "running":
-                raise ServiceShutdownError(
-                    f"sharded service is {self._state}; request rejected"
-                )
-            if len(self._tickets) >= self._max_outstanding:
+            # A full cluster sheds before numbering: a shed request uses
+            # up no id.  A stopped one refuses in _new_request instead.
+            if (
+                self._state == "running"
+                and len(self._tickets) >= self._max_outstanding
+            ):
                 self.rejected += 1
                 raise ServiceOverloadError(
                     len(self._tickets), self._max_outstanding
                 )
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            request = OptimizeRequest(
-                query=query,
-                request_id=request_id,
-                priority=priority,
-                deadline_seconds=deadline_seconds,
-                seed=seed if seed is not None else self._derive_seed(request_id),
-                topk=topk,
-            )
+            request = self._new_request(query, *fields)
             ticket = _ClusterTicket(request, self._clock(), key)
             # Claim RUNNING immediately: a cluster ticket may hop shards,
             # and a caller cancelling mid-hop would race set_result.
             ticket.future.set_running_or_notify_cancel()
-            self._tickets[request_id] = ticket
+            self._tickets[request.request_id] = ticket
             self.accepted += 1
         self._dispatch(ticket)
         return ticket.future
@@ -409,8 +367,7 @@ class ShardedService:
             with self._lock:
                 if request_id not in self._tickets:
                     return  # already completed elsewhere
-                remaining = self._remaining_deadline(ticket)
-                if remaining is not None and remaining <= 0.0:
+                if ticket.expired(self._clock()):
                     del self._tickets[request_id]
                     timed_out = True
                 else:
@@ -431,14 +388,8 @@ class ShardedService:
                         ticket.shard_id = target
                         ticket.dispatches += 1
             if timed_out:
-                deadline = ticket.request.deadline_seconds
-                response = OptimizeResponse(
-                    request_id=request_id,
-                    status="timeout",
-                    error=(
-                        f"deadline ({deadline * 1000:.0f} ms) "
-                        "expired before a shard could serve the request"
-                    ),
+                response = _timed_out(
+                    ticket.request, "expired before a shard could serve the request"
                 )
                 self._finish(ticket, response)
                 return
@@ -457,16 +408,9 @@ class ShardedService:
                 ticket.tried.add(handle.shard_id)
                 ticket.shard_id = None
 
-    def _remaining_deadline(self, ticket: _ClusterTicket) -> Optional[float]:
-        if ticket.request.deadline_seconds is None:
-            return None
-        return ticket.request.deadline_seconds - (
-            self._clock() - ticket.admitted_at
-        )
-
     def _remaining_request(self, ticket: _ClusterTicket) -> OptimizeRequest:
         """The ticket's request with the deadline it has left."""
-        remaining = self._remaining_deadline(ticket)
+        remaining = ticket.remaining(self._clock())
         if remaining is None:
             return ticket.request
         return dataclasses.replace(ticket.request, deadline_seconds=remaining)
@@ -485,16 +429,13 @@ class ShardedService:
                 self.completed += 1
             else:
                 self.failed += 1
-        if self._telemetry is not None:
-            self._telemetry.registry.counter(
-                "repro_shard_responses_total",
-                "Cluster responses, by shard (-1 = front-end fallback) "
-                "and terminal status.",
-                labels={
-                    "shard": -1 if response.shard is None else response.shard,
-                    "status": response.status,
-                },
-            ).inc()
+        self._count_event(
+            "repro_shard_responses_total",
+            "Cluster responses, by shard (-1 = front-end fallback) "
+            "and terminal status.",
+            shard=-1 if response.shard is None else response.shard,
+            status=response.status,
+        )
         ticket.future.set_result(response)
 
     # -- the receiver --------------------------------------------------
@@ -575,24 +516,25 @@ class ShardedService:
                 if handle.state == "spawning":
                     handle.state = "up"
         elif isinstance(message, WireShed):
-            redispatch = None
             with self._lock:
                 handle.sheds += 1
                 handle.outstanding.pop(message.request_id, None)
                 ticket = self._tickets.get(message.request_id)
-                if ticket is not None and ticket.shard_id == handle.shard_id:
-                    ticket.tried.add(handle.shard_id)
-                    ticket.shard_id = None
-                    self.failovers += 1
-                    handle.failed_over += 1
-                    redispatch = ticket
-            if redispatch is not None:
-                self._count_event(
-                    "repro_shard_failovers_total",
-                    "Requests re-routed off a shard (death or shed).",
-                    shard=handle.shard_id,
-                )
-                self._dispatch(redispatch)
+                if ticket is None or ticket.shard_id != handle.shard_id:
+                    return
+                ticket.tried.add(handle.shard_id)
+                ticket.shard_id = None
+                self.failovers += 1
+                handle.failed_over += 1
+                # The receiver never writes to a pipe: a send could block
+                # on a shard that is itself blocked writing to us, and
+                # then neither side would read again.
+                self._bounced.append(ticket)
+            self._count_event(
+                "repro_shard_failovers_total",
+                "Requests re-routed off a shard (death or shed).",
+                shard=handle.shard_id,
+            )
         elif isinstance(message, Drained):
             with self._lock:
                 handle.drained.set()
@@ -600,13 +542,15 @@ class ShardedService:
     # -- supervision ---------------------------------------------------
 
     def _supervise_tick(self) -> None:
-        """One pass of death detection and backoff-paced respawning."""
+        """One pass of death detection, backoff-paced respawning and
+        re-routing of shed tickets."""
         now = self._clock()
         to_declare = []
         to_respawn = []
         with self._lock:
             if self._state == "stopped":
                 return
+            bounced, self._bounced = self._bounced, []
             for handle in self._handles.values():
                 if handle.state in ("up", "spawning", "draining"):
                     if handle.state == "draining" and handle.drained.is_set():
@@ -639,6 +583,8 @@ class ShardedService:
             self._declare_dead(handle, reason)
         for handle in to_respawn:
             self._respawn(handle)
+        for ticket in bounced:
+            self._dispatch(ticket)
 
     def _declare_dead(self, handle: ShardHandle, reason: str) -> None:
         """Fail over a dead shard's tickets and schedule its respawn."""
@@ -760,13 +706,7 @@ class ShardedService:
         submitted_at = self._clock()
         request = self._remaining_request(ticket)
         try:
-            future = self._fallback.submit(
-                request.query,
-                priority=request.priority,
-                deadline_seconds=request.deadline_seconds,
-                seed=request.seed,
-                topk=request.topk,
-            )
+            future = self._fallback._readmit(request)
         except ReproError as error:  # refused: a typed failure, not a loss
             future = Future()
             future.set_exception(error)
@@ -788,11 +728,7 @@ class ShardedService:
         try:
             response = future.result()
         except Exception as error:  # typed failure, never a lost request
-            response = OptimizeResponse(
-                request_id=ticket.request.request_id,
-                status="failed",
-                error=f"fallback {type(error).__name__}: {error}",
-            )
+            response = _failed(ticket.request, error, "fallback ")
         # The lane times its own queue; the caller sees the wait since
         # cluster admission.
         response.queue_wait_seconds += submitted_at - ticket.admitted_at
@@ -859,17 +795,6 @@ class ShardedService:
             publish_cluster_health(self._telemetry.registry, health)
             health.metrics = self._telemetry.registry.snapshot()
         return health
-
-    # -- telemetry ------------------------------------------------------
-
-    def _count_event(
-        self, name: str, help_text: str, n: int = 1, **labels
-    ) -> None:
-        if self._telemetry is None:
-            return
-        self._telemetry.registry.counter(
-            name, help_text, labels=labels or None
-        ).inc(n)
 
     def __repr__(self) -> str:
         with self._lock:

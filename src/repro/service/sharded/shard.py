@@ -50,7 +50,7 @@ from repro.service.retry import RetryPolicy
 from repro.service.server import (
     OptimizationService,
     OptimizeRequest,
-    OptimizeResponse,
+    _failed,
 )
 from repro.service.sharded.wire import (
     Drained,
@@ -241,13 +241,7 @@ def _submit(
 ) -> None:
     bridge.begin(request)
     try:
-        future = service.submit(
-            request.query,
-            priority=request.priority,
-            deadline_seconds=request.deadline_seconds,
-            seed=request.seed,
-            topk=request.topk,
-        )
+        future = service._readmit(request)
     except ServiceOverloadError as error:
         bridge.finish(request.request_id)
         _shed(
@@ -265,11 +259,7 @@ def _submit(
         try:
             response = done_future.result()
         except BaseException as error:  # typed failure, never silence
-            response = OptimizeResponse(
-                request_id=request_id,
-                status="failed",
-                error=f"{type(error).__name__}: {error}",
-            )
+            response = _failed(request, error)
         response.shard = config.shard_id
         bridge.finish(request_id)
         bridge.send(

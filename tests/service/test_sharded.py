@@ -5,6 +5,7 @@ cost is small); they keep shard counts and query sizes low to stay in
 tier-1 time budgets.
 """
 
+import threading
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from repro.service.retry import RetryPolicy
 from repro.service.server import OptimizeRequest
 from repro.service.sharded import ShardedService
 from repro.service.sharded.supervisor import RespawnBackoff
+from repro.service.sharded.wire import WireShed
 from repro.telemetry import MetricRegistry, Telemetry
 from repro.workload.generator import QueryGenerator
 
@@ -165,6 +167,42 @@ class TestCrashFailover:
         assert health.status == "down"
         assert health.fallback_served >= 1
         assert "fallback only" in health.describe()
+
+    def test_shed_ticket_is_rerouted_off_the_receiver_thread(self, queries):
+        # The receiver must never write to a pipe: a send there can block
+        # on a shard that is itself blocked writing back to the receiver.
+        from repro.service.sharded.service import _ClusterTicket
+
+        with make_service() as service:
+            assert wait_until(lambda: service.healthz().shards_up == 2)
+            request = OptimizeRequest(
+                query=queries[0], request_id=999_999, seed=1
+            )
+            ticket = _ClusterTicket(request, service._clock(), key="synthetic")
+            ticket.shard_id = 0
+            with service._lock:
+                service._tickets[999_999] = ticket
+            dispatched_on = []
+            dispatch = service._dispatch
+
+            def recording(bounced):
+                dispatched_on.append(threading.current_thread().name)
+                dispatch(bounced)
+
+            service._dispatch = recording
+            service._on_message(
+                service._handles[0],
+                WireShed(
+                    shard_id=0, request_id=999_999, queue_depth=64, capacity=64
+                ),
+            )
+            assert dispatched_on == []
+            response = ticket.future.result(timeout=60)
+            health = service.healthz()
+        assert response.ok
+        assert response.shard == 1
+        assert dispatched_on == ["repro-shard-supervisor"]
+        assert health.failovers == 1
 
 
 class TestDrain:
