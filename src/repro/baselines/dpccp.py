@@ -176,7 +176,6 @@ def _list_pairs(
     buckets: Sequence[MutableSequence[int]],
     stats: OptimizationStats,
     budget: Optional["Budget"] = None,
-    memo_size: int = 0,
 ) -> None:
     """List every csg-cmp pair, filing each connected set's as it is listed.
 
@@ -218,7 +217,7 @@ def _list_pairs(
             stats.ccps_enumerated += len(rights)
         else:
             for _ in rights:
-                budget.check(memo_size)
+                budget.check()
                 stats.ccps_enumerated += 1
         size = bit_count(left)
         packed = left << shift
@@ -349,9 +348,7 @@ class DPccp:
         buckets: List[MutableSequence[int]] = [
             new_bucket() for _ in range(query.n_relations + 1)
         ]
-        _list_pairs(
-            self._graph, self._csgs, buckets, self.stats, self._budget, len(self._memo)
-        )
+        _list_pairs(self._graph, self._csgs, buckets, self.stats, self._budget)
         model = self._context.cost_model
         if self._memo.k > 1:
             plan = self._run_ranked(buckets)
@@ -374,7 +371,7 @@ class DPccp:
         mask = bitset.full_set(shift)
         for word in chain.from_iterable(buckets):
             if budget is not None:
-                budget.check(len(memo))
+                budget.check()
             self.stats.ccps_considered += 1
             left_tree = memo.best(word >> shift)
             right_tree = memo.best(word & mask)
@@ -433,7 +430,7 @@ class DPccp:
         try:
             for word in chain.from_iterable(buckets):
                 if budget is not None:
-                    budget.check(len(dp))
+                    budget.check()
                 considered += 1
                 left = word >> shift
                 right = word & mask
@@ -561,7 +558,7 @@ class DPccp:
         try:
             for word in chain.from_iterable(buckets):
                 if budget is not None:
-                    budget.check(len(dp))
+                    budget.check()
                 considered += 1
                 left = word >> shift
                 right = word & mask

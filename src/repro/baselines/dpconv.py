@@ -288,12 +288,12 @@ class DPconv:
             dp[bitset.singleton(index)] = 0.0
 
         infinity = _INFINITY
-        classes_done = n
+        built = 0
         for layer_size in range(2, n + 1):
             splits_per_class = _splits(layer_size)
             for vertex_set in layers[layer_size]:
                 if budget is not None:
-                    budget.check(classes_done)
+                    budget.check()
                 best = infinity
                 arg = 0
                 rest = vertex_set & (vertex_set - 1)  # drop the anchor bit
@@ -310,10 +310,10 @@ class DPconv:
                     sub = (sub - 1) & rest
                 dp[vertex_set] = best + cardinality(vertex_set)
                 split[vertex_set] = arg
-                classes_done += 1
+                built += 1
                 stats.ccps_enumerated += splits_per_class
                 stats.ccps_considered += splits_per_class
-        stats.plan_classes_built = classes_done - n
+        stats.plan_classes_built = built
         return dp, split
 
     def _tree_sweep(self, edges: List[Tuple[int, int]]):
@@ -344,12 +344,12 @@ class DPconv:
         split = {}
 
         infinity = _INFINITY
-        classes_done = n
+        built = 0
         for layer_size in range(2, n + 1):
             inner_edges = layer_size - 1
             for vertex_set in layers[layer_size]:
                 if budget is not None:
-                    budget.check(classes_done)
+                    budget.check()
                 best = infinity
                 arg = 0
                 anchor = lowest_bit(vertex_set)
@@ -364,8 +364,8 @@ class DPconv:
                             arg = sub
                 dp[vertex_set] = best + cardinality(vertex_set)
                 split[vertex_set] = arg
-                classes_done += 1
+                built += 1
                 stats.ccps_enumerated += inner_edges
                 stats.ccps_considered += inner_edges
-        stats.plan_classes_built = classes_done - n
+        stats.plan_classes_built = built
         return dp, split

@@ -58,7 +58,7 @@ class RelationStats:
             if size < 1:
                 raise CatalogError(f"domain size must be >= 1, got {size}")
 
-    def pages(self, page_size: int = DEFAULT_PAGE_SIZE) -> float:
-        """Number of pages the relation occupies (at least one)."""
-        tuples_per_page = max(1, page_size // self.tuple_width)
+    def pages(self) -> float:
+        """Pages of :data:`DEFAULT_PAGE_SIZE` bytes it occupies (at least one)."""
+        tuples_per_page = max(1, DEFAULT_PAGE_SIZE // self.tuple_width)
         return max(1.0, math.ceil(self.cardinality / tuples_per_page))

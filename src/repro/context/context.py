@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.catalog.relation import DEFAULT_PAGE_SIZE
 from repro.cost.haas import HaasCostModel
 from repro.cost.model import CostModel
 from repro.cost.statistics import StatisticsProvider
@@ -55,9 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
 __all__ = ["OptimizationContext", "statistics_for"]
 
 
-def statistics_for(
-    query: Query, page_size: int = DEFAULT_PAGE_SIZE
-) -> StatisticsProvider:
+def statistics_for(query: Query) -> StatisticsProvider:
     """The blessed constructor for a statistics provider.
 
     Components that need estimates but no cost model (plan validation, the
@@ -65,7 +62,7 @@ def statistics_for(
     of constructing :class:`StatisticsProvider` themselves, keeping every
     construction site inside ``repro/context/``.
     """
-    return StatisticsProvider(query, page_size)
+    return StatisticsProvider(query)
 
 
 def _adopted_budget(
@@ -130,7 +127,6 @@ class OptimizationContext:
         cost_model: Union[CostModel, Callable[[], CostModel], None] = None,
         stats: Optional[OptimizationStats] = None,
         budget: Optional["Budget"] = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
         telemetry: Optional["Telemetry"] = None,
         topk: int = 1,
     ) -> "OptimizationContext":
@@ -151,7 +147,7 @@ class OptimizationContext:
         this context uses (see :class:`~repro.plans.memo.MemoTable`);
         ``1`` — the default — is the paper's single-best behavior.
         """
-        provider = StatisticsProvider(query, page_size)
+        provider = StatisticsProvider(query)
         if cost_model is None:
             model: CostModel = HaasCostModel()
         elif isinstance(cost_model, CostModel):
@@ -214,7 +210,7 @@ class OptimizationContext:
         allowance.
         """
         query = self._query.relabel(mapping)
-        provider = StatisticsProvider(query, self._provider.page_size)
+        provider = StatisticsProvider(query)
         model = self._cost_model.bind(provider)
         builder = PlanBuilder(provider, model, self._builder.stats)
         return OptimizationContext(

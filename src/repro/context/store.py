@@ -55,7 +55,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.context.fingerprint import QUANT_STEPS
 from repro.context.plancache import (
@@ -869,10 +869,6 @@ class TieredPlanCache(PlanCache):
     @property
     def breaker_state(self) -> str:
         return self._breaker.state
-
-    def warm_keys(self) -> List[str]:
-        with self._warm_lock:
-            return sorted(self._warm)
 
     def close(self) -> None:
         if self._store is not None:

@@ -28,7 +28,7 @@ import glob
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.context.store import (
     DurableStore,
@@ -38,42 +38,69 @@ from repro.context.store import (
 )
 from repro.errors import ReproError
 
-__all__ = ["main", "compact_store_dir", "inspect_store"]
+__all__ = ["main", "compact_store_dir", "inspect_store", "merge_store_dir"]
 
 SNAPSHOT_NAME = "snapshot.rpl"
 SEGMENT_GLOB = "shard-*.rpl"
+
+
+def merge_store_dir(
+    store_dir: str, epoch: Optional[str] = None
+) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
+    """Replay a store directory's files into one record map.
+
+    The snapshot (if any) comes first, then the ``shard-*.rpl`` segments
+    sorted by name.  Each file re-opens read-only through recovery, the
+    last writer wins per key, and a record that fails
+    :func:`~repro.context.store.decode_entry` is dropped.  Returns the
+    merged records and, per file in that order, its ``path``, its
+    ``entries`` count, its ``recovery`` report and its dropped records
+    (``undecodable``, one ``{"key", "error"}`` each).
+    """
+    paths = sorted(glob.glob(os.path.join(store_dir, SEGMENT_GLOB)))
+    snapshot_path = os.path.join(store_dir, SNAPSHOT_NAME)
+    if os.path.exists(snapshot_path):
+        paths.insert(0, snapshot_path)
+    merged: Dict[str, object] = {}
+    sources: List[Dict[str, object]] = []
+    for path in paths:
+        store = DurableStore(path, epoch=epoch, writable=False)
+        undecodable = []
+        for key, record in store.records.items():
+            try:
+                decode_entry(record)
+            except ReproError as error:
+                undecodable.append({"key": key, "error": str(error)})
+            else:
+                merged[key] = record
+        sources.append(
+            {
+                "path": path,
+                "entries": len(store.records),
+                "recovery": store.report.as_dict(),
+                "undecodable": undecodable,
+            }
+        )
+        store.close()
+    return merged, sources
 
 
 def compact_store_dir(
     store_dir: str,
     epoch: Optional[str] = None,
     prune: bool = False,
-    validate: bool = True,
 ) -> Dict[str, object]:
     """Merge snapshot + segments into a new snapshot; returns a summary."""
     epoch = epoch if epoch is not None else default_store_epoch()
     snapshot_path = os.path.join(store_dir, SNAPSHOT_NAME)
-    segments = sorted(glob.glob(os.path.join(store_dir, SEGMENT_GLOB)))
-    sources: List[str] = []
-    if os.path.exists(snapshot_path):
-        sources.append(snapshot_path)
-    sources.extend(segments)
-
-    merged: Dict[str, object] = {}
+    merged, sources = merge_store_dir(store_dir, epoch)
+    paths = [source["path"] for source in sources]
     reports = []
-    for path in sources:
-        store = DurableStore(path, epoch=epoch, writable=False)
-        reports.append(store.report.as_dict())
-        for key, record in store.records.items():
-            if validate:
-                try:
-                    decode_entry(record)
-                except ReproError as error:
-                    reports[-1].setdefault("undecodable", []).append(
-                        {"key": key, "error": str(error)}
-                    )
-                    continue
-            merged[key] = record
+    for source in sources:
+        report = source["recovery"]
+        if source["undecodable"]:
+            report["undecodable"] = source["undecodable"]
+        reports.append(report)
 
     tmp_path = os.path.join(store_dir, f".{SNAPSHOT_NAME}.compacting")
     if os.path.exists(tmp_path):
@@ -91,7 +118,9 @@ def compact_store_dir(
 
     pruned = []
     if prune:
-        for path in segments:
+        for path in paths:
+            if path == snapshot_path:
+                continue
             # Reset each merged segment to an empty (header-only) log so
             # its shard restarts with a clean single-writer file; the
             # entries now live in the snapshot.
@@ -103,7 +132,7 @@ def compact_store_dir(
         "store_dir": store_dir,
         "snapshot": snapshot_path,
         "epoch": epoch,
-        "sources": sources,
+        "sources": paths,
         "entries": len(merged),
         "pruned_segments": pruned,
         "recovery": reports,

@@ -408,12 +408,21 @@ class Optimizer:
 
         Returns an :class:`OptimizationResult` whose ``ranked`` stream
         holds up to ``k`` distinct complete plans in nondecreasing
-        (cost, fingerprint) order, rank 1 first.  Rank 1 is bit-for-bit
-        the plan :meth:`optimize` returns — the k-bounded memo degenerates
-        to the single-best store at ``k=1`` and only *loosens* pruning
-        bounds beyond it (prefix property).  Every returned plan is
+        (cost, fingerprint) order, rank 1 first.  Every returned plan is
         validated (finite numbers, structural soundness) before the result
         is handed back.
+
+        Prefix property: rank 1 costs exactly (by ``float.hex``) what
+        :meth:`optimize` returns for the same configuration, and is the
+        same plan bit for bit whenever both runs enumerate alike — the
+        k-bounded memo degenerates to the single-best store at ``k=1``
+        and only *loosens* pruning bounds beyond it.  That covers the
+        Haas routes (a routed DPccp run uses APCBI's labels),
+        ``auto_route=False`` and DPccp itself.  A routed ``C_out``
+        request is the exception: :meth:`optimize` is served by DPconv
+        or DPccp, while the ranked run is top-down APCBI in its
+        renumbered numbering, so of several equal-cost plans rank 1 may
+        be another one.
         """
         if k is None:
             k = self.topk
@@ -583,8 +592,10 @@ def optimize_topk(
     """One-shot ranked optimization: the ``k`` cheapest plans, rank 1 first.
 
     ``result.ranked`` holds up to ``k`` distinct validated plans in
-    nondecreasing (cost, fingerprint) order; ``result.plan`` is rank 1 and
-    identical to what :func:`optimize` returns for the same configuration.
+    nondecreasing (cost, fingerprint) order; ``result.plan`` is rank 1.
+    It costs exactly what :func:`optimize` returns for the same
+    configuration and, except under a routed ``C_out`` model, is the same
+    plan (see :meth:`Optimizer.optimize_topk`).
     """
     return Optimizer(
         enumerator=enumerator,

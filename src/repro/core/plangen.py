@@ -87,12 +87,12 @@ class PlanGeneratorBase:
         """Cooperative budget check; every ``_tdpg`` entry calls this.
 
         Raises :class:`~repro.errors.BudgetExceeded` when the run's wall
-        clock, expansion count or memotable size exceeds its allowance.
+        clock or expansion count exceeds its allowance.
         A ``None`` budget makes this a cheap no-op, so unbudgeted runs pay
         only one attribute load and comparison per expansion.
         """
         if self._budget is not None:
-            self._budget.check(len(self._memo))
+            self._budget.check()
 
     def _partitions(self, vertex_set: int) -> Iterator[Tuple[int, int]]:
         """Enumerate ``P_ccp_sym(S)``, with accounting and budget checks.
@@ -116,7 +116,7 @@ class PlanGeneratorBase:
         budget = self._budget
         for pair in self._partitioning.partitions(self._graph, vertex_set):
             if budget is not None:
-                budget.check(len(self._memo))
+                budget.check()
             self.stats.ccps_enumerated += 1
             yield pair
 

@@ -66,15 +66,15 @@ class StatisticsProvider:
     ----------
     query:
         The query whose catalog backs the estimates.
-    page_size:
-        Page size in bytes used to convert widths to page counts.
+
+    Page counts are in pages of
+    :data:`~repro.catalog.relation.DEFAULT_PAGE_SIZE` bytes.
     """
 
-    __slots__ = ("_page_size", "_factors", "_widths", "_cache")
+    __slots__ = ("_factors", "_widths", "_cache")
 
-    def __init__(self, query: Query, page_size: int = DEFAULT_PAGE_SIZE):
+    def __init__(self, query: Query):
         catalog = query.catalog
-        self._page_size = page_size
         # Relations before edges: a catalog that has lost one relation's
         # statistics raises on that relation's own read, here, before any
         # selectivity mentioning it is asked for (docs/resilience.md).
@@ -100,12 +100,8 @@ class StatisticsProvider:
                 vertex_set=bitset.singleton(index),
                 cardinality=relation.cardinality,
                 tuple_width=relation.tuple_width,
-                pages=relation.pages(page_size),
+                pages=relation.pages(),
             )
-
-    @property
-    def page_size(self) -> int:
-        return self._page_size
 
     def stats(self, vertex_set: int) -> IntermediateStats:
         """Statistics of the intermediate result for ``vertex_set``."""
@@ -167,7 +163,7 @@ class StatisticsProvider:
             low = remaining & -remaining  # repro: disable=bitset-discipline
             width += widths[low.bit_length() - 1]  # repro: disable=bitset-discipline
             remaining ^= low
-        tuples_per_page = max(1, self._page_size // max(1, width))
+        tuples_per_page = max(1, DEFAULT_PAGE_SIZE // max(1, width))
         pages = max(1.0, math.ceil(cardinality / tuples_per_page))
         return cardinality, width, pages
 

@@ -56,8 +56,8 @@ class UnknownAlgorithmError(ReproError, KeyError):
 class BudgetExceeded(OptimizationError):
     """Raised cooperatively when a :class:`repro.resilience.Budget` runs out.
 
-    ``reason`` names the exhausted dimension (``"deadline"``,
-    ``"expansions"`` or ``"memo"``).  The optimizer facade enriches in-flight
+    ``reason`` names the exhausted dimension (``"deadline"`` or
+    ``"expansions"``).  The optimizer facade enriches in-flight
     instances with the best complete plan registered so far (``partial_plan``,
     already relabeled into the caller's relation numbering) and the memotable
     size at the point of interruption, so anytime callers can salvage work.

@@ -2,7 +2,7 @@
 
 After Waas & Pellenkoft: draw join trees by repeatedly picking a *random*
 join edge between two current components and merging them; keep the
-cheapest of ``n_trials`` sampled trees.  A classic randomized alternative
+cheapest of :data:`N_TRIALS` sampled trees.  A classic randomized alternative
 to greedy heuristics (cf. Steinbrunn et al. [13]), useful here to study
 how sensitive APCBI's advancement 2 is to upper-bound quality: QuickPick
 bounds are noisier than GOO's but still sound.
@@ -22,32 +22,30 @@ from repro.plans.builder import PlanBuilder
 from repro.plans.join_tree import JoinTree
 from repro.query import Query
 
-__all__ = ["QuickPick"]
+__all__ = ["N_TRIALS", "QuickPick"]
+
+#: Random trees sampled per build; the cheapest wins.
+N_TRIALS = 16
 
 
 class QuickPick(JoinHeuristic):
-    """Best of ``n_trials`` random edge-driven join trees.
+    """Best of :data:`N_TRIALS` random edge-driven join trees.
 
     Parameters
     ----------
-    n_trials:
-        Number of random trees to sample; the cheapest wins.
     seed:
         Seed for the internal RNG, so runs are reproducible.
     """
 
     name = "quickpick"
 
-    def __init__(self, n_trials: int = 16, seed: Optional[int] = 20120401):
-        if n_trials < 1:
-            raise ValueError(f"need >= 1 trial, got {n_trials}")
-        self._n_trials = n_trials
+    def __init__(self, seed: Optional[int] = 20120401):
         self._seed = seed
 
     def build(self, query: Query, builder: PlanBuilder) -> HeuristicResult:
         rng = random.Random(self._seed)
         best: Optional[JoinTree] = None
-        for _ in range(self._n_trials):
+        for _ in range(N_TRIALS):
             candidate = self._sample_tree(query, builder, rng)
             if best is None or candidate.cost < best.cost:
                 best = candidate

@@ -1,12 +1,11 @@
 """Cooperative optimization budgets (the anytime contract).
 
-A :class:`Budget` bounds one optimizer run along three independent axes:
+A :class:`Budget` bounds one optimizer run along two independent axes:
 
 * **wall clock** — a deadline measured with ``time.monotonic`` (immune to
   system clock adjustments mid-run);
 * **expansions** — the number of plan-class expansions (``_tdpg`` entries /
-  ccp pulls), a deterministic, platform-independent work measure;
-* **memo size** — the number of memotable entries, a proxy for memory.
+  ccp pulls), a deterministic, platform-independent work measure.
 
 Enforcement is *cooperative*: the plan generators call :meth:`check` at
 every expansion and every enumerated ccp, and the budget raises
@@ -35,7 +34,7 @@ _DEADLINE_STRIDE = 32
 
 
 class Budget:
-    """A wall-clock / expansion / memo-size budget for one optimizer run.
+    """A wall-clock / expansion budget for one optimizer run.
 
     Parameters
     ----------
@@ -43,8 +42,6 @@ class Budget:
         Wall-clock allowance from :meth:`start`; ``None`` disables the axis.
     max_expansions:
         Maximum number of :meth:`check` calls; ``None`` disables the axis.
-    max_memo_entries:
-        Maximum memotable size observed at a check; ``None`` disables it.
     clock:
         Monotonic time source, injectable for tests.
     """
@@ -52,11 +49,9 @@ class Budget:
     __slots__ = (
         "deadline_seconds",
         "max_expansions",
-        "max_memo_entries",
         "_clock",
         "_started_at",
         "_expansions",
-        "_last_memo_size",
         "_exhausted_reason",
     )
 
@@ -64,24 +59,17 @@ class Budget:
         self,
         deadline_seconds: Optional[float] = None,
         max_expansions: Optional[int] = None,
-        max_memo_entries: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if deadline_seconds is not None and deadline_seconds < 0:
             raise ValueError(f"deadline must be >= 0, got {deadline_seconds}")
         if max_expansions is not None and max_expansions < 0:
             raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
-        if max_memo_entries is not None and max_memo_entries < 0:
-            raise ValueError(
-                f"max_memo_entries must be >= 0, got {max_memo_entries}"
-            )
         self.deadline_seconds = deadline_seconds
         self.max_expansions = max_expansions
-        self.max_memo_entries = max_memo_entries
         self._clock = clock
         self._started_at: Optional[float] = None
         self._expansions = 0
-        self._last_memo_size = 0
         self._exhausted_reason: Optional[str] = None
 
     @classmethod
@@ -94,11 +82,7 @@ class Budget:
     @property
     def unbounded(self) -> bool:
         """True when no axis is constrained (checks can never raise)."""
-        return (
-            self.deadline_seconds is None
-            and self.max_expansions is None
-            and self.max_memo_entries is None
-        )
+        return self.deadline_seconds is None and self.max_expansions is None
 
     @property
     def started(self) -> bool:
@@ -134,7 +118,7 @@ class Budget:
 
     # ------------------------------------------------------------------
 
-    def check(self, memo_size: int = 0) -> None:
+    def check(self) -> None:
         """Charge one expansion and raise if any axis is exhausted.
 
         Called cooperatively from the enumeration hot loops; starts the
@@ -143,8 +127,6 @@ class Budget:
         if self._started_at is None:
             self._started_at = self._clock()
         self._expansions += 1
-        if memo_size > self._last_memo_size:
-            self._last_memo_size = memo_size
         if (
             self.max_expansions is not None
             and self._expansions > self.max_expansions
@@ -152,14 +134,6 @@ class Budget:
             self._fail(
                 "expansions",
                 f"{self._expansions} expansions > cap {self.max_expansions}",
-            )
-        if (
-            self.max_memo_entries is not None
-            and memo_size > self.max_memo_entries
-        ):
-            self._fail(
-                "memo",
-                f"{memo_size} memo entries > cap {self.max_memo_entries}",
             )
         if self.deadline_seconds is not None and (
             self._expansions % _DEADLINE_STRIDE == 0 or self._expansions == 1
@@ -183,10 +157,8 @@ class Budget:
         return {
             "deadline_seconds": self.deadline_seconds,
             "max_expansions": self.max_expansions,
-            "max_memo_entries": self.max_memo_entries,
             "elapsed_seconds": self.elapsed(),
             "expansions": self._expansions,
-            "memo_entries": self._last_memo_size,
             "exhausted": self._exhausted_reason,
         }
 
@@ -196,7 +168,5 @@ class Budget:
             parts.append(f"deadline={self.deadline_seconds * 1000:.0f}ms")
         if self.max_expansions is not None:
             parts.append(f"expansions<={self.max_expansions}")
-        if self.max_memo_entries is not None:
-            parts.append(f"memo<={self.max_memo_entries}")
         inner = ", ".join(parts) if parts else "unlimited"
         return f"Budget({inner})"

@@ -8,9 +8,9 @@ machine:
   trip the breaker open;
 * **open** — calls fast-fail (:meth:`allow` returns ``False``) for
   ``cooldown_seconds``, taking load off the sick component;
-* **half-open** — after the cooldown, up to ``half_open_probes`` probe
-  calls are admitted; ``close_threshold`` consecutive probe successes
-  close the breaker, any probe failure re-opens it.
+* **half-open** — after the cooldown, up to :data:`HALF_OPEN_PROBES`
+  probe calls are admitted; :data:`CLOSE_THRESHOLD` consecutive probe
+  successes close the breaker, any probe failure re-opens it.
 
 Two design points make breakers testable and their behaviour replayable:
 
@@ -34,9 +34,11 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
+    "CLOSE_THRESHOLD",
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
+    "HALF_OPEN_PROBES",
     "CircuitBreaker",
     "BreakerBoard",
     "ManualClock",
@@ -45,6 +47,11 @@ __all__ = [
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+#: Probe calls a half-open breaker admits at once.
+HALF_OPEN_PROBES = 1
+#: Consecutive probe successes that close a half-open breaker.
+CLOSE_THRESHOLD = 1
 
 
 class ManualClock:
@@ -82,8 +89,6 @@ class CircuitBreaker:
         component: str,
         failure_threshold: int = 3,
         cooldown_seconds: float = 0.25,
-        half_open_probes: int = 1,
-        close_threshold: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         if failure_threshold < 1:
@@ -94,19 +99,9 @@ class CircuitBreaker:
             raise ValueError(
                 f"cooldown_seconds must be >= 0, got {cooldown_seconds}"
             )
-        if half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {half_open_probes}"
-            )
-        if close_threshold < 1:
-            raise ValueError(
-                f"close_threshold must be >= 1, got {close_threshold}"
-            )
         self.component = component
         self.failure_threshold = failure_threshold
         self.cooldown_seconds = cooldown_seconds
-        self.half_open_probes = half_open_probes
-        self.close_threshold = close_threshold
         self._clock = clock
         self._lock = threading.RLock()
         self._state = CLOSED
@@ -150,7 +145,7 @@ class CircuitBreaker:
                 return True
             if self._state == OPEN:
                 return False
-            if self._probes_in_flight >= self.half_open_probes:
+            if self._probes_in_flight >= HALF_OPEN_PROBES:
                 return False
             self._probes_in_flight += 1
             return True
@@ -173,7 +168,7 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 self._probes_in_flight = max(0, self._probes_in_flight - 1)
                 self._consecutive_successes += 1
-                if self._consecutive_successes >= self.close_threshold:
+                if self._consecutive_successes >= CLOSE_THRESHOLD:
                     self._transition(CLOSED)
                     self._consecutive_successes = 0
             # Success in CLOSED is the steady state; in OPEN it cannot
@@ -252,15 +247,11 @@ class BreakerBoard:
         self,
         failure_threshold: int = 3,
         cooldown_seconds: float = 0.25,
-        half_open_probes: int = 1,
-        close_threshold: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         self._settings = dict(
             failure_threshold=failure_threshold,
             cooldown_seconds=cooldown_seconds,
-            half_open_probes=half_open_probes,
-            close_threshold=close_threshold,
         )
         self._clock = clock
         self._breakers: Dict[str, CircuitBreaker] = {}

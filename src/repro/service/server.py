@@ -71,6 +71,7 @@ from repro.telemetry.adapters import (
 __all__ = [
     "AttemptChaos",
     "BREAKER_COMPONENTS",
+    "BREAKER_WAIT_LIMIT",
     "OptimizationService",
     "OptimizeRequest",
     "OptimizeResponse",
@@ -78,6 +79,11 @@ __all__ = [
 
 #: Components the service guards with circuit breakers.
 BREAKER_COMPONENTS = ("cost_model", "catalog")
+
+#: Breaker fast-fail waits one request may take; past it the attempt
+#: proceeds ungated (a liveness backstop: breakers shed load, they never
+#: starve a request out of an answer; waits do not consume retry attempts).
+BREAKER_WAIT_LIMIT = 64
 
 
 class AttemptChaos(Protocol):
@@ -427,11 +433,6 @@ class OptimizationService(_Frontend):
     clock / sleep:
         Injectable monotonic clock and sleep (virtual-time tests use
         :class:`~repro.service.breaker.ManualClock` for both).
-    breaker_wait_limit:
-        Upper bound on breaker fast-fail waits per request; past it the
-        attempt proceeds ungated (a liveness backstop — breakers shed
-        load, they never starve a request out of an answer; waits do not
-        consume retry attempts).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle.  Armed, each
         served request records a ``request`` span with per-attempt child
@@ -460,15 +461,10 @@ class OptimizationService(_Frontend):
         seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        breaker_wait_limit: int = 64,
         telemetry: Optional[Telemetry] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if breaker_wait_limit < 1:
-            raise ValueError(
-                f"breaker_wait_limit must be >= 1, got {breaker_wait_limit}"
-            )
         super().__init__(seed, clock, telemetry)
         self._optimizer_kwargs = dict(
             enumerator=enumerator,
@@ -487,7 +483,6 @@ class OptimizationService(_Frontend):
         self._budget_factory = budget_factory
         self._chaos = chaos
         self._sleep = sleep
-        self._breaker_wait_limit = breaker_wait_limit
         self._n_workers = workers
         self._threads: List[threading.Thread] = []
         # Counters beyond the shared four, all guarded by _lock.
@@ -576,7 +571,7 @@ class OptimizationService(_Frontend):
 
         A running service reports ``"ok"``, or ``"degraded"`` when it is
         still serving but with at least one breaker not closed (requests
-        proceed under retries and, past ``breaker_wait_limit``, the
+        proceed under retries and, past :data:`BREAKER_WAIT_LIMIT`, the
         fail-open backstop) — an open breaker is load-shedding, not an
         outage, and operators need to tell the two apart.
         """
@@ -791,7 +786,7 @@ class OptimizationService(_Frontend):
                         component=refusal.component,
                         retry_after=refusal.retry_after,
                     )
-                if response.breaker_waits > self._breaker_wait_limit:
+                if response.breaker_waits > BREAKER_WAIT_LIMIT:
                     # Liveness backstop: proceed ungated.  Breakers shed
                     # load off a sick component; they must never starve a
                     # request out of an answer — past the limit (e.g. many

@@ -73,7 +73,7 @@ from repro.service.server import (
 )
 from repro.service.sharded.health import ClusterHealth, ShardStatus
 from repro.service.sharded.router import ConsistentHashRouter
-from repro.service.sharded.shard import ShardConfig
+from repro.service.sharded.shard import HEARTBEAT_INTERVAL, ShardConfig
 from repro.service.sharded.supervisor import (
     RespawnBackoff,
     ShardHandle,
@@ -97,6 +97,10 @@ __all__ = ["ShardedService", "DEFAULT_RESPAWN_POLICY"]
 #: How long a freshly spawned shard may go without its first heartbeat
 #: before it is declared wedged.
 SPAWN_GRACE_SECONDS = 10.0
+
+#: A shard is declared wedged after this many heartbeat intervals
+#: (:data:`~repro.service.sharded.shard.HEARTBEAT_INTERVAL`) without one.
+HEARTBEAT_MISS_LIMIT = 8
 
 
 def DEFAULT_RESPAWN_POLICY() -> RetryPolicy:
@@ -142,15 +146,6 @@ class ShardedService(_Frontend):
         from the shared read-only ``snapshot.rpl`` plus its own segment,
         so a killed shard's respawn starts with the state it died with;
         ``repro-cache compact`` merges segments offline.
-    heartbeat_interval / heartbeat_miss_limit:
-        A shard is declared wedged after ``miss_limit`` intervals without
-        a heartbeat (or :data:`SPAWN_GRACE_SECONDS` without its first one).
-    respawn_policy:
-        Backoff schedule between respawns of a crashing shard.
-    max_outstanding:
-        Cluster-wide admission bound (defaults to twice the summed shard
-        queue capacity); beyond it :meth:`submit` sheds with
-        :class:`~repro.errors.ServiceOverloadError`.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle: supervision
         events become ``repro_shard_*`` counters as they happen, and
@@ -171,30 +166,15 @@ class ShardedService(_Frontend):
         seed: int = 0,
         chaos_rate: float = 0.0,
         store_dir: Optional[str] = None,
-        heartbeat_interval: float = 0.05,
-        heartbeat_miss_limit: int = 8,
-        respawn_policy: Optional[RetryPolicy] = None,
-        max_outstanding: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if heartbeat_miss_limit < 2:
-            raise ValueError(
-                f"heartbeat_miss_limit must be >= 2, got {heartbeat_miss_limit}"
-            )
         super().__init__(seed, clock, telemetry)
-        self._heartbeat_interval = heartbeat_interval
-        self._miss_limit = heartbeat_miss_limit
-        self._respawn_policy = (
-            respawn_policy if respawn_policy is not None else DEFAULT_RESPAWN_POLICY()
-        )
-        self._max_outstanding = (
-            max_outstanding
-            if max_outstanding is not None
-            else 2 * shards * shard_queue_capacity
-        )
+        # Cluster-wide admission bound: twice the summed shard queue
+        # capacity; beyond it submit() sheds with ServiceOverloadError.
+        self._max_outstanding = 2 * shards * shard_queue_capacity
         # A ticket that bounced off every shard twice goes to fallback.
         self._max_dispatches = 2 * shards + 1
         self._ctx = pick_mp_context()
@@ -212,10 +192,9 @@ class ShardedService(_Frontend):
                 seed=seed,
                 chaos_rate=chaos_rate,
                 store_dir=store_dir,
-                heartbeat_interval=heartbeat_interval,
             )
             backoff = RespawnBackoff(
-                self._respawn_policy, seed=seed * 7_919 + shard_id + 1
+                DEFAULT_RESPAWN_POLICY(), seed=seed * 7_919 + shard_id + 1
             )
             self._handles[shard_id] = ShardHandle(config, self._ctx, backoff)
         # The all-shards-down lane, without plan cache or telemetry.  Its
@@ -244,7 +223,7 @@ class ShardedService(_Frontend):
         self._stop_event = threading.Event()
         self._receiver_thread: Optional[threading.Thread] = None
         self._supervisor = ShardSupervisor(
-            self._supervise_tick, interval=heartbeat_interval / 2.0
+            self._supervise_tick, interval=HEARTBEAT_INTERVAL / 2.0
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -449,11 +428,11 @@ class ShardedService(_Frontend):
                     if handle.conn is not None and not handle.pipe_broken
                 }
             if not conn_map:
-                time.sleep(self._heartbeat_interval / 2.0)
+                time.sleep(HEARTBEAT_INTERVAL / 2.0)
                 continue
             try:
                 ready = _connection_wait(
-                    list(conn_map), timeout=self._heartbeat_interval
+                    list(conn_map), timeout=HEARTBEAT_INTERVAL
                 )
             except OSError:  # repro: disable=no-silent-fallback
                 # A pipe was reaped mid-wait; the handle is already
@@ -568,8 +547,7 @@ class ShardedService(_Frontend):
                         age = handle.heartbeat_age(now)
                         if (
                             age is not None
-                            and age
-                            > self._miss_limit * self._heartbeat_interval
+                            and age > HEARTBEAT_MISS_LIMIT * HEARTBEAT_INTERVAL
                         ):
                             to_declare.append((handle, "heartbeat"))
                 elif (

@@ -11,7 +11,7 @@ using the :mod:`~repro.service.sharded.wire` message types:
   (one sender lock serializes pipe writes — worker callbacks and the
   main loop share the connection);
 * a :class:`~repro.service.sharded.wire.Heartbeat` goes out every
-  ``heartbeat_interval`` seconds carrying the local ``healthz()``
+  :data:`HEARTBEAT_INTERVAL` seconds carrying the local ``healthz()``
   snapshot and breaker trace, so the supervisor can detect a wedged
   shard (process alive, pipe silent) and the cluster ``healthz()`` can
   aggregate shard state without synchronous probes;
@@ -31,8 +31,10 @@ Every shard serves under one retry schedule and one breaker setting,
 :func:`shard_retry_policy` and :func:`shard_breakers`; the in-process
 chaos soak borrows both, so the two soak targets fault and recover alike.
 
-A parent death (pipe EOF) is treated as a shutdown order: the shard must
-never outlive its supervisor as an orphan serving nobody.
+A parent death is treated as a shutdown order: the shard must never
+outlive its supervisor as an orphan serving nobody.  It sees the death as
+EOF on its pipe (the spawner leaves no other copy of the parent end open
+in the child) or, should a send block first, as a changed parent pid.
 """
 
 from __future__ import annotations
@@ -63,7 +65,16 @@ from repro.service.sharded.wire import (
     strip_response,
 )
 
-__all__ = ["ShardConfig", "shard_breakers", "shard_main", "shard_retry_policy"]
+__all__ = [
+    "HEARTBEAT_INTERVAL",
+    "ShardConfig",
+    "shard_breakers",
+    "shard_main",
+    "shard_retry_policy",
+]
+
+#: Seconds between a shard's heartbeats (and its parent-liveness checks).
+HEARTBEAT_INTERVAL = 0.05
 
 
 def shard_retry_policy() -> RetryPolicy:
@@ -95,7 +106,6 @@ class ShardConfig:
     plan_cache_capacity: int = 256
     seed: int = 0
     chaos_rate: float = 0.0
-    heartbeat_interval: float = 0.05
     #: Directory of the durable plan-store tier, or ``None`` for L1-only.
     #: Single-writer discipline: this shard appends exclusively to its own
     #: ``shard-<id>.rpl`` segment and warms from the shared read-only
@@ -132,9 +142,10 @@ class _ShardBridge:
                 self._alive = False
 
     @property
-    def parent_alive(self) -> bool:
-        with self._send_lock:
-            return self._alive
+    def pipe_alive(self) -> bool:
+        # Read without the send lock: a send blocked on a full pipe holds
+        # it, and the main loop must still reach its parent-pid check.
+        return self._alive  # repro: unguarded-ok
 
     # -- request accounting --------------------------------------------
 
@@ -275,16 +286,17 @@ def _submit(
 
 def shard_main(config: ShardConfig, conn) -> None:
     """Child-process entry point: serve the pipe until told to stop."""
+    parent = os.getppid()
     bridge = _ShardBridge(config, conn)
     service = _make_service(config)
     service.start()
     bridge.send(Hello(shard_id=config.shard_id, pid=os.getpid()))
     _heartbeat(bridge, config, service)
-    next_beat = time.monotonic() + config.heartbeat_interval
+    next_beat = time.monotonic() + HEARTBEAT_INTERVAL
     draining = False
     drain_reported = False
     try:
-        while bridge.parent_alive:
+        while bridge.pipe_alive and os.getppid() == parent:
             timeout = max(0.0, next_beat - time.monotonic())
             try:
                 ready = conn.poll(timeout)
@@ -310,7 +322,7 @@ def shard_main(config: ShardConfig, conn) -> None:
             now = time.monotonic()
             if now >= next_beat:
                 _heartbeat(bridge, config, service)
-                next_beat = now + config.heartbeat_interval
+                next_beat = now + HEARTBEAT_INTERVAL
             if draining and not drain_reported and bridge.outstanding == 0:
                 # Everything flushed; hand the parent the final word.
                 service.shutdown(drain=True, timeout=5.0)

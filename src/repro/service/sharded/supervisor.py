@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+import weakref
 from typing import Callable, Dict, List, Optional
 
 from repro.service.retry import RetryPolicy
@@ -48,16 +49,29 @@ __all__ = [
     "pick_mp_context",
 ]
 
+#: Every parent-side shard pipe end this process has opened.  A forked
+#: child inherits all of them; :func:`_shard_entry` closes its copies, or
+#: the child would hold its own pipe's other end (and its older
+#: siblings') open and never see EOF when the front-end dies.
+_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
+
 
 def pick_mp_context():
     """The multiprocessing context for shard processes.
 
     Prefers ``fork`` (sub-millisecond shard start on Linux — respawn
     after a SIGKILL is cheap) and falls back to ``spawn`` where fork is
-    unavailable; ``shard_main`` is a module-level entry point either way.
+    unavailable; ``_shard_entry`` is a module-level entry point either way.
     """
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     return multiprocessing.get_context(method)
+
+
+def _shard_entry(config: ShardConfig, conn) -> None:
+    """Child-process target: drop the inherited parent ends, then serve."""
+    for end in list(_PARENT_ENDS):
+        end.close()
+    shard_main(config, conn)
 
 
 class RespawnBackoff:
@@ -134,8 +148,9 @@ class ShardHandle:
     def spawn(self, now: float) -> None:
         """Start (or restart) the shard process on a fresh pipe."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        _PARENT_ENDS.add(parent_conn)
         process = self._ctx.Process(
-            target=shard_main,
+            target=_shard_entry,
             args=(self.config, child_conn),
             name=f"repro-shard-{self.config.shard_id}",
             daemon=True,

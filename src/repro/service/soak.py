@@ -140,17 +140,12 @@ class ChaosPlant:
         self,
         seed: int = 0,
         rate: float = 0.3,
-        kinds: Sequence[str] = CHAOS_KINDS,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
-        unknown = set(kinds) - set(CHAOS_KINDS)
-        if unknown:
-            raise ValueError(f"unknown chaos kinds: {sorted(unknown)}")
         self.seed = seed
         self.rate = rate
-        self.kinds = tuple(kinds)
         self._sleep = sleep
         #: kind -> number of poisoned attempts scheduled (diagnostics).
         #: Updated from every worker thread, hence the lock.
@@ -165,7 +160,7 @@ class ChaosPlant:
         )
         if rng.random() >= self.rate:
             return None
-        kind = self.kinds[rng.randrange(len(self.kinds))]
+        kind = CHAOS_KINDS[rng.randrange(len(CHAOS_KINDS))]
         with self._scheduled_lock:
             self.scheduled[kind] = self.scheduled.get(kind, 0) + 1
         injector = FaultInjector(
@@ -182,7 +177,7 @@ class ChaosPlant:
             scheduled = dict(self.scheduled)
         return (
             f"ChaosPlant(seed={self.seed}, rate={self.rate}, "
-            f"kinds={self.kinds}, scheduled={scheduled})"
+            f"scheduled={scheduled})"
         )
 
 
@@ -879,38 +874,28 @@ def _verify_store(
     * **fail-open certification** — per store fault kind, an optimizer
       over a fault-armed store chooses the plans it chooses disarmed.
     """
-    from repro.context.store import DurableStore, TieredPlanCache, decode_entry
+    from repro.context.store import TieredPlanCache
+    from repro.context.storecli import merge_store_dir
     from repro.resilience.faults import STORE_FAULT_KINDS, StoreFaultInjector
 
-    paths = sorted(glob.glob(os.path.join(store_dir, "shard-*.rpl")))
-    snapshot_path = os.path.join(store_dir, "snapshot.rpl")
-    if os.path.exists(snapshot_path):
-        paths.insert(0, snapshot_path)
-    merged: Dict[str, Dict[str, object]] = {}
+    merged, sources = merge_store_dir(store_dir)
     segments: List[Dict[str, object]] = []
     corrupt: List[str] = []
-    for path in paths:
-        store = DurableStore(path, writable=False)
-        undecodable = len(corrupt)
-        for key, record in store.records.items():
-            try:
-                decode_entry(record)
-            except ReproError as error:
-                corrupt.append(
-                    f"store segment {os.path.basename(path)} replayed a "
-                    f"corrupt record for {key!r}: {error}"
-                )
-            else:
-                merged[key] = record
+    for source in sources:
+        name = os.path.basename(source["path"])
+        corrupt.extend(
+            f"store segment {name} replayed a corrupt record for "
+            f"{bad['key']!r}: {bad['error']}"
+            for bad in source["undecodable"]
+        )
         segments.append(
             {
-                "path": os.path.basename(path),
-                "entries": len(store.records),
-                "undecodable": len(corrupt) - undecodable,
-                "recovery": store.report.as_dict(),
+                "path": name,
+                "entries": source["entries"],
+                "undecodable": len(source["undecodable"]),
+                "recovery": source["recovery"],
             }
         )
-        store.close()
     summary: Dict[str, object] = {
         "store_dir": store_dir,
         "kill_during_write": kill_during_write,

@@ -26,7 +26,20 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-__all__ = ["Span", "Tracer", "TraceSink", "NULL_SPAN"]
+__all__ = [
+    "MAX_EVENTS_PER_SPAN",
+    "MAX_ROOTS",
+    "Span",
+    "Tracer",
+    "TraceSink",
+    "NULL_SPAN",
+]
+
+#: Finished root spans a :class:`Tracer` keeps in memory; later roots are
+#: counted in ``dropped_roots`` (a sink still receives them).
+MAX_ROOTS = 4096
+#: Events one span keeps; later events are dropped.
+MAX_EVENTS_PER_SPAN = 128
 
 
 class Span:
@@ -68,7 +81,7 @@ class Span:
     def event(self, name: str, **attrs: object) -> None:
         """Record a point-in-time event on this span."""
         if self._tracer is not None:
-            if len(self.events) >= self._tracer.max_events_per_span:
+            if len(self.events) >= MAX_EVENTS_PER_SPAN:
                 return
             at = self._tracer.clock() - self.start
         else:
@@ -220,7 +233,7 @@ class Tracer:
 
     Each thread gets its own span stack (``threading.local``), so
     concurrently served requests produce independent trees.  Finished
-    roots are retained in :attr:`roots` (bounded by ``max_roots``) and,
+    roots are retained in :attr:`roots` (bounded by :data:`MAX_ROOTS`) and,
     when a ``sink`` is configured, appended to it as JSONL.
     """
 
@@ -228,17 +241,13 @@ class Tracer:
         self,
         clock: Callable[[], float] = time.perf_counter,
         sink: Optional[TraceSink] = None,
-        max_roots: int = 4096,
-        max_events_per_span: int = 128,
     ):
         self.clock = clock
         self.sink = sink
-        self.max_roots = max_roots
-        self.max_events_per_span = max_events_per_span
         self._local = threading.local()
         self._roots_lock = threading.Lock()
         self.roots: List[Span] = []
-        #: Roots dropped because ``max_roots`` was reached (sink still
+        #: Roots dropped because :data:`MAX_ROOTS` was reached (sink still
         #: receives them; only in-memory retention is bounded).
         self.dropped_roots = 0
 
@@ -285,7 +294,7 @@ class Tracer:
 
     def _finish_root(self, root: Span) -> None:
         with self._roots_lock:
-            if len(self.roots) < self.max_roots:
+            if len(self.roots) < MAX_ROOTS:
                 self.roots.append(root)
             else:
                 self.dropped_roots += 1

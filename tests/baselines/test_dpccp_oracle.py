@@ -28,6 +28,7 @@ from hypothesis import given, settings
 
 from repro.baselines import dpccp as dpccp_module
 from repro.baselines.dpccp import DPccp, enumerate_csg, enumerate_csg_cmp_pairs
+from repro.catalog.relation import DEFAULT_PAGE_SIZE
 from repro.context.context import OptimizationContext
 from repro.cost.cout import CoutCostModel
 from repro.cost.haas import HaasCostModel
@@ -114,7 +115,7 @@ class _OldProvider(StatisticsProvider):
         cardinality = self.estimate_cardinality(vertex_set)
         widths = self._widths
         width = sum(widths[index] for index in bitset.iter_bits(vertex_set))
-        tuples_per_page = max(1, self._page_size // max(1, width))
+        tuples_per_page = max(1, DEFAULT_PAGE_SIZE // max(1, width))
         pages = max(1.0, math.ceil(cardinality / tuples_per_page))
         return IntermediateStats(
             vertex_set=vertex_set,
@@ -150,7 +151,7 @@ class _OldDPccp(DPccp):
         buckets: Dict[int, List[Tuple[int, int]]] = {}
         for left, right in old_enumerate_csg_cmp_pairs(self._graph, self._csgs):
             if budget is not None:
-                budget.check(len(self._memo))
+                budget.check()
             self.stats.ccps_enumerated += 1
             buckets.setdefault(bitset.bit_count(left | right), []).append(
                 (left, right)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.catalog import relation
 from repro.catalog.relation import DEFAULT_PAGE_SIZE, RelationStats
 from repro.errors import CatalogError
 
@@ -34,9 +35,10 @@ class TestPages:
         stats = RelationStats(cardinality=10 * tuples_per_page, tuple_width=100)
         assert stats.pages() == 10.0
 
-    def test_pages_respect_custom_page_size(self):
+    def test_pages_respect_custom_page_size(self, monkeypatch):
+        monkeypatch.setattr(relation, "DEFAULT_PAGE_SIZE", 100)
         stats = RelationStats(cardinality=100, tuple_width=100)
-        assert stats.pages(page_size=100) == 100.0
+        assert stats.pages() == 100.0
 
     def test_wide_tuples_one_per_page(self):
         stats = RelationStats(cardinality=7, tuple_width=DEFAULT_PAGE_SIZE * 2)

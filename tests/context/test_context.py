@@ -87,4 +87,3 @@ class TestStatisticsFor:
     def test_blessed_constructor_matches_direct_statistics(self, query):
         provider = statistics_for(query)
         assert provider.cardinality(0b1) == query.catalog.cardinality(0)
-        assert provider.page_size > 0

@@ -24,7 +24,7 @@ from repro.context.store import (
     encode_entry,
     encode_plan,
 )
-from repro.context.storecli import compact_store_dir, inspect_store
+from repro.context.storecli import compact_store_dir, inspect_store, merge_store_dir
 from repro.core.optimizer import run_dpccp
 from repro.errors import StoreCorruptionError, StoreError
 from repro.workload.generator import QueryGenerator
@@ -320,6 +320,32 @@ class TestCompactionCli:
         for name in ("shard-0.rpl", "shard-1.rpl"):
             seg = DurableStore(os.path.join(store_dir, name), writable=False)
             assert seg.records == {}
+
+    def test_merge_drops_undecodable_records_last_writer_wins(
+        self, tmp_path, query
+    ):
+        store_dir = str(tmp_path)
+        key, entry = _entry_for(query)
+        with DurableStore(os.path.join(store_dir, "snapshot.rpl")) as snap:
+            snap.append("a", entry)
+        for name in ("shard-1.rpl", "shard-0.rpl"):
+            with DurableStore(os.path.join(store_dir, name)) as seg:
+                seg.append(key, entry)
+        # A later, CRC-valid write of "a" that fails decode_entry.
+        payload = json.dumps({"key": "a", "plan": ["X"]}).encode("utf-8")
+        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        with open(os.path.join(store_dir, "shard-1.rpl"), "ab") as handle:
+            handle.write(_FRAME.pack(len(payload), crc) + payload)
+        merged, sources = merge_store_dir(store_dir)
+        assert [os.path.basename(source["path"]) for source in sources] == [
+            "snapshot.rpl",
+            "shard-0.rpl",
+            "shard-1.rpl",
+        ]
+        assert sorted(merged) == sorted(["a", key])
+        assert merged["a"]["payload"] == entry.payload  # the snapshot's
+        assert [bad["key"] for bad in sources[2]["undecodable"]] == ["a"]
+        assert sources[2]["entries"] == 2
 
     def test_inspect_reports_recovery_and_keys(self, tmp_path, query):
         path = str(tmp_path / "seg.rpl")

@@ -16,6 +16,7 @@ from repro.heuristics import (
     available_heuristics,
     get_heuristic,
 )
+from repro.heuristics import quickpick
 from repro.plans.builder import PlanBuilder
 from repro.plans.validation import validate_plan
 from tests.conftest import small_queries
@@ -65,23 +66,19 @@ class TestEveryHeuristic:
 
 
 class TestQuickPick:
-    def test_trial_count_validated(self):
-        with pytest.raises(ValueError):
-            QuickPick(n_trials=0)
-
-    def test_more_trials_never_worse(self, cyclic_query):
-        few = QuickPick(n_trials=1, seed=5).build(cyclic_query, _builder(cyclic_query))
-        many = QuickPick(n_trials=32, seed=5).build(
-            cyclic_query, _builder(cyclic_query)
-        )
+    def test_more_trials_never_worse(self, cyclic_query, monkeypatch):
+        monkeypatch.setattr(quickpick, "N_TRIALS", 1)
+        few = QuickPick(seed=5).build(cyclic_query, _builder(cyclic_query))
+        monkeypatch.setattr(quickpick, "N_TRIALS", 32)
+        many = QuickPick(seed=5).build(cyclic_query, _builder(cyclic_query))
         assert many.cost <= few.cost
 
     def test_seed_controls_sampling(self, cyclic_query):
-        a = QuickPick(n_trials=2, seed=1).build(cyclic_query, _builder(cyclic_query))
-        b = QuickPick(n_trials=2, seed=2).build(cyclic_query, _builder(cyclic_query))
+        a = QuickPick(seed=1).build(cyclic_query, _builder(cyclic_query))
+        b = QuickPick(seed=2).build(cyclic_query, _builder(cyclic_query))
         # Different seeds may coincide on tiny queries, but the API contract
         # is that the same seed reproduces exactly.
-        again = QuickPick(n_trials=2, seed=1).build(
+        again = QuickPick(seed=1).build(
             cyclic_query, _builder(cyclic_query)
         )
         assert a.tree.sexpr() == again.tree.sexpr()

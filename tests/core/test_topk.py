@@ -4,8 +4,11 @@ The contract under test (ISSUE acceptance criteria):
 
 * ``optimize_topk(query, k)`` returns validated plans in nondecreasing
   (cost, fingerprint) order, all structurally distinct;
-* the prefix property — rank 1 at any ``k`` is bit-for-bit the plan
-  ``optimize()`` (k=1) returns;
+* the prefix property — rank 1 at any ``k`` costs exactly (``float.hex``)
+  what ``optimize()`` (k=1) returns, and is bit-for-bit its plan whenever
+  both runs enumerate alike: every Haas route, ``auto_route=False`` and
+  DPccp.  Under a routed ``C_out`` model ``optimize()`` runs DPconv or
+  DPccp while the ranked run is top-down, so only the cost is shared;
 * full enumerators (pruning "none", DPccp) agree on the exact top-k cost
   vector, and the pruned variants never lose rank 1.
 """
@@ -14,11 +17,13 @@ import pytest
 
 from repro import optimize, optimize_topk, run_dpccp
 from repro.core.optimizer import Optimizer
+from repro.cost.cout import CoutCostModel
 from repro.plans.join_tree import plan_fingerprint
 from repro.plans.validation import check_finite, validate_plan
 from repro.workload.generator import QueryGenerator
 
 PRUNINGS = ("none", "acb", "pcb", "apcb", "apcbi")
+COUT_FAMILIES = ("chain", "star", "cycle", "clique", "cyclic", "acyclic")
 
 
 def _query(family="chain", size=7, seed=11):
@@ -74,6 +79,33 @@ class TestPrefixProperty:
         ranked = run_dpccp(query, topk=3)
         assert ranked.plan.cost.hex() == single.cost.hex()
         assert ranked.plan.sexpr() == single.plan.sexpr()
+
+    @pytest.mark.parametrize("family", COUT_FAMILIES)
+    def test_cout_unrouted_rank_one_bit_identical(self, family):
+        optimizer = Optimizer(cost_model_factory=CoutCostModel, auto_route=False)
+        query = _query(family, 7)
+        single = optimizer.optimize(query)
+        ranked = optimizer.optimize_topk(query, 3)
+        assert ranked.plan.cost.hex() == single.cost.hex()
+        assert ranked.plan.sexpr() == single.plan.sexpr()
+
+    @pytest.mark.parametrize("family", COUT_FAMILIES)
+    def test_cout_dpccp_prefix(self, family):
+        query = _query(family, 7)
+        single = run_dpccp(query, cost_model_factory=CoutCostModel)
+        ranked = run_dpccp(query, cost_model_factory=CoutCostModel, topk=3)
+        assert ranked.plan.cost.hex() == single.cost.hex()
+        assert ranked.plan.sexpr() == single.plan.sexpr()
+
+    @pytest.mark.parametrize("family", COUT_FAMILIES)
+    def test_cout_routed_rank_one_costs_the_same(self, family):
+        # The route serves k=1 with DPconv or DPccp and the ranked run
+        # top-down, so the plans may differ among equal-cost ties.
+        query = _query(family, 7)
+        single = optimize(query, cost_model_factory=CoutCostModel)
+        ranked = optimize_topk(query, 3, cost_model_factory=CoutCostModel)
+        assert single.enumerator in ("dpconv", "dpccp")
+        assert ranked.plan.cost.hex() == single.cost.hex()
 
 
 class TestExactness:

@@ -112,10 +112,10 @@ def _old_dpccp(query: Query, model: str, topk: int, budget=None) -> MemoTable:
     try:
         for _ in pairs:
             if budget is not None:
-                budget.check(len(memo))
+                budget.check()
         for left, right in pairs:
             if budget is not None:
-                budget.check(len(memo))
+                budget.check()
             builder.build_ccp(memo, memo.best(left), memo.best(right))
     except BudgetExceeded:
         pass

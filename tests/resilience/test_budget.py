@@ -23,14 +23,12 @@ class TestConstruction:
     def test_any_axis_makes_it_bounded(self):
         assert not Budget(max_expansions=1).unbounded
         assert not Budget(deadline_seconds=1.0).unbounded
-        assert not Budget(max_memo_entries=1).unbounded
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"deadline_seconds": -1.0},
             {"max_expansions": -1},
-            {"max_memo_entries": -5},
         ],
     )
     def test_negative_limits_rejected(self, kwargs):
@@ -54,15 +52,6 @@ class TestExpansionAxis:
             budget.check()
         assert budget.expansions == 10_000
         assert budget.exhausted_reason is None
-
-
-class TestMemoAxis:
-    def test_fires_when_memo_grows_past_the_cap(self):
-        budget = Budget(max_memo_entries=5)
-        budget.check(memo_size=5)
-        with pytest.raises(BudgetExceeded) as excinfo:
-            budget.check(memo_size=6)
-        assert excinfo.value.reason == "memo"
 
 
 class TestDeadlineAxis:
@@ -109,11 +98,10 @@ class TestDeadlineAxis:
 class TestSnapshot:
     def test_snapshot_reports_consumption(self):
         budget = Budget(max_expansions=100)
-        budget.check(memo_size=7)
-        budget.check(memo_size=9)
+        budget.check()
+        budget.check()
         snapshot = budget.snapshot()
         assert snapshot["expansions"] == 2
-        assert snapshot["memo_entries"] == 9
         assert snapshot["max_expansions"] == 100
         assert snapshot["exhausted"] is None
 

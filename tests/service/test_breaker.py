@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.service import breaker as breaker_module
 from repro.service.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -18,8 +19,6 @@ def make(clock, **overrides):
     settings = dict(
         failure_threshold=3,
         cooldown_seconds=1.0,
-        half_open_probes=1,
-        close_threshold=1,
         clock=clock,
     )
     settings.update(overrides)
@@ -55,8 +54,6 @@ class TestClosed:
             make(ManualClock(), failure_threshold=0)
         with pytest.raises(ValueError):
             make(ManualClock(), cooldown_seconds=-1.0)
-        with pytest.raises(ValueError):
-            make(ManualClock(), half_open_probes=0)
 
 
 class TestOpen:
@@ -89,9 +86,10 @@ class TestHalfOpen:
         clock.advance(breaker.cooldown_seconds)
         return breaker
 
-    def test_admits_limited_probes(self):
+    def test_admits_limited_probes(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "HALF_OPEN_PROBES", 2)
         clock = ManualClock()
-        breaker = self.tripped(clock, half_open_probes=2)
+        breaker = self.tripped(clock)
         assert breaker.allow()
         assert breaker.allow()
         assert not breaker.allow()  # both probe slots taken
@@ -104,9 +102,11 @@ class TestHalfOpen:
         assert breaker.state == CLOSED
         assert breaker.allow()
 
-    def test_close_threshold_requires_streak(self):
+    def test_close_threshold_requires_streak(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "CLOSE_THRESHOLD", 2)
+        monkeypatch.setattr(breaker_module, "HALF_OPEN_PROBES", 2)
         clock = ManualClock()
-        breaker = self.tripped(clock, close_threshold=2, half_open_probes=2)
+        breaker = self.tripped(clock)
         breaker.allow()
         breaker.record_success()
         assert breaker.state == HALF_OPEN

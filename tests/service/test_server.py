@@ -18,6 +18,7 @@ from repro.service.breaker import (
     BreakerBoard,
     ManualClock,
 )
+from repro.service import server as server_module
 from repro.service.retry import RetryPolicy
 from repro.service.server import OptimizationService
 from repro.service.soak import ChaosAttempt
@@ -389,17 +390,19 @@ class TestBreakers:
         ]
         assert board.breaker("cost_model").state == CLOSED
 
-    def test_wait_limit_fails_open_never_starves_the_request(self, query):
+    def test_wait_limit_fails_open_never_starves_the_request(
+        self, query, monkeypatch
+    ):
         # A breaker stuck open (huge cooldown) cannot starve a request:
-        # past breaker_wait_limit the attempt proceeds ungated.  A no-op
+        # past BREAKER_WAIT_LIMIT the attempt proceeds ungated.  A no-op
         # sleep skips the cooldown-length waits without wall-clock cost.
+        monkeypatch.setattr(server_module, "BREAKER_WAIT_LIMIT", 3)
         board = BreakerBoard(failure_threshold=1, cooldown_seconds=3600.0)
         board.breaker("cost_model").record_failure()
         assert board.breaker("cost_model").state == OPEN
         with make_service(
             workers=1,
             breakers=board,
-            breaker_wait_limit=3,
             sleep=lambda seconds: None,
             retry_policy=RetryPolicy(base_delay=0.001, max_delay=0.01),
         ) as service:
@@ -553,11 +556,12 @@ class TestTopK:
             with pytest.raises(ValueError):
                 service.optimize(query, topk=0)
 
-    def test_open_cost_model_breaker_serves_rank_two(self, query):
+    def test_open_cost_model_breaker_serves_rank_two(self, query, monkeypatch):
         from repro.telemetry import MetricRegistry, Telemetry
 
+        monkeypatch.setattr(server_module, "BREAKER_WAIT_LIMIT", 3)
         registry = MetricRegistry(enabled=True)
-        # Stuck-open breaker (huge cooldown): past breaker_wait_limit the
+        # Stuck-open breaker (huge cooldown): past BREAKER_WAIT_LIMIT the
         # attempt proceeds ungated, so the request is served while the
         # cost model is still suspect at response time.
         board = BreakerBoard(failure_threshold=1, cooldown_seconds=3600.0)
@@ -566,7 +570,6 @@ class TestTopK:
         with make_service(
             workers=1,
             breakers=board,
-            breaker_wait_limit=3,
             sleep=lambda seconds: None,
             telemetry=Telemetry(registry=registry),
         ) as service:

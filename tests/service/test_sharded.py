@@ -5,11 +5,16 @@ cost is small); they keep shard counts and query sizes low to stay in
 tier-1 time budgets.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.errors import (
     ServiceError,
     ServiceOverloadError,
@@ -19,6 +24,8 @@ from repro.resilience.optimizer import ResilientOptimizer
 from repro.service.retry import RetryPolicy
 from repro.service.server import OptimizeRequest
 from repro.service.sharded import ShardedService
+from repro.service.sharded import service as sharded_service
+from repro.service.sharded.service import _ClusterTicket
 from repro.service.sharded.supervisor import RespawnBackoff
 from repro.service.sharded.wire import WireShed
 from repro.telemetry import MetricRegistry, Telemetry
@@ -44,7 +51,7 @@ def queries():
 
 
 def make_service(**overrides):
-    defaults = dict(shards=2, workers_per_shard=2, heartbeat_interval=0.05)
+    defaults = dict(shards=2, workers_per_shard=2)
     defaults.update(overrides)
     return ShardedService(**defaults)
 
@@ -139,10 +146,16 @@ class TestCrashFailover:
         assert snapshot["repro_shard_cluster_shards_up"] == 2.0
 
     @pytest.mark.parametrize("topk", (1, 3))
-    def test_all_shards_down_serves_via_fallback(self, queries, topk):
+    def test_all_shards_down_serves_via_fallback(
+        self, queries, topk, monkeypatch
+    ):
         # Backoff long enough that no respawn lands mid-test.
-        slow = RetryPolicy(max_attempts=3, base_delay=30.0, max_delay=60.0)
-        with make_service(shards=2, respawn_policy=slow) as service:
+        monkeypatch.setattr(
+            sharded_service,
+            "DEFAULT_RESPAWN_POLICY",
+            lambda: RetryPolicy(max_attempts=3, base_delay=30.0, max_delay=60.0),
+        )
+        with make_service(shards=2) as service:
             assert wait_until(lambda: service.healthz().shards_up == 2)
             # Cluster request 0 goes to a shard, so the fallback answer
             # (the lane's own request 0) must carry cluster id 1.
@@ -246,25 +259,26 @@ class TestDrain:
 
 class TestAdmissionAndLifecycle:
     def test_overload_sheds_with_typed_error(self, queries):
-        with make_service(max_outstanding=1) as service:
+        with make_service(shard_queue_capacity=1) as service:
             assert wait_until(lambda: service.healthz().shards_up == 2)
-            # Occupy the only admission slot without racing completion:
-            # park a synthetic ticket in the table.
-            from repro.service.sharded.service import _ClusterTicket
-
-            request = OptimizeRequest(
-                query=queries[0], request_id=999_999, seed=1
-            )
+            # Fill every admission slot (2 * shards * shard_queue_capacity)
+            # without racing completion: park synthetic tickets.
+            parked = range(999_000, 999_000 + 2 * 2 * 1)
             with service._lock:
-                service._tickets[999_999] = _ClusterTicket(
-                    request, admitted_at=0.0, key="synthetic"
-                )
+                for request_id in parked:
+                    request = OptimizeRequest(
+                        query=queries[0], request_id=request_id, seed=1
+                    )
+                    service._tickets[request_id] = _ClusterTicket(
+                        request, admitted_at=0.0, key="synthetic"
+                    )
             try:
                 with pytest.raises(ServiceOverloadError):
                     service.submit(queries[0])
             finally:
                 with service._lock:
-                    service._tickets.pop(999_999)
+                    for request_id in parked:
+                        service._tickets.pop(request_id)
             assert service.healthz().rejected == 1
 
     def test_submit_after_shutdown_raises(self, queries):
@@ -284,8 +298,65 @@ class TestAdmissionAndLifecycle:
     def test_shards_validate(self):
         with pytest.raises(ValueError, match="shards"):
             ShardedService(shards=0)
-        with pytest.raises(ValueError, match="heartbeat_miss_limit"):
-            ShardedService(shards=1, heartbeat_miss_limit=1)
+
+
+#: Runs an idle two-shard cluster, prints its shard pids, then waits to
+#: be killed.
+_FRONT_END = '''
+import time
+from repro.service.sharded import ShardedService
+
+service = ShardedService(shards=2, workers_per_shard=1).start()
+deadline = time.monotonic() + 60.0
+while service.healthz().shards_up < 2 and time.monotonic() < deadline:
+    time.sleep(0.01)
+print(*(shard.pid for shard in service.healthz().shards), flush=True)
+time.sleep(120.0)
+'''
+
+
+def _running(pid):
+    """Is ``pid`` a live process?  A zombie awaiting its reaper is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc for liveness"
+)
+class TestOrphans:
+    def test_shards_exit_when_the_front_end_is_killed(self):
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=source if not path else os.pathsep.join((source, path)),
+        )
+        front_end = subprocess.Popen(
+            [sys.executable, "-c", _FRONT_END],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            pids = [int(pid) for pid in front_end.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        finally:
+            front_end.send_signal(signal.SIGKILL)
+            front_end.wait(timeout=30)
+            front_end.stdout.close()
+        # 2 s is 40 heartbeat intervals.
+        gone = wait_until(
+            lambda: not any(_running(pid) for pid in pids), timeout=2.0
+        )
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert gone, f"shards {survivors} outlived their front-end"
 
 
 class TestRespawnBackoff:

@@ -6,6 +6,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.service import soak
 from repro.service.soak import (
     ChaosPlant,
     SoakReport,
@@ -51,8 +52,6 @@ class TestChaosPlant:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ChaosPlant(rate=1.5)
-        with pytest.raises(ValueError):
-            ChaosPlant(kinds=("raise", "meteor"))
 
     def test_scheduled_counts_survive_concurrent_calls(self, request_zero):
         # Workers call the plant concurrently; rate=1.0 schedules one
@@ -79,12 +78,13 @@ class TestChaosPlant:
             worker.join()
         assert sum(plant.scheduled.values()) == per_thread * threads
 
-    def test_armed_attempt_reports_injections(self, request_zero):
+    def test_armed_attempt_reports_injections(self, request_zero, monkeypatch):
         from repro.cost.haas import HaasCostModel
         from repro.cost.statistics import StatisticsProvider
         from repro.errors import InjectedFaultError
 
-        plant = ChaosPlant(seed=3, rate=1.0, kinds=("raise",))
+        monkeypatch.setattr(soak, "CHAOS_KINDS", ("raise",))
+        plant = ChaosPlant(seed=3, rate=1.0)
         attempt = plant(request_zero, 0)
         assert attempt is not None and attempt.kind == "raise"
         factory = attempt.cost_model_factory(HaasCostModel)

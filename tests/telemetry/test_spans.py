@@ -4,6 +4,7 @@ import json
 import threading
 
 from repro.telemetry import NULL_SPAN, MetricRegistry, Telemetry, Tracer, TraceSink
+from repro.telemetry import spans
 
 
 class CountingClock:
@@ -57,8 +58,9 @@ class TestSpanTrees:
         assert event["component"] == "cost_model"
         assert event["at"] == 1.0
 
-    def test_event_cap_per_span(self):
-        tracer = Tracer(clock=CountingClock(), max_events_per_span=2)
+    def test_event_cap_per_span(self, monkeypatch):
+        monkeypatch.setattr(spans, "MAX_EVENTS_PER_SPAN", 2)
+        tracer = Tracer(clock=CountingClock())
         with tracer.span("request") as span:
             for index in range(5):
                 span.event(f"e{index}")
@@ -95,8 +97,9 @@ class TestSpanTrees:
         assert len(tracer.roots) == 4
         assert all(not root.children for root in tracer.roots)
 
-    def test_max_roots_bounds_retention(self):
-        tracer = Tracer(max_roots=2)
+    def test_max_roots_bounds_retention(self, monkeypatch):
+        monkeypatch.setattr(spans, "MAX_ROOTS", 2)
+        tracer = Tracer()
         for _ in range(5):
             with tracer.span("request"):
                 pass
