@@ -44,6 +44,26 @@ cost model for both join orders at once
 (``k > 1``) register trees through BUILDTREE's ranked cross product.
 :meth:`DPccp.optimal_class_costs` covers every class either way.
 
+Under ``C_out`` a ``bound`` (the cost of some plan without cross
+products; the ``C_out`` route passes GOO's) prunes the sweep, as GOO's
+cost seeds the paper's upper bounds (advancement 2).  Every listed
+connected set is priced once, before any pair is listed.  A set ``S``
+with ``|S| >= 2`` other than the root is *dead* when
+``c(S) + c(root) > bound``: a plan that joins ``S`` costs at least that
+sum, in float as well, since rounding is monotone.  A dead set's
+complements are not listed, and no pair whose right side or union is
+dead is filed.  Plans and costs do not change: an optimal plan, and every
+plan it ties with at any class, joins only live classes, so every
+comparison the ``(cost, fingerprint)`` rule makes for the winning tree is
+still made.  A live class whose every pair joins a dead one gets no
+plan, and a pair with a planless input is skipped.  The run checks that
+the root's cost is at most the bound, which fails exactly when the bound
+is below the optimum.  In a bounded run ``ccps_enumerated`` counts the
+complements listed for live sets (dropped pairs included),
+``ccps_considered`` the pairs filed and swept (skipped ones included),
+and ``operator_pricings`` the sets of two or more relations priced, all
+of them, as in the unbounded sweep.
+
 A ``k = 1`` sweep breaks exact cost ties by plan fingerprint, and a
 leaf's fingerprint is its relation index.  ``labels`` renames the leaves
 for those comparisons only: leaf ``v``'s fingerprint becomes
@@ -61,6 +81,7 @@ from itertools import chain
 from math import isnan
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Callable,
     Dict,
     Iterable,
@@ -176,6 +197,7 @@ def _list_pairs(
     buckets: Sequence[MutableSequence[int]],
     stats: OptimizationStats,
     budget: Optional["Budget"] = None,
+    dead: AbstractSet[int] = frozenset(),
 ) -> None:
     """List every csg-cmp pair, filing each connected set's as it is listed.
 
@@ -185,6 +207,11 @@ def _list_pairs(
     packed into one word (``left`` above the low ``n`` bits, ``right`` in
     them), to ``buckets[|left| + |right|]`` — all before the next set is
     listed, so a budget trips while the pairs are listed.
+
+    Sets in ``dead`` (which needs ``csgs``) are in no plan the caller
+    wants: a dead set's complements are not listed, and a listed pair
+    whose right side or union is dead is charged and counted but not
+    filed.
     """
     memo = graph.neighborhood_memo
     neighborhood = graph.neighborhood
@@ -221,13 +248,19 @@ def _list_pairs(
                 stats.ccps_enumerated += 1
         size = bit_count(left)
         packed = left << shift
+        if not dead:
+            for right in rights:
+                buckets[size + bit_count(right)].append(packed | right)
+            return
         for right in rights:
-            buckets[size + bit_count(right)].append(packed | right)
+            if right not in dead and (left | right) not in dead:
+                buckets[size + bit_count(right)].append(packed | right)
 
     if csgs is None:
         _emit_csgs(graph, file_pairs)
-    else:
-        for left in csgs:
+        return
+    for left in csgs:
+        if left not in dead:
             file_pairs(left)
 
 
@@ -290,7 +323,11 @@ class DPccp:
     enumerated them (a route's prediction does); the run then does not
     list them again.  ``labels`` (``k = 1`` only) is the numbering whose
     fingerprints break exact cost ties: leaf ``v`` reads
-    ``str(labels[v])`` (see the module notes).
+    ``str(labels[v])`` (see the module notes).  ``bound`` (``k = 1``
+    under a ``cout_shaped`` model only) is the cost of a plan without
+    cross products, such as GOO's; the sweep then skips the classes no
+    plan at or under it can join (see the module notes).  A NaN or
+    infinite bound prunes nothing.
     """
 
     name = "dpccp"
@@ -301,6 +338,7 @@ class DPccp:
         *,
         csgs: Optional[Sequence[int]] = None,
         labels: Optional[Sequence[int]] = None,
+        bound: Optional[float] = None,
     ):
         self._context = context
         self._query = context.query
@@ -313,6 +351,12 @@ class DPccp:
         if labels is not None and context.topk > 1:
             raise ValueError("labels apply to single-best (k = 1) runs only")
         self._labels = labels
+        if bound is not None and not (
+            context.topk == 1 and getattr(context.cost_model, "cout_shaped", False)
+        ):
+            raise ValueError("a bound applies to single-best C_out runs only")
+        # A NaN or infinite bound prunes nothing: run unbounded.
+        self._bound = bound if bound is not None and bound < _INFINITY else None
         # Flat per-class optimum costs (k = 1 runs), kept for
         # optimal_class_costs().
         self._dp: Optional[Dict[int, float]] = None
@@ -348,12 +392,19 @@ class DPccp:
         buckets: List[MutableSequence[int]] = [
             new_bucket() for _ in range(query.n_relations + 1)
         ]
-        _list_pairs(self._graph, self._csgs, buckets, self.stats, self._budget)
+        csgs = self._csgs
+        class_costs: Dict[int, float] = {}
+        dead: AbstractSet[int] = frozenset()
+        if self._bound is not None:
+            if csgs is None:
+                csgs = enumerate_csg(self._graph)
+            class_costs, dead = self._dead_classes(csgs, self._bound)
+        _list_pairs(self._graph, csgs, buckets, self.stats, self._budget, dead)
         model = self._context.cost_model
         if self._memo.k > 1:
             plan = self._run_ranked(buckets)
         elif getattr(model, "cout_shaped", False):
-            plan = self._run_cout(buckets)
+            plan = self._run_cout(buckets, class_costs)
         elif getattr(model, "page_priced", False):
             plan = self._run_flat(buckets, model.page_join_costs)
         else:
@@ -361,6 +412,33 @@ class DPccp:
         if plan is None:
             raise OptimizationError("DPccp produced no plan for the full query")
         return plan
+
+    def _dead_classes(
+        self, csgs: Iterable[int], bound: float
+    ) -> Tuple[Dict[int, float], AbstractSet[int]]:
+        """Price every class once; return the prices and the dead classes.
+
+        Under ``C_out`` a plan that joins a class ``S`` (neither a leaf
+        nor the root) costs at least ``c(S) + c(root)``, in float too, as
+        rounding is monotone.  ``S`` is dead when that sum is strictly
+        above ``bound``: no plan at or under the bound joins it.
+        """
+        cardinality = self._provider.estimate_cardinality
+        bit_count = bitset.bit_count
+        class_costs = {
+            vertex_set: cardinality(vertex_set)
+            for vertex_set in csgs
+            if bit_count(vertex_set) > 1
+        }
+        root = self._graph.all_vertices
+        root_cost = class_costs[root]
+        dead = {
+            vertex_set
+            for vertex_set, cost in class_costs.items()
+            if cost + root_cost > bound
+        }
+        dead.discard(root)
+        return class_costs, dead
 
     def _run_ranked(self, buckets: Sequence[Iterable[int]]) -> Optional[JoinTree]:
         """``k > 1``: every ccp goes through BUILDTREE's ranked cross product."""
@@ -519,7 +597,9 @@ class DPccp:
             return None
         return self._build_swept_tree(root, dp, split, operator_costs)
 
-    def _run_cout(self, buckets: Sequence[Iterable[int]]) -> Optional[JoinTree]:
+    def _run_cout(
+        self, buckets: Sequence[Iterable[int]], class_costs: Dict[int, float]
+    ) -> Optional[JoinTree]:
         """``k = 1`` under a ``cout_shaped`` model: each class priced once.
 
         Both orders of every ccp of ``S`` cost ``c(S)``, the cardinality
@@ -543,6 +623,12 @@ class DPccp:
         joins are oriented, at the end.  That tree is rebuilt through
         the model's real ``join_cost`` and checked against ``dp[root]``,
         as :meth:`DPconv.run <repro.baselines.dpconv.DPconv.run>` does.
+
+        ``class_costs`` holds the classes priced so far (every class of a
+        bounded run, priced before its pairs were listed) and gains the
+        rest.  Under a bound a live class may get no plan, when each of
+        its pairs joins a dead class; a pair with such an input is
+        skipped, and the root's cost is checked against the bound.
         """
         query = self._query
         budget = self._budget
@@ -551,8 +637,7 @@ class DPccp:
         shift = query.n_relations
         mask = bitset.full_set(shift)
         dp, split, fingerprints = self._tables()
-        # Class -> c(S), priced the first time one of its pairs is swept.
-        class_costs: Dict[int, float] = {}
+        bound = self._bound
         root = self._graph.all_vertices
         considered = improvements = 0
         try:
@@ -567,7 +652,12 @@ class DPccp:
                 if operator_cost is None:
                     operator_cost = cardinality(vertex_set)
                     class_costs[vertex_set] = operator_cost
-                cost = (dp[left] + dp[right]) + operator_cost
+                try:
+                    cost = (dp[left] + dp[right]) + operator_cost
+                except KeyError:
+                    if bound is None:
+                        raise OptimizationError(_ORDER_BUG) from None
+                    continue  # every plan of an input joins a dead class
                 incumbent = dp.get(vertex_set)
                 if incumbent is None:
                     if not isnan(cost):  # NaN never enters
@@ -599,13 +689,18 @@ class DPccp:
             if root in dp:
                 self._build_cout_tree(root, dp, split, fingerprints)
             raise
-        except KeyError:
-            raise OptimizationError(_ORDER_BUG) from None
         finally:
             stats.ccps_considered += considered
             stats.plan_improvements += improvements
             stats.operator_pricings += len(class_costs)
         stats.plan_classes_built = len(dp) - query.n_relations
+        if bound is not None and not dp.get(root, _INFINITY) <= bound:
+            # With a bound at or above the optimum the optimal plan
+            # survives, so the root's cost is at most the bound.
+            raise OptimizationError(
+                f"DPccp's bound {bound!r} is below the optimal cost; a bound "
+                "must be the cost of a plan without cross products"
+            )
         if root not in dp:
             return None
         return self._build_cout_tree(root, dp, split, fingerprints)
@@ -671,6 +766,9 @@ class DPccp:
 
         Only valid after :meth:`run`.  Singleton classes are included with
         cost 0; harmless, since leaves are returned before ``uB`` lookups.
+        A bounded run covers only the classes that got a plan, and a class
+        whose optimal plans all join a dead class holds a costlier plan's
+        cost; the APCBI_Opt oracle runs unbounded.
         """
         if self._dp is not None:
             return dict(self._dp)

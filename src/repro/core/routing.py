@@ -15,15 +15,21 @@ budgeted run wants the top-down generators' anytime salvage and, like a
 ranked run and every other pruning, keeps the configured algorithm.
 
 * **The** ``C_out`` **route** (any top-down pruning, a ``C_out``-shaped
-  bound model within DPconv's envelope) lists the connected sets once,
-  counts DPconv's work over them exactly
+  bound model within DPconv's envelope) lists the connected sets once
+  (a tree's as products of its subtrees' sets,
+  :func:`~repro.baselines.dpconv.tree_csgs`; any other graph's by
+  EnumerateCsg), counts DPconv's work over them exactly
   (:func:`~repro.baselines.dpconv.convolution_work`: each set's inner
   edges on a tree, its subset splits otherwise) and predicts DPccp's as
   :data:`DPCCP_WORK_PER_CSG` per set.  The smaller prediction runs
   (DPconv on a tie) on that list.  A tree has fewer than
   :data:`DPCCP_WORK_PER_CSG` inner edges per set in DPconv's envelope,
-  so every tree goes to DPconv.  Both are exact, so the optimal cost
-  never moves; on exact-cost ties DPconv's plan shape can differ.
+  so every tree goes to DPconv.  DPccp runs with GOO's cost (GOO run
+  once, on the caller's builder) as its ``bound``, and skips the classes
+  no plan at or under it joins (advancement 2's bound on a bottom-up
+  sweep); its plan and cost are the unbounded sweep's bit for bit.
+  Both are exact, so the optimal cost never moves; on exact-cost ties
+  DPconv's plan shape can differ.
 * **The Haas route** (``pruning="apcbi"`` under Haas costs) runs the
   heuristic once.  DPccp serves when more than :data:`HAAS_LIVE_SHARE`
   of the classes nearest the root are live under its cost, or when the
@@ -37,9 +43,10 @@ ranked run and every other pruning, keeps the configured algorithm.
 Both routes record one ``algorithm_selected`` event: ``route``
 (``"cout"`` or ``"haas"``), ``candidates``, ``predicted`` (what the
 route measured before choosing), ``choice`` and ``actual``
-(``{"ccps_considered": ...}``).  ``predicted`` holds the per-candidate
-work on the ``C_out`` route (DPconv's exact split probes, DPccp's
-per-set estimate), and ``live_share``,
+(``{"ccps_considered": ...}``; a bounded DPccp counts the pairs it
+swept, see :mod:`repro.baselines.dpccp`).  ``predicted`` holds the
+per-candidate work on the ``C_out`` route (DPconv's exact split probes,
+DPccp's per-set estimate), and ``live_share``,
 ``sampled_classes``, ``upper_bound``, ``connected_sets`` (``None`` when
 the share alone decided, ``HAAS_CSG_CAP + 1`` when the listing stopped at
 the cap) and ``stopped_at_cap`` on the Haas route.
@@ -51,7 +58,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.baselines.dpccp import DPccp, enumerate_csg
-from repro.baselines.dpconv import DPconv, convolution_work, eligible
+from repro.baselines.dpconv import DPconv, convolution_work, eligible, tree_csgs
 from repro.context.context import OptimizationContext
 from repro.core.acb import AcbPlanGenerator
 from repro.core.advancements import AdvancementConfig
@@ -91,7 +98,11 @@ __all__ = [
 #: takes DPconv 0.9-1.0x DPccp's time and cycle-12 (199) 2.0-2.8x, and
 #: both go to DPccp.  Dense shapes cross later than sparse ones (drawn
 #: cyclic-12 at 112-119 takes DPconv 0.8-0.9x DPccp's time), which one
-#: constant per set cannot separate.  docs/dpconv.md tabulates the rows.
+#: constant per set cannot separate.  The constant was fit against the
+#: unbounded sweep; the route's DPccp now runs under GOO's bound, which
+#: moves the crossing for sparse shapes with a cycle lower (cyclic-10 at
+#: 37.6 runs it in 0.9x the lattice's time).  docs/dpconv.md tabulates
+#: the rows.
 DPCCP_WORK_PER_CSG = 100
 
 #: Live share above which DPccp serves a Haas APCBI request.  Under Haas
@@ -240,16 +251,25 @@ def select(
 def _route_cout(context: OptimizationContext) -> Selection:
     """DPconv or DPccp for an unbudgeted ``C_out`` request, by predicted work."""
     graph = context.query.graph
-    csgs = enumerate_csg(graph)
+    csgs = tree_csgs(graph)
+    if csgs is None:
+        csgs = enumerate_csg(graph)
     predicted = {
         "dpconv": convolution_work(graph, csgs),
         "dpccp": DPCCP_WORK_PER_CSG * len(csgs),
     }
     choice = min(predicted, key=predicted.__getitem__)
+    if choice == "dpconv":
+        algorithm: Any = DPconv(context, csgs=csgs)
+    else:
+        # Only a graph with a cycle gets here, so ``csgs`` is in
+        # EnumerateCsg order.  GOO's cost bounds the sweep.
+        bound = get_heuristic("goo").build(context.query, context.builder).cost
+        algorithm = DPccp(context, csgs=csgs, bound=bound)
     return Selection(
         choice,
         choice,
-        _BASELINES[choice](context, csgs=csgs),
+        algorithm,
         context,
         evidence={
             "route": "cout",

@@ -222,9 +222,7 @@ class ShardedService(_Frontend):
 
         self._stop_event = threading.Event()
         self._receiver_thread: Optional[threading.Thread] = None
-        self._supervisor = ShardSupervisor(
-            self._supervise_tick, interval=HEARTBEAT_INTERVAL / 2.0
-        )
+        self._supervisor = ShardSupervisor(self._supervise_tick)
 
     # -- lifecycle -----------------------------------------------------
 

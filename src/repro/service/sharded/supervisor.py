@@ -40,14 +40,19 @@ import weakref
 from typing import Callable, Dict, List, Optional
 
 from repro.service.retry import RetryPolicy
-from repro.service.sharded.shard import ShardConfig, shard_main
+from repro.service.sharded.shard import HEARTBEAT_INTERVAL, ShardConfig, shard_main
 
 __all__ = [
     "RespawnBackoff",
     "ShardHandle",
     "ShardSupervisor",
+    "SUPERVISE_INTERVAL",
     "pick_mp_context",
 ]
+
+#: Seconds between supervision ticks: twice per heartbeat, so a stale
+#: heartbeat is seen within half an interval of going stale.
+SUPERVISE_INTERVAL = HEARTBEAT_INTERVAL / 2.0
 
 #: Every parent-side shard pipe end this process has opened.  A forked
 #: child inherits all of them; :func:`_shard_entry` closes its copies, or
@@ -223,16 +228,14 @@ class ShardHandle:
 class ShardSupervisor:
     """The monitor thread: drive the cluster's supervision tick.
 
-    All decisions live in ``tick`` (the cluster's ``_supervise_tick``);
-    this class only owns the cadence and the stop signal, so supervision
-    logic stays testable without a thread.
+    All decisions live in ``tick`` (the cluster's ``_supervise_tick``),
+    called every :data:`SUPERVISE_INTERVAL` seconds; this class only owns
+    the cadence and the stop signal, so supervision logic stays testable
+    without a thread.
     """
 
-    def __init__(self, tick: Callable[[], None], interval: float):
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
+    def __init__(self, tick: Callable[[], None]):
         self._tick = tick
-        self._interval = interval
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -243,7 +246,7 @@ class ShardSupervisor:
         self._thread.start()
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval):
+        while not self._stop.wait(SUPERVISE_INTERVAL):
             self._tick()
 
     def stop(self, timeout: Optional[float] = None) -> None:

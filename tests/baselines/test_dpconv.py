@@ -43,17 +43,28 @@ TREE_FAMILIES = ("chain", "star", "acyclic")
 
 @contextlib.contextmanager
 def _counted_csg_passes():
-    """Counts every connected-set enumeration, wherever it is looked up."""
+    """Counts every connected-set listing, wherever it is looked up:
+    each EnumerateCsg pass, and each tree lister call that lists (on a
+    graph with a cycle it returns ``None`` having listed nothing)."""
     calls = []
-    original = dpccp_module.enumerate_csg
+    enumerate_csg = dpccp_module.enumerate_csg
+    tree_csgs = dpconv_module.tree_csgs
 
-    def counting(graph, *cap):
+    def counting_enumerate(graph, *cap):
         calls.append(graph)
-        return original(graph, *cap)
+        return enumerate_csg(graph, *cap)
+
+    def counting_tree(graph):
+        csgs = tree_csgs(graph)
+        if csgs is not None:
+            calls.append(graph)
+        return csgs
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (dpccp_module, dpconv_module, routing_module):
-            patch.setattr(module, "enumerate_csg", counting)
+            patch.setattr(module, "enumerate_csg", counting_enumerate)
+        for module in (dpconv_module, routing_module):
+            patch.setattr(module, "tree_csgs", counting_tree)
         yield calls
 
 

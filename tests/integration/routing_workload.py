@@ -17,7 +17,11 @@ The capture was made before the selector moved into
 :mod:`repro.core.routing`, with each event rewritten into the one
 ``{route, candidates, predicted, choice, actual}`` schema.  Its ``cout``
 section was re-captured when DPconv began to sweep a tree's inner edges,
-which sent every ``C_out`` tree to DPconv; no cost changed.  Regenerate
+which sent every ``C_out`` tree to DPconv; no cost changed.  It was
+re-captured again when the ``C_out`` route began to bound DPccp by GOO's
+cost: exactly the 39 ``dpccp`` rows changed, and only in
+``actual.ccps_considered``; all 368 plans and costs, and the ``haas``
+section byte for byte, stayed the same.  Regenerate
 it only for an intentional change of a routing decision, never to paper
 over a regression.
 """
