@@ -35,10 +35,12 @@ read from a flat pages table filled once per class, and a ccp whose I/O
 lower bound ``(dp[L] + dp[R]) + (pages(L) + pages(R))`` is strictly
 above its class's incumbent is skipped unpriced; ``operator_pricings``
 counts the ccps priced.  Both sweeps rebuild the winning tree through
-the model's real ``join_cost`` and check its cost, and both leave
-statistics objects to the winning tree's classes.  Under any other
-model (wrappers such as fault injection included) each ccp is priced in
-one :meth:`~repro.plans.builder.PlanBuilder.price` call, which asks the
+the model's real ``join_cost`` and check its cost
+(:meth:`~repro.plans.builder.PlanBuilder.build_split_tree`, as DPconv
+does), and both leave statistics objects to the winning tree's
+classes.  Under any other model (wrappers such as fault injection
+included) each ccp is priced in one
+:meth:`~repro.plans.builder.PlanBuilder.price` call, which asks the
 cost model for both join orders at once
 (:meth:`~repro.cost.model.CostModel.join_costs`).  Ranked runs
 (``k > 1``) register trees through BUILDTREE's ranked cross product.
@@ -65,8 +67,14 @@ and ``operator_pricings`` the sets of two or more relations priced, all
 of them, as in the unbounded sweep.
 
 A ``k = 1`` sweep breaks exact cost ties by plan fingerprint, and a
-leaf's fingerprint is its relation index.  ``labels`` renames the leaves
-for those comparisons only: leaf ``v``'s fingerprint becomes
+leaf's fingerprint is its relation index.  Two joins of one class
+compare as their outer inputs' fingerprints do: two different join
+fingerprints ``"(outer.inner)"`` first differ inside both outer inputs,
+or one outer input is a leaf prefixing the other, where ``"."`` sorts
+below every digit.  So a tie compares the fingerprints of two final
+classes (smaller ones, whose plans no longer change) and no sweep builds
+a fingerprint for a class it is still filling.  ``labels`` renames the
+leaves for those comparisons only: leaf ``v``'s fingerprint becomes
 ``str(labels[v])``.  Under a numbering's labels every comparison the run
 makes is the one a run on the query relabeled into that numbering would
 make (costs do not depend on the numbering: statistics multiply in value
@@ -567,16 +575,13 @@ class DPccp:
                         pages[vertex_set] = class_pages(vertex_set)
                 else:
                     if cost == incumbent:  # repro: disable=no-float-cost-eq
-                        challenger = join_fingerprint(
-                            _fingerprint(vertex_set ^ inner, split, fingerprints),
-                            _fingerprint(inner, split, fingerprints),
-                        )
-                        incumbent_print = _fingerprint(vertex_set, split, fingerprints)
-                        if not challenger < incumbent_print:
+                        # Two joins of S compare as their outer inputs
+                        # do, final classes whose fingerprints stay.
+                        outer = _fingerprint(vertex_set ^ inner, split, fingerprints)
+                        if not outer < _fingerprint(
+                            vertex_set ^ split[vertex_set], split, fingerprints
+                        ):
                             continue
-                        fingerprints[vertex_set] = challenger
-                    else:
-                        fingerprints.pop(vertex_set, None)
                     improvements += 1
                 dp[vertex_set] = cost
                 split[vertex_set] = inner
@@ -586,7 +591,9 @@ class DPccp:
             # The root's best plan so far is complete (every smaller class
             # is final by then): register it for the caller's salvage.
             if root in dp:
-                self._build_swept_tree(root, dp, split, operator_costs)
+                self._builder.build_split_tree(
+                    self._memo, root, split, dp[root], operator_costs
+                )
             raise
         finally:
             stats.ccps_considered += considered
@@ -595,7 +602,9 @@ class DPccp:
         stats.plan_classes_built = len(dp) - query.n_relations
         if root not in dp:
             return None
-        return self._build_swept_tree(root, dp, split, operator_costs)
+        return self._builder.build_split_tree(
+            self._memo, root, split, dp[root], operator_costs
+        )
 
     def _run_cout(
         self, buckets: Sequence[Iterable[int]], class_costs: Dict[int, float]
@@ -614,15 +623,13 @@ class DPccp:
         Since the two orders of a pair tie, :meth:`_run_flat` makes the
         lower-fingerprint input the outer one, and so its plan for ``S``
         is the pair whose outer input has the lowest fingerprint.  Two
-        joins of ``S`` compare as their outer inputs do (two different
-        complete fingerprints first differ inside both, or one is a leaf
-        prefixing another, where ``"."`` sorts below every digit), so an
-        exact cost tie compares two child fingerprints and builds no
-        string for ``S``; fingerprints are computed only then.  ``split``
-        keeps either input as the inner one, and only the winning tree's
-        joins are oriented, at the end.  That tree is rebuilt through
-        the model's real ``join_cost`` and checked against ``dp[root]``,
-        as :meth:`DPconv.run <repro.baselines.dpconv.DPconv.run>` does.
+        joins of ``S`` compare as their outer inputs do (see the module
+        notes), so an exact cost tie compares the lower of each join's
+        two input fingerprints; fingerprints are computed only then.
+        ``split`` keeps either input as the inner one, and only the
+        winning tree's joins are oriented, at the end.  That tree is
+        rebuilt through the model's real ``join_cost`` and checked
+        against ``dp[root]``.
 
         ``class_costs`` holds the classes priced so far (every class of a
         bounded run, priced before its pairs were listed) and gains the
@@ -687,7 +694,8 @@ class DPccp:
             # The root's best plan so far is complete (every smaller class
             # is final by then): register it for the caller's salvage.
             if root in dp:
-                self._build_cout_tree(root, dp, split, fingerprints)
+                _fingerprint(root, split, fingerprints, True)
+                self._builder.build_split_tree(self._memo, root, split, dp[root])
             raise
         finally:
             stats.ccps_considered += considered
@@ -703,7 +711,8 @@ class DPccp:
             )
         if root not in dp:
             return None
-        return self._build_cout_tree(root, dp, split, fingerprints)
+        _fingerprint(root, split, fingerprints, True)  # orient the joins
+        return self._builder.build_split_tree(self._memo, root, split, dp[root])
 
     def _tables(self) -> Tuple[Dict[int, float], Dict[int, int], Dict[int, str]]:
         """A ``k = 1`` sweep's cost, split and fingerprint tables.
@@ -711,9 +720,9 @@ class DPccp:
         ``dp`` holds every class's best cost so far (kept for
         :meth:`optimal_class_costs`), ``split`` its plan's inner input and
         ``fingerprints`` its plan's fingerprint, filled only when an exact
-        tie needs it (the generic sweep drops a class's entry when its
-        plan changes; the ``C_out`` sweep asks only for final classes).
-        A leaf's fingerprint is its index, or its label under ``labels``.
+        tie needs it.  Both sweeps ask only for final classes, so an
+        entry never goes stale.  A leaf's fingerprint is its index, or
+        its label under ``labels``.
         """
         dp: Dict[int, float] = {}
         fingerprints: Dict[int, str] = {}
@@ -725,41 +734,6 @@ class DPccp:
             )
         self._dp = dp
         return dp, {}, fingerprints
-
-    def _build_cout_tree(
-        self,
-        root: int,
-        dp: Dict[int, float],
-        split: Dict[int, int],
-        fingerprints: Dict[int, str],
-    ) -> JoinTree:
-        """Orient the winning tree's joins, then build it and check its cost."""
-        _fingerprint(root, split, fingerprints, True)
-        return self._build_swept_tree(root, dp, split)
-
-    def _build_swept_tree(
-        self,
-        root: int,
-        dp: Dict[int, float],
-        split: Dict[int, int],
-        operator_costs: Optional[Dict[int, float]] = None,
-    ) -> JoinTree:
-        """Build the winning tree of a ``k = 1`` sweep and check its cost.
-
-        Without ``operator_costs`` the joins are priced through the
-        model's real ``join_cost``, so a sweep that priced from a
-        declaration (``cout_shaped``, ``page_priced``) is checked against
-        the model itself, as :meth:`DPconv.run
-        <repro.baselines.dpconv.DPconv.run>` checks its sweep.
-        """
-        plan = self._builder.build_split_tree(self._memo, root, split, operator_costs)
-        if plan.cost != dp[root]:  # repro: disable=no-float-cost-eq
-            raise OptimizationError(
-                f"DPccp reconstruction cost {plan.cost!r} diverges from the "
-                f"swept value {dp[root]!r}; the cost model's sweep "
-                "declaration (cout_shaped or page_priced) is wrong"
-            )
-        return plan
 
     def optimal_class_costs(self) -> Dict[int, float]:
         """Optimal cost per plan class (the APCBI_Opt oracle ``uB`` table).

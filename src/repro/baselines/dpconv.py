@@ -31,11 +31,16 @@ is mostly waste: of a connected set's ``2^(|S|-1) - 1`` splits only its
 edges instead, from one rooting of the tree (:func:`tree_edges`), and
 keys its tables by connected set.  It makes the lattice's additions and
 keeps the lattice's winner, ties included, so its tables, plans and
-costs are the lattice's bit for bit; :func:`convolution_work` reports
-whichever sweep's work is exact for the graph.  The same rooting lists a
-tree's connected sets (:func:`tree_csgs`) as products of its subtrees'
-sets, an order of magnitude faster than EnumerateCsg's neighbourhood
-walk (star-12's 2,059 sets: 0.18 ms against 2.9 ms).
+costs are the lattice's bit for bit.  The same rooting lists a tree's
+connected sets as products of its subtrees' sets (:func:`tree_csgs`),
+an order of magnitude faster than EnumerateCsg's neighbourhood walk
+(star-12's 2,059 sets: 0.18 ms against 2.9 ms).
+
+:func:`sweep_layout` makes the choice between the two sweeps, in one
+pass: it roots the graph (or finds no tree), lists the connected sets,
+lays them out by size and counts the chosen sweep's exact work.  The
+``C_out`` route reads the work and hands the layout to the run it picks,
+so a routed request roots the tree and bit-counts each set once.
 
 Plan-space equivalence: the sweep visits exactly DPccp's plan space.  A
 candidate split contributes only when both halves carry finite DP values,
@@ -59,7 +64,7 @@ to DPccp honestly instead.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.baselines.dpccp import enumerate_csg
 from repro.context.context import OptimizationContext
@@ -70,7 +75,7 @@ from repro.plans.join_tree import JoinTree
 from repro.plans.memo import MemoTable
 from repro.stats.counters import OptimizationStats
 
-__all__ = ["DPconv", "convolution_work", "eligible", "tree_csgs", "tree_edges"]
+__all__ = ["DPconv", "eligible", "sweep_layout", "tree_csgs", "tree_edges"]
 
 _INFINITY = float("inf")
 
@@ -127,7 +132,7 @@ def tree_edges(graph: QueryGraph) -> Optional[List[Tuple[int, int]]]:
     rooting BFS (from vertex 0) proves connectivity, so a disconnected
     graph with ``n - 1`` edges is no tree.  Each edge comes as its two
     end bits and the subtree mask of its child end.  The one predicate
-    behind both the tree sweep and :func:`convolution_work`.
+    behind :func:`sweep_layout`'s choice of sweep.
     """
     n = graph.n_vertices
     if len(graph.edges) != n - 1:
@@ -154,18 +159,23 @@ def tree_edges(graph: QueryGraph) -> Optional[List[Tuple[int, int]]]:
 
 
 def tree_csgs(graph: QueryGraph) -> Optional[List[int]]:
-    """``graph``'s connected sets when it is a tree; else ``None``.
-
-    Rooted as :func:`tree_edges` roots it, the connected sets whose top
-    vertex (the one nearest the root) is ``v`` are ``{v}`` joined with,
-    for each child ``c`` of ``v``, nothing or a set whose top is ``c``.
-    The lists are built children first, one product per edge, so each
-    set costs one ``|`` and no neighbourhood is computed.  The sets are
-    :func:`~repro.baselines.dpccp.enumerate_csg`'s, in another order.
-    """
+    """``graph``'s connected sets when it is a tree; else ``None``."""
     edges = tree_edges(graph)
     if edges is None:
         return None
+    return _subtree_products(graph, edges)
+
+
+def _subtree_products(graph: QueryGraph, edges: List[Tuple[int, int]]) -> List[int]:
+    """The connected sets of the tree ``graph``, rooted as ``edges``.
+
+    The connected sets whose top vertex (the one nearest the root) is
+    ``v`` are ``{v}`` joined with, for each child ``c`` of ``v``, nothing
+    or a set whose top is ``c``.  The lists are built children first, one
+    product per edge, so each set costs one ``|`` and no neighbourhood is
+    computed.  The sets are :func:`~repro.baselines.dpccp.enumerate_csg`'s,
+    in another order.
+    """
     singleton = bitset.singleton
     topped = {
         singleton(index): [singleton(index)] for index in range(graph.n_vertices)
@@ -178,18 +188,37 @@ def tree_csgs(graph: QueryGraph) -> Optional[List[int]]:
     return list(chain.from_iterable(topped.values()))
 
 
-def convolution_work(graph: QueryGraph, csgs: Iterable[int]) -> int:
-    """DPconv's exact work over ``graph``'s connected sets ``csgs``.
+#: What :func:`sweep_layout` returns: ``(edges, csgs, layers, work)``.
+Layout = Tuple[Optional[List[Tuple[int, int]]], List[int], List[List[int]], int]
 
-    On a tree (:func:`tree_edges`) the sweep probes each set's inner
-    edges, ``|S| - 1`` splits, which are exactly its csg-cmp pairs;
-    otherwise it probes all ``2^(|S|-1) - 1`` splits of each set.  The
-    sum is exactly the ``ccps_considered`` a run reports.
+
+def sweep_layout(graph: QueryGraph) -> Layout:
+    """How DPconv sweeps ``graph``: ``(edges, csgs, layers, work)``.
+
+    ``edges`` is :func:`tree_edges`'s rooting, which the tree sweep
+    walks, or ``None``: the lattice sweep runs.  ``csgs`` lists the
+    connected sets, a tree's as subtree products and any other graph's
+    in EnumerateCsg order (DPccp's).  ``layers[s]`` holds those of size
+    ``s``, in any order: a set's result depends only on smaller sets.
+    ``work`` is the ``ccps_considered`` the run reports: each set's
+    ``|S| - 1`` inner edges (its csg-cmp pairs) on a tree, else all
+    ``2^(|S|-1) - 1`` of its splits.
     """
+    n = graph.n_vertices
+    edges = tree_edges(graph)
+    if edges is None:
+        csgs = enumerate_csg(graph)
+    else:
+        csgs = _subtree_products(graph, edges)
     bit_count = bitset.bit_count
-    if tree_edges(graph) is not None:
-        return sum(bit_count(subset) - 1 for subset in csgs)
-    return sum(_splits(bit_count(subset)) for subset in csgs)
+    layers: List[List[int]] = [[] for _ in range(n + 1)]
+    for subset in csgs:
+        layers[bit_count(subset)].append(subset)
+    work = sum(
+        len(layers[size]) * (_splits(size) if edges is None else size - 1)
+        for size in range(1, n + 1)
+    )
+    return edges, csgs, layers, work
 
 
 class DPconv:
@@ -198,10 +227,10 @@ class DPconv:
     Same plan space and bit-identical optimal costs as :class:`DPccp`, for
     union-shaped (``C_out``) cost models at ``k = 1`` only, built on a
     query's :class:`~repro.context.OptimizationContext` (its budget
-    included) like every other algorithm.  ``csgs`` hands in the query
-    graph's connected sets when the caller already enumerated them (the
-    ``C_out`` route's work prediction does); the sweep then does not list
-    them again.
+    included) like every other algorithm.  ``layout`` hands in the query
+    graph's :func:`sweep_layout` when the caller already made it (the
+    ``C_out`` route's work prediction does); the run then does not root
+    or list the graph again.
     """
 
     name = "dpconv"
@@ -210,7 +239,7 @@ class DPconv:
         self,
         context: OptimizationContext,
         *,
-        csgs: Optional[Sequence[int]] = None,
+        layout: Optional[Layout] = None,
     ):
         self._context = context
         self._query = context.query
@@ -219,7 +248,7 @@ class DPconv:
         self._builder = context.builder
         self._memo = MemoTable(k=context.topk)
         self._budget = context.budget
-        self._csgs = csgs
+        self._layout = layout
         # The selector checks eligible() before building a DPconv; a
         # refusal here means a caller bypassed it (a named baseline).
         reason = _refusal(context)
@@ -252,6 +281,8 @@ class DPconv:
         if query.n_relations == 1:
             return self._memo.best(graph.all_vertices)
 
+        if self._layout is None:
+            self._layout = sweep_layout(graph)
         dp, split = self._sweep()
         root = graph.all_vertices
         if dp[root] == _INFINITY:
@@ -262,41 +293,13 @@ class DPconv:
         # Only the ~2n-1 classes on the winning tree become ``JoinTree``
         # objects (and memotable entries), priced by the context's
         # provider and bound model like any plan DPccp builds.
-        plan = self._builder.build_split_tree(self._memo, root, split)
-        if plan.cost != dp[root]:  # repro: disable=no-float-cost-eq
-            # Bit-exactness is the contract: a model that declared
-            # cout_shaped but priced joins differently would silently
-            # return a mislabeled cost without this check.
-            raise OptimizationError(
-                f"DPconv reconstruction cost {plan.cost!r} diverges from the "
-                f"convolution value {dp[root]!r}; the cost model's "
-                "cout_shaped declaration is wrong"
-            )
-        return plan
+        return self._builder.build_split_tree(self._memo, root, split, dp[root])
 
     def _sweep(self):
         """Fill the dp/split tables: the tree sweep on a tree, else the lattice."""
-        edges = tree_edges(self._graph)
-        if edges is None:
+        if self._layout[0] is None:
             return self._lattice_sweep()
-        return self._tree_sweep(edges)
-
-    def _layers(
-        self, list_csgs: Callable[[QueryGraph], Optional[List[int]]]
-    ) -> List[List[int]]:
-        """The connected sets by size: layer ``s`` holds those of size ``s``.
-
-        The sets are the ones handed in, or ``list_csgs``'s.  Each sweep's
-        per-set result depends only on smaller sets, so their order
-        within a layer changes nothing.
-        """
-        graph = self._graph
-        bit_count = bitset.bit_count
-        layers: List[List[int]] = [[] for _ in range(graph.n_vertices + 1)]
-        csgs = list_csgs(graph) if self._csgs is None else self._csgs
-        for subset in csgs:
-            layers[bit_count(subset)].append(subset)
-        return layers
+        return self._tree_sweep()
 
     def _lattice_sweep(self):
         """The layered (min, +) sweep: fill the flat dp/split arrays.
@@ -315,7 +318,7 @@ class DPconv:
         stats = self.stats
         budget = self._budget
         cardinality = self._provider.estimate_cardinality
-        layers = self._layers(enumerate_csg)
+        layers = self._layout[2]
 
         size = graph.all_vertices + 1
         dp = [_INFINITY] * size
@@ -352,7 +355,7 @@ class DPconv:
         stats.plan_classes_built = built
         return dp, split
 
-    def _tree_sweep(self, edges: List[Tuple[int, int]]):
+    def _tree_sweep(self):
         """The sweep over a tree's inner edges: fill dp/split dicts.
 
         On a tree the csg-cmp pairs of a connected set ``S`` are its inner
@@ -367,15 +370,15 @@ class DPconv:
         never wins, and when none wins ``sub`` stays 0, as there).  Both
         tables are keyed by connected set, so they hold the sets, not
         ``2^n`` slots, and the budget is charged once per class, smaller
-        sets first, as in the lattice.  The sets come from
-        :func:`tree_csgs` unless they were handed in.
+        sets first, as in the lattice.  The edges and the sets come
+        from the run's :func:`sweep_layout`.
         """
         n = self._graph.n_vertices
         stats = self.stats
         budget = self._budget
         cardinality = self._provider.estimate_cardinality
         lowest_bit = bitset.lowest_bit
-        layers = self._layers(tree_csgs)
+        edges, _, layers, _ = self._layout
 
         dp = {bitset.singleton(index): 0.0 for index in range(n)}
         split = {}

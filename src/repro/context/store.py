@@ -709,7 +709,6 @@ class TieredPlanCache(PlanCache):
         fault_injector=None,
         telemetry=None,
         breaker=None,
-        fsync: bool = True,
     ) -> "TieredPlanCache":
         """Open (recovering) a writable segment plus read-only snapshots.
 
@@ -724,9 +723,7 @@ class TieredPlanCache(PlanCache):
             if not os.path.exists(snapshot_path):
                 continue
             try:
-                snapshot = DurableStore(
-                    snapshot_path, epoch=epoch, writable=False, fsync=fsync
-                )
+                snapshot = DurableStore(snapshot_path, epoch=epoch, writable=False)
                 warm.update(snapshot.records)
                 if telemetry is not None:
                     telemetry.event(
@@ -741,7 +738,6 @@ class TieredPlanCache(PlanCache):
                 epoch=epoch,
                 writable=True,
                 fault_injector=fault_injector,
-                fsync=fsync,
             )
             if telemetry is not None:
                 with telemetry.span("store_open", path=path) as span:

@@ -15,14 +15,13 @@ budgeted run wants the top-down generators' anytime salvage and, like a
 ranked run and every other pruning, keeps the configured algorithm.
 
 * **The** ``C_out`` **route** (any top-down pruning, a ``C_out``-shaped
-  bound model within DPconv's envelope) lists the connected sets once
-  (a tree's as products of its subtrees' sets,
-  :func:`~repro.baselines.dpconv.tree_csgs`; any other graph's by
-  EnumerateCsg), counts DPconv's work over them exactly
-  (:func:`~repro.baselines.dpconv.convolution_work`: each set's inner
-  edges on a tree, its subset splits otherwise) and predicts DPccp's as
-  :data:`DPCCP_WORK_PER_CSG` per set.  The smaller prediction runs
-  (DPconv on a tie) on that list.  A tree has fewer than
+  bound model within DPconv's envelope) lays the graph out for DPconv
+  once (:func:`~repro.baselines.dpconv.sweep_layout`: the tree test, the
+  connected sets by size and DPconv's exact work, each set's inner
+  edges on a tree and its subset splits otherwise) and predicts DPccp's
+  work as :data:`DPCCP_WORK_PER_CSG` per set.  The smaller prediction
+  runs (DPconv on a tie) on that layout: DPconv takes all of it, DPccp
+  the connected-set list.  A tree has fewer than
   :data:`DPCCP_WORK_PER_CSG` inner edges per set in DPconv's envelope,
   so every tree goes to DPconv.  DPccp runs with GOO's cost (GOO run
   once, on the caller's builder) as its ``bound``, and skips the classes
@@ -58,7 +57,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.baselines.dpccp import DPccp, enumerate_csg
-from repro.baselines.dpconv import DPconv, convolution_work, eligible, tree_csgs
+from repro.baselines.dpconv import DPconv, eligible, sweep_layout
 from repro.context.context import OptimizationContext
 from repro.core.acb import AcbPlanGenerator
 from repro.core.advancements import AdvancementConfig
@@ -87,7 +86,7 @@ __all__ = [
 ]
 
 #: DPccp's predicted work per connected set, in DPconv split probes.
-#: The router counts DPconv's work exactly (``convolution_work``: the
+#: The router counts DPconv's work exactly (``sweep_layout``: the
 #: splits its sweep will probe) and predicts DPccp's as this constant
 #: times the number of connected sets.  It decides only graphs with a
 #: cycle: on a tree DPconv probes each set's inner edges, at most
@@ -250,17 +249,12 @@ def select(
 
 def _route_cout(context: OptimizationContext) -> Selection:
     """DPconv or DPccp for an unbudgeted ``C_out`` request, by predicted work."""
-    graph = context.query.graph
-    csgs = tree_csgs(graph)
-    if csgs is None:
-        csgs = enumerate_csg(graph)
-    predicted = {
-        "dpconv": convolution_work(graph, csgs),
-        "dpccp": DPCCP_WORK_PER_CSG * len(csgs),
-    }
+    layout = sweep_layout(context.query.graph)
+    _, csgs, _, work = layout
+    predicted = {"dpconv": work, "dpccp": DPCCP_WORK_PER_CSG * len(csgs)}
     choice = min(predicted, key=predicted.__getitem__)
     if choice == "dpconv":
-        algorithm: Any = DPconv(context, csgs=csgs)
+        algorithm: Any = DPconv(context, layout=layout)
     else:
         # Only a graph with a cycle gets here, so ``csgs`` is in
         # EnumerateCsg order.  GOO's cost bounds the sweep.

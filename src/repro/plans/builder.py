@@ -206,15 +206,22 @@ class PlanBuilder:
         memo: MemoTable,
         root: int,
         split: Mapping[int, int],
+        swept_cost: float,
         operator_costs: Optional[Mapping[int, float]] = None,
     ) -> JoinTree:
-        """Materialize the plan a bottom-up split table encodes.
+        """Materialize the plan a bottom-up split table encodes; check it.
 
         ``split[S]`` is the inner (right) input of ``S``'s winning join, so
         its outer input is ``S ^ split[S]``; ``operator_costs[S]``, when
         given, is that join's already-priced operator cost.  Only the
         ``n - 1`` joins of the winning tree become ``JoinNode`` objects and
         memotable entries (the leaves must be registered already).
+
+        Without ``operator_costs`` the joins are priced through the
+        model's real ``join_cost``, so a sweep that priced from a
+        declaration (``cout_shaped``, ``page_priced``) is checked against
+        the model itself: the tree must cost ``swept_cost``, the sweep's
+        value for ``root``, to the last bit.
         """
         stack = [root]
         ordered: List[int] = []
@@ -239,5 +246,15 @@ class PlanBuilder:
                 None if operator_costs is None else operator_costs[vertex_set]
             )
             memo.register(self.create_tree(outer_tree, inner_tree, operator_cost))
-        return memo.best(root)
+        plan = memo.best(root)
+        if plan.cost != swept_cost:  # repro: disable=no-float-cost-eq
+            # Bit-exactness is the contract: a model that declared a sweep
+            # shape but priced joins differently would silently return a
+            # mislabeled cost without this check.
+            raise OptimizationError(
+                f"split-table reconstruction cost {plan.cost!r} diverges "
+                f"from the swept value {swept_cost!r}; the cost model's sweep "
+                "declaration (cout_shaped or page_priced) is wrong"
+            )
+        return plan
 

@@ -995,7 +995,7 @@ def _verify_store(
     report.store = summary
     if progress is not None:
         progress(
-            f"store: {len(merged)} entries recovered from {len(paths)} "
+            f"store: {len(merged)} entries recovered from {len(sources)} "
             f"file(s), {len(corrupt)} corrupt replays, "
             f"{summary['warm_l2_hits']} warm L2 hits"
         )

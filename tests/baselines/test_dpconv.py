@@ -44,27 +44,24 @@ TREE_FAMILIES = ("chain", "star", "acyclic")
 @contextlib.contextmanager
 def _counted_csg_passes():
     """Counts every connected-set listing, wherever it is looked up:
-    each EnumerateCsg pass, and each tree lister call that lists (on a
-    graph with a cycle it returns ``None`` having listed nothing)."""
+    each EnumerateCsg pass, and each listing of a tree's sets as subtree
+    products (a graph with a cycle gets none)."""
     calls = []
     enumerate_csg = dpccp_module.enumerate_csg
-    tree_csgs = dpconv_module.tree_csgs
+    subtree_products = dpconv_module._subtree_products
 
     def counting_enumerate(graph, *cap):
         calls.append(graph)
         return enumerate_csg(graph, *cap)
 
-    def counting_tree(graph):
-        csgs = tree_csgs(graph)
-        if csgs is not None:
-            calls.append(graph)
-        return csgs
+    def counting_products(graph, edges):
+        calls.append(graph)
+        return subtree_products(graph, edges)
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (dpccp_module, dpconv_module, routing_module):
             patch.setattr(module, "enumerate_csg", counting_enumerate)
-        for module in (dpconv_module, routing_module):
-            patch.setattr(module, "tree_csgs", counting_tree)
+        patch.setattr(dpconv_module, "_subtree_products", counting_products)
         yield calls
 
 
@@ -189,7 +186,7 @@ class TestTreeSweep:
         graph = QueryGraph(4, triangle)
         assert dpconv_module.tree_edges(graph) is None
         csgs = dpccp_module.enumerate_csg(graph)
-        assert dpconv_module.convolution_work(graph, csgs) == sum(
+        assert dpconv_module.sweep_layout(graph)[3] == sum(
             2 ** (bitset.bit_count(vertex_set) - 1) - 1 for vertex_set in csgs
         )
         dpconv = DPconv(
@@ -364,6 +361,29 @@ class TestFacadeRouting:
         assert result.pruning in ("dpconv", "dpccp")
         assert csg_passes == [query.graph]
 
+    @pytest.mark.parametrize("family, n", [("chain", 14), ("star", 10)])
+    def test_a_routed_tree_is_rooted_and_laid_out_once(self, family, n):
+        query = QueryGenerator(seed=2).generate(family, n)
+        calls = {"roots": 0, "bit_counts": 0}
+        tree_edges = dpconv_module.tree_edges
+        bit_count = bitset.bit_count
+
+        def counting_edges(graph):
+            calls["roots"] += 1
+            return tree_edges(graph)
+
+        def counting_bits(value):
+            calls["bit_counts"] += 1
+            return bit_count(value)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dpconv_module, "tree_edges", counting_edges)
+            patch.setattr(bitset, "bit_count", counting_bits)
+            result = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
+        assert result.pruning == "dpconv"
+        csgs = dpccp_module.enumerate_csg(query.graph)
+        assert calls == {"roots": 1, "bit_counts": len(csgs)}
+
     @pytest.mark.parametrize(
         "family, n, choice",
         [
@@ -404,11 +424,9 @@ class TestFacadeRouting:
     def test_convolution_work_counts_every_split_probe(self, family, n, seed):
         query = QueryGenerator(seed=seed).generate(family, n)
         context = OptimizationContext.for_query(query, cost_model=CoutCostModel)
-        csgs = list(dpccp_module.enumerate_csg(query.graph))
-        DPconv(context=context, csgs=csgs).run()
-        assert dpconv_module.convolution_work(query.graph, csgs) == (
-            context.stats.ccps_considered
-        )
+        layout = dpconv_module.sweep_layout(query.graph)
+        DPconv(context=context, layout=layout).run()
+        assert layout[3] == context.stats.ccps_considered
 
     @given(
         st.sampled_from(FAMILIES),

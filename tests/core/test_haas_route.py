@@ -412,7 +412,7 @@ class TestRoutingIsTraced:
     def test_cout_route_connected_set_pass(self, monkeypatch):
         telemetry = _traced()
         csgs = self._spans_seen(
-            monkeypatch, routing_module, "enumerate_csg", telemetry.tracer
+            monkeypatch, routing_module, "sweep_layout", telemetry.tracer
         )
         Optimizer(cost_model_factory=CoutCostModel, telemetry=telemetry).optimize(
             self.QUERY

@@ -4,10 +4,16 @@ import math
 
 import pytest
 
+from repro.baselines.dpccp import DPccp
+from repro.baselines.dpconv import DPconv
+from repro.context.context import OptimizationContext
+from repro.cost.cout import CoutCostModel
 from repro.cost.haas import HaasCostModel
 from repro.cost.statistics import StatisticsProvider
+from repro.errors import OptimizationError
 from repro.plans.builder import PlanBuilder
 from repro.plans.memo import MemoTable
+from repro.workload.generator import QueryGenerator
 
 
 @pytest.fixture
@@ -107,3 +113,40 @@ class TestOperatorCost:
             float(price).hex() for price in expected
         ]
         assert builder.stats.operator_pricings == before + 1
+
+
+class _MisdeclaredCout(CoutCostModel):
+    """Declares ``cout_shaped`` but prices every join one above ``C_out``."""
+
+    def bind(self, provider):
+        bound = _MisdeclaredCout()
+        bound._provider = provider
+        return bound
+
+    def join_cost(self, outer, inner):
+        return super().join_cost(outer, inner) + 1.0
+
+
+class _MisdeclaredHaas(HaasCostModel):
+    """Declares ``page_priced`` but prices every join one above Haas."""
+
+    def join_cost(self, outer, inner):
+        return super().join_cost(outer, inner) + 1.0
+
+
+class TestBuildSplitTree:
+    @pytest.mark.parametrize(
+        "algorithm, model",
+        [
+            (DPccp, _MisdeclaredCout),
+            (DPconv, _MisdeclaredCout),
+            (DPccp, _MisdeclaredHaas),
+        ],
+    )
+    def test_a_wrong_sweep_declaration_is_caught(self, algorithm, model):
+        # Each bottom-up sweep prices from its model's declaration; the
+        # one checked rebuild prices the winning tree through join_cost.
+        query = QueryGenerator(seed=3).generate("cycle", 6)
+        context = OptimizationContext.for_query(query, cost_model=model())
+        with pytest.raises(OptimizationError, match="diverges from the swept"):
+            algorithm(context).run()

@@ -376,6 +376,18 @@ class TestRunShardedSoak:
         assert report.store["corrupt_replays"] == 0
         assert report.store["warm_mismatches"] == 0
 
+    def test_store_checks_report_their_progress(self, tmp_path):
+        # The store summary line the CLI prints without --quiet.
+        lines = []
+        report = SoakReport(seconds=1.0, seed=0, rate=0.0, workers=1)
+        pool = build_query_pool(seed=0, pool_size=1, max_relations=5)
+        soak._verify_store(report, str(tmp_path), pool, False, lines.append)
+        assert report.store["entries"] == 0
+        assert lines == [
+            "store: 0 entries recovered from 0 file(s), 0 corrupt replays, "
+            "0 warm L2 hits"
+        ]
+
     def test_kill_during_write_requires_a_store_dir(self):
         with pytest.raises(ValueError, match="store_dir"):
             self.sharded(kill_shards=2, kill_during_write=True)
