@@ -46,25 +46,35 @@ cost model for both join orders at once
 (``k > 1``) register trees through BUILDTREE's ranked cross product.
 :meth:`DPccp.optimal_class_costs` covers every class either way.
 
-Under ``C_out`` a ``bound`` (the cost of some plan without cross
-products; the ``C_out`` route passes GOO's) prunes the sweep, as GOO's
-cost seeds the paper's upper bounds (advancement 2).  Every listed
-connected set is priced once, before any pair is listed.  A set ``S``
-with ``|S| >= 2`` other than the root is *dead* when
-``c(S) + c(root) > bound``: a plan that joins ``S`` costs at least that
-sum, in float as well, since rounding is monotone.  A dead set's
-complements are not listed, and no pair whose right side or union is
-dead is filed.  Plans and costs do not change: an optimal plan, and every
-plan it ties with at any class, joins only live classes, so every
-comparison the ``(cost, fingerprint)`` rule makes for the winning tree is
-still made.  A live class whose every pair joins a dead one gets no
-plan, and a pair with a planless input is skipped.  The run checks that
-the root's cost is at most the bound, which fails exactly when the bound
-is below the optimum.  In a bounded run ``ccps_enumerated`` counts the
-complements listed for live sets (dropped pairs included),
-``ccps_considered`` the pairs filed and swept (skipped ones included),
-and ``operator_pricings`` the sets of two or more relations priced, all
-of them, as in the unbounded sweep.
+A ``bound`` (the cost of some plan without cross products; both routes
+pass GOO's) prunes a single-best ``C_out`` or ``page_priced`` sweep, as
+GOO's cost seeds the paper's upper bounds (advancement 2).  Every listed
+connected set is priced once, before any pair is listed: its cardinality
+under ``C_out``, its pages under a ``page_priced`` model.  A set ``S``
+with ``|S| >= 2`` other than the root is *dead* when a lower bound on
+the cost of every plan that joins it is strictly above the bound.  Under
+``C_out`` that is ``c(S) + c(root)``, in float as well, since rounding
+is monotone.  Under a ``page_priced`` model every join reads both of its
+inputs, and every input of a join is a base relation or the class of
+another join, so a plan that joins ``S`` costs at least
+``sum_v pages(v) + pages(S)``: each base relation is read once and ``S``
+once more.  That sum of ``n + 1`` terms follows no plan's order of
+additions, so ``S`` is dead only when it is above
+``bound * (1 + 8n * 2**-53)`` (see :meth:`DPccp._dead_classes` for why
+the margin covers the rounding).  A dead set's complements are not
+listed, and no pair whose right side or union is dead is filed.  Plans
+and costs do not change: an optimal plan, and every plan it ties with at
+any class, joins only live classes, so every comparison the
+``(cost, fingerprint)`` rule makes for the winning tree is still made.
+A live class whose every pair joins a dead one gets no plan, and a pair
+with a planless input is skipped.  The run checks that the root's cost
+is at most the bound, which fails exactly when the bound is below the
+optimum.  In a bounded run ``ccps_enumerated`` counts the complements
+listed for live sets (dropped pairs included), ``ccps_considered`` the
+pairs filed and swept (skipped ones included), and
+``operator_pricings`` what the unbounded sweep counts: under ``C_out``
+the sets of two or more relations, all of them, and under a
+``page_priced`` model the ccps priced.
 
 A ``k = 1`` sweep breaks exact cost ties by plan fingerprint, and a
 leaf's fingerprint is its relation index.  Two joins of one class
@@ -332,10 +342,10 @@ class DPccp:
     list them again.  ``labels`` (``k = 1`` only) is the numbering whose
     fingerprints break exact cost ties: leaf ``v`` reads
     ``str(labels[v])`` (see the module notes).  ``bound`` (``k = 1``
-    under a ``cout_shaped`` model only) is the cost of a plan without
-    cross products, such as GOO's; the sweep then skips the classes no
-    plan at or under it can join (see the module notes).  A NaN or
-    infinite bound prunes nothing.
+    under a ``cout_shaped`` or ``page_priced`` model only) is the cost of
+    a plan without cross products, such as GOO's; the sweep then skips
+    the classes no plan at or under it can join (see the module notes).
+    A NaN or infinite bound prunes nothing.
     """
 
     name = "dpccp"
@@ -359,10 +369,17 @@ class DPccp:
         if labels is not None and context.topk > 1:
             raise ValueError("labels apply to single-best (k = 1) runs only")
         self._labels = labels
+        model = context.cost_model
         if bound is not None and not (
-            context.topk == 1 and getattr(context.cost_model, "cout_shaped", False)
+            context.topk == 1
+            and (
+                getattr(model, "cout_shaped", False)
+                or getattr(model, "page_priced", False)
+            )
         ):
-            raise ValueError("a bound applies to single-best C_out runs only")
+            raise ValueError(
+                "a bound applies to single-best C_out or page-priced runs only"
+            )
         # A NaN or infinite bound prunes nothing: run unbounded.
         self._bound = bound if bound is not None and bound < _INFINITY else None
         # Flat per-class optimum costs (k = 1 runs), kept for
@@ -401,20 +418,22 @@ class DPccp:
             new_bucket() for _ in range(query.n_relations + 1)
         ]
         csgs = self._csgs
-        class_costs: Dict[int, float] = {}
+        # Per class: its cardinality under C_out, its pages under a
+        # page_priced model.
+        class_prices: Dict[int, float] = {}
         dead: AbstractSet[int] = frozenset()
         if self._bound is not None:
             if csgs is None:
                 csgs = enumerate_csg(self._graph)
-            class_costs, dead = self._dead_classes(csgs, self._bound)
+            class_prices, dead = self._dead_classes(csgs, self._bound)
         _list_pairs(self._graph, csgs, buckets, self.stats, self._budget, dead)
         model = self._context.cost_model
         if self._memo.k > 1:
             plan = self._run_ranked(buckets)
         elif getattr(model, "cout_shaped", False):
-            plan = self._run_cout(buckets, class_costs)
+            plan = self._run_cout(buckets, class_prices)
         elif getattr(model, "page_priced", False):
-            plan = self._run_flat(buckets, model.page_join_costs)
+            plan = self._run_flat(buckets, model.page_join_costs, class_prices)
         else:
             plan = self._run_flat(buckets)
         if plan is None:
@@ -426,27 +445,60 @@ class DPccp:
     ) -> Tuple[Dict[int, float], AbstractSet[int]]:
         """Price every class once; return the prices and the dead classes.
 
-        Under ``C_out`` a plan that joins a class ``S`` (neither a leaf
-        nor the root) costs at least ``c(S) + c(root)``, in float too, as
-        rounding is monotone.  ``S`` is dead when that sum is strictly
-        above ``bound``: no plan at or under the bound joins it.
+        A class ``S`` (neither a leaf nor the root) is dead when a lower
+        bound on every plan that joins it is strictly above ``bound``: no
+        plan at or under the bound joins it.
+
+        Under ``C_out`` each class of two or more relations is priced at
+        its cardinality, and the lower bound is ``c(S) + c(root)``, in
+        float too, as rounding is monotone.
+
+        Under a ``page_priced`` model every class, leaves included, is
+        priced at its pages, and the lower bound is
+        ``L(S) = sum_v pages(v) + pages(S)``.  A plan reads every base
+        relation once and the class of each join but the root's once, so
+        ``L(S)`` is at most the exact sum of its joins' input pages, and
+        each join's operator cost is at least the float sum of its two
+        inputs' pages (:attr:`~repro.cost.model.CostModel.page_priced`).
+        Rounding moves each float addition of nonnegative terms by a
+        factor within ``1 +- u`` (``u = 2**-53``), so with ``m``
+        additions a sum lies within ``(1 +- u)**m`` of its exact value.
+        The plan's float cost takes ``2(n - 1)`` additions, which puts
+        it at or above ``L(S) * (1 - u)**(2n - 1)``; the test computes
+        ``L(S)`` with ``n`` additions, at most ``L(S) * (1 + u)**n``,
+        and the limit ``bound * (1 + 8n u)`` with one rounded product.
+        A float ``L(S)`` above the float limit then puts the plan's
+        float cost above ``bound * (1 + 8n u) * (1 - u)**(3n) > bound``
+        (page counts are at least 1, so nothing is subnormal).  The
+        margin matters once costs pass ``2**53``, where adding page
+        counts rounds.
         """
-        cardinality = self._provider.estimate_cardinality
         bit_count = bitset.bit_count
-        class_costs = {
-            vertex_set: cardinality(vertex_set)
-            for vertex_set in csgs
-            if bit_count(vertex_set) > 1
-        }
         root = self._graph.all_vertices
-        root_cost = class_costs[root]
+        if getattr(self._context.cost_model, "cout_shaped", False):
+            cardinality = self._provider.estimate_cardinality
+            prices = {
+                vertex_set: cardinality(vertex_set)
+                for vertex_set in csgs
+                if bit_count(vertex_set) > 1
+            }
+            rest = prices[root]
+            limit = bound
+        else:
+            class_pages = self._provider.estimate_pages
+            prices = {vertex_set: class_pages(vertex_set) for vertex_set in csgs}
+            n = self._query.n_relations
+            rest = 0.0
+            for index in range(n):
+                rest += prices[bitset.singleton(index)]
+            limit = bound * (1.0 + 8 * n * _UNIT_ROUNDOFF)
         dead = {
             vertex_set
-            for vertex_set, cost in class_costs.items()
-            if cost + root_cost > bound
+            for vertex_set, price in prices.items()
+            if price + rest > limit and bit_count(vertex_set) > 1
         }
         dead.discard(root)
-        return class_costs, dead
+        return prices, dead
 
     def _run_ranked(self, buckets: Sequence[Iterable[int]]) -> Optional[JoinTree]:
         """``k > 1``: every ccp goes through BUILDTREE's ranked cross product."""
@@ -471,6 +523,7 @@ class DPccp:
         self,
         buckets: Sequence[Iterable[int]],
         page_costs: Optional[Callable[[float, float], Tuple[float, float]]] = None,
+        pages: Optional[Dict[int, float]] = None,
     ) -> Optional[JoinTree]:
         """``k = 1``: flat cost/split tables, then only the winning tree.
 
@@ -496,6 +549,12 @@ class DPccp:
         budget charge and count; an exact tie is priced, as it may win on
         fingerprint).  The winning tree is rebuilt through the model's
         real ``join_cost`` and checked against ``dp[root]``.
+
+        ``pages`` holds the classes priced so far (every class of a
+        bounded run, priced before its pairs were listed) and gains the
+        rest.  Under a bound a live class may get no plan, when each of
+        its pairs joins a dead class; a pair with such an input is
+        skipped, and the root's cost is checked against the bound.
         """
         query = self._query
         budget = self._budget
@@ -504,13 +563,15 @@ class DPccp:
         shift = query.n_relations
         mask = bitset.full_set(shift)
         dp, split, fingerprints = self._tables()
+        bound = self._bound
         root = self._graph.all_vertices
         if page_costs is None:
             operator_costs: Optional[Dict[int, float]] = {}
         else:
             operator_costs = None
             class_pages = self._provider.estimate_pages
-            pages = {vertex_set: class_pages(vertex_set) for vertex_set in dp}
+            if not pages:  # unbounded: price the leaves here
+                pages = {vertex_set: class_pages(vertex_set) for vertex_set in dp}
             page_prices: Dict[Tuple[float, float], Tuple[float, float]] = {}
         considered = priced = improvements = 0
         try:
@@ -523,7 +584,9 @@ class DPccp:
                 left_cost = dp.get(left)
                 right_cost = dp.get(right)
                 if left_cost is None or right_cost is None:
-                    raise OptimizationError(_ORDER_BUG)
+                    if bound is None:
+                        raise OptimizationError(_ORDER_BUG)
+                    continue  # every plan of an input joins a dead class
                 vertex_set = left | right
                 base = left_cost + right_cost
                 incumbent = dp.get(vertex_set)
@@ -571,7 +634,7 @@ class DPccp:
                     inner = left
                     operator_cost = price_rl
                 if incumbent is None:
-                    if page_costs is not None:
+                    if page_costs is not None and vertex_set not in pages:
                         pages[vertex_set] = class_pages(vertex_set)
                 else:
                     if cost == incumbent:  # repro: disable=no-float-cost-eq
@@ -600,6 +663,7 @@ class DPccp:
             stats.plan_improvements += improvements
             stats.operator_pricings += priced
         stats.plan_classes_built = len(dp) - query.n_relations
+        self._check_bound(dp.get(root, _INFINITY))
         if root not in dp:
             return None
         return self._builder.build_split_tree(
@@ -702,17 +766,24 @@ class DPccp:
             stats.plan_improvements += improvements
             stats.operator_pricings += len(class_costs)
         stats.plan_classes_built = len(dp) - query.n_relations
-        if bound is not None and not dp.get(root, _INFINITY) <= bound:
-            # With a bound at or above the optimum the optimal plan
-            # survives, so the root's cost is at most the bound.
-            raise OptimizationError(
-                f"DPccp's bound {bound!r} is below the optimal cost; a bound "
-                "must be the cost of a plan without cross products"
-            )
+        self._check_bound(dp.get(root, _INFINITY))
         if root not in dp:
             return None
         _fingerprint(root, split, fingerprints, True)  # orient the joins
         return self._builder.build_split_tree(self._memo, root, split, dp[root])
+
+    def _check_bound(self, root_cost: float) -> None:
+        """Refuse a bounded run whose root costs more than its bound.
+
+        With a bound at or above the optimum the optimal plan survives,
+        so the root's cost is at most the bound.
+        """
+        bound = self._bound
+        if bound is not None and not root_cost <= bound:
+            raise OptimizationError(
+                f"DPccp's bound {bound!r} is below the optimal cost; a bound "
+                "must be the cost of a plan without cross products"
+            )
 
     def _tables(self) -> Tuple[Dict[int, float], Dict[int, int], Dict[int, str]]:
         """A ``k = 1`` sweep's cost, split and fingerprint tables.
@@ -752,6 +823,9 @@ class DPccp:
 
 
 _INFINITY = float("inf")
+
+#: Half an ulp of 1.0: the largest relative error of one rounded addition.
+_UNIT_ROUNDOFF = 2.0**-53
 
 _ORDER_BUG = (
     "DPccp visited a ccp before its components were planned — "

@@ -43,9 +43,10 @@ class CoutCostModel(CostModel):
         instance reused across two generators or queries silently kept the
         *first* query's statistics — wrong cardinalities, wrong costs, no
         error.  A bound copy per context makes sharing an unbound model
-        safe by construction.
+        safe by construction.  The copy is of the receiver's own class,
+        so a subclass keeps its overrides once bound.
         """
-        bound = CoutCostModel()
+        bound = type(self)()
         bound._provider = provider
         return bound
 

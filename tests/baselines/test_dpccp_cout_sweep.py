@@ -41,11 +41,6 @@ class _GenericCout(CoutCostModel):
 
     cout_shaped = False
 
-    def bind(self, provider):
-        bound = _GenericCout()
-        bound._provider = provider
-        return bound
-
 
 @st.composite
 def cout_queries(draw):

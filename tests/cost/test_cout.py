@@ -56,6 +56,18 @@ class TestBinding:
         with pytest.raises(RuntimeError):
             shared.join_cost(*stats_a)
 
+    def test_a_bound_subclass_keeps_its_type_and_declarations(self, small_query):
+        class Generic(CoutCostModel):
+            cout_shaped = False
+
+        context = OptimizationContext.for_query(small_query, cost_model=Generic())
+        assert type(context.cost_model) is Generic
+        assert context.cost_model.cout_shaped is False
+        provider = context.provider
+        assert context.cost_model.join_cost(
+            provider.stats(0b01), provider.stats(0b10)
+        ) == provider.cardinality(0b11)
+
 
 class TestSemantics:
     def test_cost_is_output_cardinality(self, small_query):

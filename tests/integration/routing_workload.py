@@ -21,6 +21,11 @@ which sent every ``C_out`` tree to DPconv; no cost changed.  It was
 re-captured again when the ``C_out`` route began to bound DPccp by GOO's
 cost: exactly the 39 ``dpccp`` rows changed, and only in
 ``actual.ccps_considered``; all 368 plans and costs, and the ``haas``
+section byte for byte, stayed the same.  Its ``haas`` section was
+re-captured when the Haas route began to bound DPccp by GOO's cost with
+the base relations' pages in the bound: exactly 231 of the 309 ``dpccp``
+rows changed, and only in ``actual.ccps_considered`` (summed, 2,014,619
+-> 1,331,174; none rose); every choice, plan and cost, and the ``cout``
 section byte for byte, stayed the same.  Regenerate
 it only for an intentional change of a routing decision, never to paper
 over a regression.

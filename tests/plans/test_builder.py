@@ -118,11 +118,6 @@ class TestOperatorCost:
 class _MisdeclaredCout(CoutCostModel):
     """Declares ``cout_shaped`` but prices every join one above ``C_out``."""
 
-    def bind(self, provider):
-        bound = _MisdeclaredCout()
-        bound._provider = provider
-        return bound
-
     def join_cost(self, outer, inner):
         return super().join_cost(outer, inner) + 1.0
 
