@@ -29,6 +29,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.graph import bitset
 from repro.graph.renumber import invert_mapping
 from repro.plans.join_tree import JoinTree, LeafNode
 
@@ -85,10 +86,12 @@ class CachedPlan:
         :meth:`PlanCache.get` hands these out so no caller can mutate the
         entry shared by every other thread behind its back.
         """
-        indices = self.canonical_plan.relation_indices()
+        # A tree's vertex set holds every leaf's bit, so the union's
+        # highest member bounds every relation index: no leaf walk needed.
+        covered = self.canonical_plan.vertex_set
         for tree in self.canonical_ranked:
-            indices.extend(tree.relation_indices())
-        identity = range(max(indices) + 1)
+            covered |= tree.vertex_set
+        identity = range(bitset.highest_index(covered) + 1)
         return CachedPlan(
             self.canonical_plan.relabel(identity),
             self.payload,

@@ -18,7 +18,6 @@ relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Tuple
 
@@ -29,15 +28,17 @@ from repro.query import Query
 __all__ = ["IntermediateStats", "StatisticsProvider"]
 
 
-@dataclass(frozen=True)
 class IntermediateStats:
-    """Size facts about one (intermediate) relation.
+    """Size facts about one (intermediate) relation; immutable.
 
     One instance exists per memoized plan class, and large enumerations
     memoize hundreds of thousands — ``__slots__`` drops the per-instance
     ``__dict__`` (64 bytes/instance vs. 352 with a dict on CPython 3.11;
-    see docs/architecture.md).  Legal on a frozen dataclass here because
-    no field has a default.
+    see docs/architecture.md), and a field read is a slot read.
+    Construction fills the slots through their C-level descriptors, which
+    costs about half of a frozen dataclass's guarded
+    ``object.__setattr__`` per field; assignment and deletion raise
+    ``AttributeError`` afterwards.
     """
 
     __slots__ = ("vertex_set", "cardinality", "tuple_width", "pages")
@@ -47,9 +48,45 @@ class IntermediateStats:
     tuple_width: int
     pages: float
 
-    def __post_init__(self) -> None:
-        if self.cardinality < 0:
+    def __init__(
+        self, vertex_set: int, cardinality: float, tuple_width: int, pages: float
+    ) -> None:
+        if cardinality < 0:
             raise ValueError("cardinality cannot be negative")
+        _set_vertex_set(self, vertex_set)
+        _set_cardinality(self, cardinality)
+        _set_tuple_width(self, tuple_width)
+        _set_pages(self, pages)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"IntermediateStats is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"IntermediateStats is immutable: cannot delete {name!r}")
+
+    def _values(self) -> Tuple[int, float, int, float]:
+        return (self.vertex_set, self.cardinality, self.tuple_width, self.pages)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"IntermediateStats(vertex_set={self.vertex_set!r}, "
+            f"cardinality={self.cardinality!r}, "
+            f"tuple_width={self.tuple_width!r}, pages={self.pages!r})"
+        )
+
+
+_set_vertex_set = IntermediateStats.vertex_set.__set__
+_set_cardinality = IntermediateStats.cardinality.__set__
+_set_tuple_width = IntermediateStats.tuple_width.__set__
+_set_pages = IntermediateStats.pages.__set__
 
 
 class StatisticsProvider:
@@ -62,6 +99,15 @@ class StatisticsProvider:
     whose mask lies inside the set (:meth:`estimate_cardinality`) — no
     per-set catalog walk.
 
+    Nothing is memoized at construction: a base relation's
+    :class:`IntermediateStats` is built on its first :meth:`stats`, from
+    the relation read here (its own ``cardinality``, ``tuple_width`` and
+    ``pages()``), and every other class's on its first :meth:`stats` from
+    the factor table.  So :meth:`cache_size` counts the classes asked
+    for, base relations included, and a provider whose caller only
+    estimates (plan validation, DPccp's sweeps) builds no statistics
+    object at all.
+
     Parameters
     ----------
     query:
@@ -71,7 +117,7 @@ class StatisticsProvider:
     :data:`~repro.catalog.relation.DEFAULT_PAGE_SIZE` bytes.
     """
 
-    __slots__ = ("_factors", "_widths", "_cache")
+    __slots__ = ("_factors", "_widths", "_relations", "_cache")
 
     def __init__(self, query: Query):
         catalog = query.catalog
@@ -79,12 +125,12 @@ class StatisticsProvider:
         # statistics raises on that relation's own read, here, before any
         # selectivity mentioning it is asked for (docs/resilience.md).
         relations = [catalog.relation(index) for index in range(query.n_relations)]
+        bits = [bitset.singleton(index) for index in range(query.n_relations)]
         factors = [
-            (relation.cardinality, bitset.singleton(index))
-            for index, relation in enumerate(relations)
+            (relation.cardinality, bit) for relation, bit in zip(relations, bits)
         ]
         factors.extend(
-            (catalog.selectivity(u, v), bitset.singleton(u) | bitset.singleton(v))
+            (catalog.selectivity(u, v), bits[u] | bits[v])
             for u, v in sorted(query.graph.edges)
         )
         # Value order makes every product bit-identical under vertex
@@ -94,20 +140,25 @@ class StatisticsProvider:
         factors.sort(key=itemgetter(0))
         self._factors = tuple(factors)
         self._widths = tuple(relation.tuple_width for relation in relations)
+        #: Each base relation by its singleton set: the source of its
+        #: statistics, built on first use.
+        self._relations = dict(zip(bits, relations))
         self._cache: Dict[int, IntermediateStats] = {}
-        for index, relation in enumerate(relations):
-            self._cache[bitset.singleton(index)] = IntermediateStats(
-                vertex_set=bitset.singleton(index),
-                cardinality=relation.cardinality,
-                tuple_width=relation.tuple_width,
-                pages=relation.pages(),
-            )
 
     def stats(self, vertex_set: int) -> IntermediateStats:
         """Statistics of the intermediate result for ``vertex_set``."""
         cached = self._cache.get(vertex_set)
         if cached is None:
-            cached = self._compute(vertex_set)
+            relation = self._relations.get(vertex_set)
+            if relation is None:
+                cached = self._compute(vertex_set)
+            else:
+                cached = IntermediateStats(
+                    vertex_set,
+                    relation.cardinality,
+                    relation.tuple_width,
+                    relation.pages(),
+                )
             self._cache[vertex_set] = cached
         return cached
 
@@ -143,6 +194,9 @@ class StatisticsProvider:
         cached = self._cache.get(vertex_set)
         if cached is not None:
             return cached.pages
+        relation = self._relations.get(vertex_set)
+        if relation is not None:
+            return relation.pages()
         return self._measure(vertex_set)[2]
 
     def _compute(self, vertex_set: int) -> IntermediateStats:

@@ -67,17 +67,16 @@ def join_fingerprint(outer: str, inner: str) -> str:
 
 
 class JoinTree:
-    """Common interface of leaf and join nodes."""
+    """Common interface of leaf and join nodes.
+
+    Each subclass sets every slot in its own ``__init__``, with no call up
+    to this class: a cache hit builds a tree's nodes twice (the clone,
+    then the replay).  ``_fingerprint`` starts as ``None`` and is filled
+    lazily by :func:`plan_fingerprint`; structural identity never changes
+    after construction.
+    """
 
     __slots__ = ("vertex_set", "cost", "cardinality", "_fingerprint")
-
-    def __init__(self, vertex_set: int, cost: float, cardinality: float):
-        self.vertex_set = vertex_set
-        self.cost = cost
-        self.cardinality = cardinality
-        # Lazily filled by plan_fingerprint(); structural identity never
-        # changes after construction.
-        self._fingerprint: "str | None" = None
 
     # -- structure ------------------------------------------------------
 
@@ -124,7 +123,10 @@ class LeafNode(JoinTree):
     __slots__ = ("relation", "name")
 
     def __init__(self, relation: int, cardinality: float, name: str = ""):
-        super().__init__(bitset.singleton(relation), 0.0, cardinality)
+        self.vertex_set = bitset.singleton(relation)
+        self.cost = 0.0
+        self.cardinality = cardinality
+        self._fingerprint = None
         self.relation = relation
         self.name = name or f"R{relation}"
 
@@ -159,13 +161,14 @@ class JoinNode(JoinTree):
         cardinality: float,
         operator_cost: float,
     ):
-        if left.vertex_set & right.vertex_set:
+        left_set = left.vertex_set
+        right_set = right.vertex_set
+        if left_set & right_set:
             raise ValueError("join inputs must be disjoint vertex sets")
-        super().__init__(
-            left.vertex_set | right.vertex_set,
-            left.cost + right.cost + operator_cost,
-            cardinality,
-        )
+        self.vertex_set = left_set | right_set
+        self.cost = left.cost + right.cost + operator_cost
+        self.cardinality = cardinality
+        self._fingerprint = None
         self.left = left
         self.right = right
         self.operator_cost = operator_cost

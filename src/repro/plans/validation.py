@@ -16,13 +16,14 @@ else.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.cost.compare import COST_ABS_TOLERANCE, cost_is_zero, costs_close
 from repro.cost.model import CostModel
 from repro.cost.statistics import StatisticsProvider
 from repro.errors import ReproError
 from repro.graph import bitset
+from repro.graph.query_graph import QueryGraph
 from repro.plans.join_tree import JoinNode, JoinTree, LeafNode
 from repro.query import Query
 
@@ -46,13 +47,18 @@ def validate_plan(
 
     Checks:
 
-    * the plan covers exactly the query's relations, each once;
+    * the plan covers exactly the query's relations, each once, and every
+      leaf's vertex set is its own relation's;
     * every join node's vertex set is the disjoint union of its inputs;
     * both inputs of every join induce connected subgraphs and are linked
       by at least one join edge (no cross products, §II-A);
     * cardinalities match the statistics provider's estimates;
     * when a ``cost_model`` is given, every node's accumulated cost equals
       a from-scratch recomputation.
+
+    The tree is walked without recursion (see :func:`_check_nodes`); the
+    join checks run in pre-order, left input first, so the first
+    violation in that order is the one reported.
     """
     if plan.vertex_set != query.graph.all_vertices:
         raise PlanValidationError(
@@ -60,19 +66,16 @@ def validate_plan(
             f"{bitset.format_set(plan.vertex_set)} != "
             f"{bitset.format_set(query.graph.all_vertices)}"
         )
-    seen = set()
-    for leaf in plan.leaves():
-        if leaf.relation in seen:
-            raise PlanValidationError(
-                f"relation R{leaf.relation} appears more than once in the plan"
-            )
-        seen.add(leaf.relation)
+    nodes, leaf_set = _preorder(plan)
     # Imported lazily: repro.context builds on repro.plans, so a module-level
     # import here would close a package cycle during interpreter start-up.
     from repro.context.context import statistics_for
 
+    # Validation's own provider, never the caller's: the estimates are
+    # re-read from the catalog, which a chaos-wrapped query may answer
+    # differently the second time.
     provider = statistics_for(query)
-    _validate_node(plan, query, provider)
+    _check_nodes(nodes, leaf_set, query, provider)
     if cost_model is not None:
         recomputed = recompute_cost(plan, provider, cost_model)
         if not costs_close(plan.cost, recomputed, rel=_COST_TOLERANCE):
@@ -121,20 +124,115 @@ def check_finite(plan: JoinTree) -> None:
             stack.append(node.right)
 
 
-def _validate_node(
-    node: JoinTree, query: Query, provider: StatisticsProvider
+def _preorder(tree: JoinTree) -> Tuple[List[JoinTree], int]:
+    """``tree``'s nodes in pre-order, left input first, and its leaves' set.
+
+    Leaves come out left to right, which is the order their two checks
+    run in: a relation seen before (the bitset of the leaves so far) and
+    a leaf whose vertex set is not its own relation's bit.  Coverage is
+    read from vertex sets, so without the second check a leaf could carry
+    another relation's bit and hide that relation's absence.
+    """
+    nodes: List[JoinTree] = []
+    seen = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, LeafNode):
+            bit = bitset.singleton(node.relation)
+            if seen & bit:
+                raise PlanValidationError(
+                    f"relation R{node.relation} appears more than once in the plan"
+                )
+            seen |= bit
+            if node.vertex_set != bit:
+                raise PlanValidationError(
+                    f"leaf R{node.relation} carries vertex set "
+                    f"{bitset.format_set(node.vertex_set)}, not "
+                    f"{bitset.format_set(bit)}"
+                )
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
+    return nodes, seen
+
+
+def _check_nodes(
+    nodes: List[JoinTree],
+    leaf_set: int,
+    query: Query,
+    provider: StatisticsProvider,
 ) -> None:
+    """Check every node of a :func:`_preorder` listing, in that order.
+
+    A bottom-up pass first proves joins *sound*: inputs disjoint, their
+    union the join's vertex set, both inputs proven connected, and a join
+    edge between them.  A leaf is one relation, so it is connected; a
+    sound join is the union of two connected sets that share an edge, so
+    it is connected too.  No breadth-first search runs on a valid plan.
+
+    The checks then run top-down, in pre-order: a sound join skips its
+    structural checks (all pass), any other join runs them in full
+    (:func:`_check_join_inputs`, which searches the graph), so the first
+    violation and its message are the same as checking every join in
+    full.  The proof pass runs only when every leaf names a relation of
+    the query, so it never asks the graph about a vertex it lacks.
+    Cardinalities are priced with
+    :meth:`~repro.cost.statistics.StatisticsProvider.estimate_cardinality`,
+    which builds no statistics object.
+    """
     graph = query.graph
-    if isinstance(node, LeafNode):
-        if node.cardinality != query.catalog.cardinality(node.relation):
-            raise PlanValidationError(
-                f"leaf R{node.relation} carries cardinality {node.cardinality}, "
-                f"catalog says {query.catalog.cardinality(node.relation)}"
+    sound = [False] * len(nodes)
+    if leaf_set | graph.all_vertices == graph.all_vertices:
+        connected: List[bool] = []  # one flag per subtree below, left on top
+        for index in range(len(nodes) - 1, -1, -1):
+            node = nodes[index]
+            if isinstance(node, LeafNode):
+                connected.append(True)
+                continue
+            left_connected = connected.pop()
+            right_connected = connected.pop()
+            left_set = node.left.vertex_set
+            right_set = node.right.vertex_set
+            proven = (
+                left_connected
+                and right_connected
+                and not left_set & right_set
+                and left_set | right_set == node.vertex_set
+                and graph.are_connected(left_set, right_set)
             )
-        if not cost_is_zero(node.cost):
-            raise PlanValidationError("leaf nodes must have zero cost")
-        return
-    assert isinstance(node, JoinNode)
+            sound[index] = proven
+            connected.append(proven)
+    catalog = query.catalog
+    estimate = provider.estimate_cardinality
+    for index, node in enumerate(nodes):
+        if isinstance(node, LeafNode):
+            if node.cardinality != catalog.cardinality(node.relation):
+                raise PlanValidationError(
+                    f"leaf R{node.relation} carries cardinality "
+                    f"{node.cardinality}, catalog says "
+                    f"{catalog.cardinality(node.relation)}"
+                )
+            if not cost_is_zero(node.cost):
+                raise PlanValidationError("leaf nodes must have zero cost")
+            continue
+        if not sound[index]:
+            _check_join_inputs(node, graph)
+        expected_cardinality = estimate(node.vertex_set)
+        if not (
+            abs(node.cardinality - expected_cardinality)
+            <= 1e-9 * max(1.0, expected_cardinality)
+        ):
+            raise PlanValidationError(
+                f"cardinality mismatch at {bitset.format_set(node.vertex_set)}: "
+                f"plan says {node.cardinality}, estimator says "
+                f"{expected_cardinality}"
+            )
+
+
+def _check_join_inputs(node: JoinNode, graph: QueryGraph) -> None:
+    """The structural checks of one join, each in full, in report order."""
     left, right = node.left, node.right
     if left.vertex_set & right.vertex_set != 0:
         raise PlanValidationError(
@@ -158,17 +256,6 @@ def _validate_node(
             f"cross product at {bitset.format_set(node.vertex_set)}: no join "
             "edge between the inputs"
         )
-    expected_cardinality = provider.cardinality(node.vertex_set)
-    if not (
-        abs(node.cardinality - expected_cardinality)
-        <= 1e-9 * max(1.0, expected_cardinality)
-    ):
-        raise PlanValidationError(
-            f"cardinality mismatch at {bitset.format_set(node.vertex_set)}: "
-            f"plan says {node.cardinality}, estimator says {expected_cardinality}"
-        )
-    _validate_node(left, query, provider)
-    _validate_node(right, query, provider)
 
 
 def recompute_cost(

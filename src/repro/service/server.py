@@ -36,6 +36,7 @@ exactly this).
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from concurrent.futures import Future
@@ -229,7 +230,7 @@ def _seconds_until(deadline: Optional[float]) -> Optional[float]:
 class _Ticket:
     """An admitted request plus its completion future and deadline."""
 
-    __slots__ = ("request", "future", "admitted_at", "deadline_at")
+    __slots__ = ("request", "future", "admitted_at", "deadline_at", "jitter")
 
     def __init__(self, request: OptimizeRequest, admitted_at: float):
         self.request = request
@@ -238,6 +239,10 @@ class _Ticket:
         #: The clock reading at which the request times out, if it can.
         deadline = request.deadline_seconds
         self.deadline_at = None if deadline is None else admitted_at + deadline
+        #: The retry jitter RNG, seeded by the request and built by the
+        #: first backoff: most requests never retry, and seeding one costs
+        #: more than a cache hit's lookup.
+        self.jitter: Optional[random.Random] = None
 
     def remaining(self, now: float) -> Optional[float]:
         """Seconds of deadline left at ``now``; ``None`` without one."""
@@ -764,7 +769,6 @@ class OptimizationService(_Frontend):
         # shed without burning a worker on a doomed optimization.
         if ticket.expired(self._clock()):
             return _timed_out(request, "expired in the admission queue", response)
-        rng = self._retry.rng_for(request.seed)
         best_degraded: Optional[ResilientResult] = None
         last_error: Optional[BaseException] = None
 
@@ -844,7 +848,7 @@ class OptimizationService(_Frontend):
                 last_error = error
                 if not transient:
                     return _failed(request, error, response=response)
-                if not self._backoff(attempt, rng, ticket, error):
+                if not self._backoff(attempt, ticket, error):
                     break
                 response.retries += 1
                 continue
@@ -863,7 +867,7 @@ class OptimizationService(_Frontend):
                     f"degraded to {result.rung} under injected faults "
                     f"{injected}"
                 )
-                if not self._backoff(attempt, rng, ticket, last_error):
+                if not self._backoff(attempt, ticket, last_error):
                     break
                 response.retries += 1
                 continue
@@ -940,14 +944,15 @@ class OptimizationService(_Frontend):
     def _backoff(
         self,
         attempt: int,
-        rng,
         ticket: _Ticket,
         error: BaseException,
     ) -> bool:
         """Sleep before the next attempt; False when no attempt remains."""
         if attempt + 1 >= self._retry.max_attempts:
             return False
-        delay = self._retry.delay(attempt + 1, rng)
+        if ticket.jitter is None:
+            ticket.jitter = self._retry.rng_for(ticket.request.seed)
+        delay = self._retry.delay(attempt + 1, ticket.jitter)
         if isinstance(error, CircuitOpenError):
             # No point probing before the breaker can move to half-open.
             delay = max(delay, error.retry_after)

@@ -39,12 +39,14 @@ class OptimizationStats:
         ``page_priced`` model (Haas) at ``k = 1`` it skips the ccps the
         I/O lower bound rules out: its count is the ccps it priced, at
         least one per class and at most ``ccps_considered``.  (Neither
-        sweep builds statistics objects, so of the ``stats_classes`` an
-        ``enumerate`` span reports, a bare DPccp run holds only the
-        winning tree's ``2n - 1`` classes.  A Haas-routed DPccp run shares
-        the caller's provider with the heuristic that routed it: its
-        ``stats_classes`` is the heuristic's classes and the winning
-        tree's, each class once.)
+        sweep builds statistics objects, and a provider builds a base
+        relation's only on first use, so of the ``stats_classes`` an
+        ``enumerate`` span reports — the classes whose statistics the
+        run's providers were asked for — a bare DPccp run holds only the
+        winning tree's ``2n - 1`` classes, its leaves included.  A
+        Haas-routed DPccp run shares the caller's provider with the
+        heuristic that routed it: its ``stats_classes`` is the
+        heuristic's classes and the winning tree's, each class once.)
     plan_classes_built:
         Distinct vertex sets (|S| >= 2) for which a best tree was
         registered — the *s* numerator of Table III.

@@ -96,6 +96,18 @@ class TestIntermediateStats:
         with pytest.raises(ValueError):
             IntermediateStats(vertex_set=1, cardinality=-1, tuple_width=10, pages=1)
 
+    def test_immutable_with_value_equality(self):
+        stats = IntermediateStats(0b11, 40.0, 24, 1.0)
+        with pytest.raises(AttributeError):
+            stats.pages = 2.0
+        with pytest.raises(AttributeError):
+            del stats.cardinality
+        assert stats.pages == 1.0 and stats.cardinality == 40.0
+        twin = IntermediateStats(0b11, 40.0, 24, 1.0)
+        assert stats == twin and hash(stats) == hash(twin)
+        assert stats != IntermediateStats(0b11, 40.0, 24, 2.0)
+        assert stats != (0b11, 40.0, 24, 1.0)
+
     def test_pages_have_floor_of_one(self, triangle_query):
         provider = StatisticsProvider(triangle_query)
         # Selectivities shrink the result below one tuple; pages stay >= 1.
@@ -172,17 +184,19 @@ class TestFactorTable:
     def test_estimate_builds_no_stats_objects(self, family):
         query = QueryGenerator(seed=2).generate(family, 8)
         provider = StatisticsProvider(query)
+        memoized = provider.cache_size()
         reference = StatisticsProvider(query)
         for vertex_set in enumerate_csg(query.graph):
             assert float.hex(provider.estimate_cardinality(vertex_set)) == (
                 float.hex(float(reference.cardinality(vertex_set)))
             )
-        assert provider.cache_size() == query.n_relations
+        assert provider.cache_size() == memoized
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_estimated_pages_build_no_stats_objects(self, family, monkeypatch):
         query = QueryGenerator(seed=2).generate(family, 8)
         provider = StatisticsProvider(query)
+        memoized = provider.cache_size()
         reference = StatisticsProvider(query)
         expected = {
             vertex_set: reference.stats(vertex_set).pages
@@ -195,7 +209,7 @@ class TestFactorTable:
         monkeypatch.setattr(statistics_module, "IntermediateStats", no_stats_object)
         for vertex_set, pages in expected.items():
             assert provider.estimate_pages(vertex_set) == pages
-        assert provider.cache_size() == query.n_relations
+        assert provider.cache_size() == memoized
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_dpconv_prices_each_class_like_the_provider(self, family, monkeypatch):
@@ -219,6 +233,56 @@ class TestFactorTable:
             assert float.hex(cardinality) == float.hex(
                 reference.cardinality(vertex_set)
             )
+
+
+class TestLeafStatistics:
+    """A base relation's statistics are built on first use, as they were
+    built eagerly: from the relation's own numbers, types kept."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_lazily_built_leaf_is_the_relation(self, family):
+        query = QueryGenerator(seed=6).generate(family, 7)
+        provider = StatisticsProvider(query)
+        assert provider.cache_size() == 0
+        for index in range(query.n_relations):
+            relation = query.catalog.relation(index)
+            leaf = provider.stats(bitset.singleton(index))
+            assert leaf.vertex_set == bitset.singleton(index)
+            assert type(leaf.cardinality) is type(relation.cardinality)
+            assert leaf.cardinality == relation.cardinality
+            assert leaf.tuple_width == relation.tuple_width
+            pages = relation.pages()  # an int once the ceiling passes 1.0
+            assert type(leaf.pages) is type(pages)
+            assert float.hex(float(leaf.pages)) == float.hex(float(pages))
+            assert provider.stats(bitset.singleton(index)) is leaf
+        assert provider.cache_size() == query.n_relations
+
+    def test_an_int_cardinality_stays_an_int(self):
+        graph = QueryGraph(2, [(0, 1)])
+        catalog = Catalog(
+            [RelationStats(1_000, 40, name="A"), RelationStats(3_000, 120, name="B")],
+            {(0, 1): 0.01},
+        )
+        provider = StatisticsProvider(Query(graph=graph, catalog=catalog))
+        leaf = provider.stats(0b10)
+        assert type(leaf.cardinality) is int and leaf.cardinality == 3_000
+        assert leaf.tuple_width == 120
+        pages = catalog.relation(1).pages()
+        assert type(leaf.pages) is type(pages)
+        assert float.hex(float(leaf.pages)) == float.hex(float(pages))
+
+    def test_estimated_leaf_pages_build_nothing(self, monkeypatch):
+        query = QueryGenerator(seed=6).generate("cyclic", 7)
+        provider = StatisticsProvider(query)
+
+        def no_stats_object(*args, **kwargs):
+            raise AssertionError("estimate_pages built an IntermediateStats")
+
+        monkeypatch.setattr(statistics_module, "IntermediateStats", no_stats_object)
+        for index in range(query.n_relations):
+            pages = provider.estimate_pages(bitset.singleton(index))
+            assert pages == query.catalog.relation(index).pages()
+        assert provider.cache_size() == 0
 
 
 class TestCatalogReads:

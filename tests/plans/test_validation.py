@@ -9,7 +9,8 @@ from repro.graph import bitset
 from repro.plans.join_tree import JoinNode, LeafNode
 from repro.plans.validation import (
     PlanValidationError,
-    _validate_node,
+    _check_nodes,
+    _preorder,
     check_finite,
     recompute_cost,
     validate_plan,
@@ -235,10 +236,10 @@ class TestExactMessages:
 
     def test_cross_product(self, query, provider):
         # A parent's connectivity check always fires before a cross
-        # product below it can be seen, so the check is driven on the
+        # product below it can be seen, so the walk is driven on the
         # offending subtree itself.
         cross = _join(provider, _leaf(query, 0), _leaf(query, 2))
-        assert _message(_validate_node, cross, query, provider) == (
+        assert _message(_check_nodes, *_preorder(cross), query, provider) == (
             "cross product at {R0, R2}: no join edge between the inputs"
         )
 
